@@ -6,7 +6,7 @@ strings used by the CLI and the evaluation harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
 from ..problems.types import Instance, ObjectiveValue, ProblemKind, Solution
@@ -40,48 +40,37 @@ Solver = Callable[..., Solution]
 
 
 def _aco(inst: Instance, seed: Optional[int] = None, **params) -> Solution:
-    from dataclasses import replace
-
     base = AcoConfig.default_for(inst.kind)
     base = replace(base, seed=0 if seed is None else seed, **params)
     return aco_solve(inst, base)
 
 
-def _tsili(inst: Instance, seed: Optional[int] = None, **params) -> Solution:
-    return op_tsili(inst, seed=seed, **params)
-
-
 _REGISTRY: Dict[Tuple[ProblemKind, str], Solver] = {
-    (ProblemKind.TSP, "nn"): lambda inst, **kw: tsp_nearest_neighbor(inst, **kw),
-    (ProblemKind.TSP, "fi"): lambda inst, **kw: tsp_farthest_insertion(inst, **kw),
+    (ProblemKind.TSP, "nn"): tsp_nearest_neighbor,
+    (ProblemKind.TSP, "fi"): tsp_farthest_insertion,
     (ProblemKind.TSP, "aco"): _aco,
-    (ProblemKind.OP, "greedy"): lambda inst, **kw: op_greedy(inst, **kw),
-    (ProblemKind.OP, "greedy_insertion"): lambda inst, **kw: op_greedy_insertion(inst, **kw),
-    (ProblemKind.OP, "tsili"): _tsili,
+    (ProblemKind.OP, "greedy"): op_greedy,
+    (ProblemKind.OP, "greedy_insertion"): op_greedy_insertion,
+    (ProblemKind.OP, "tsili"): op_tsili,
     (ProblemKind.OP, "aco"): _aco,
-    (ProblemKind.CVRP, "sweep"): lambda inst, **kw: cvrp_sweep(inst, **kw),
-    (ProblemKind.CVRP, "savings"): lambda inst, **kw: cvrp_savings(inst, **kw),
+    (ProblemKind.CVRP, "sweep"): cvrp_sweep,
+    (ProblemKind.CVRP, "savings"): cvrp_savings,
     (ProblemKind.CVRP, "aco"): _aco,
-    (ProblemKind.MIS, "greedy"): lambda inst, **kw: mis_greedy_min_degree(inst, **kw),
-    (ProblemKind.MIS, "degree"): lambda inst, **kw: mis_degree_add(inst, **kw),
-    (ProblemKind.MVC, "approx"): lambda inst, **kw: mvc_approx_matching(inst, **kw),
-    (ProblemKind.MVC, "greedy"): lambda inst, **kw: mvc_greedy_max_degree(inst, **kw),
-    (ProblemKind.MVC, "degree"): lambda inst, **kw: mvc_degree_removal(inst, **kw),
-    (ProblemKind.PFSP, "palmer"): lambda inst, **kw: pfsp_palmer(inst, **kw),
-    (ProblemKind.PFSP, "neh"): lambda inst, **kw: pfsp_neh(inst, **kw),
+    (ProblemKind.MIS, "greedy"): mis_greedy_min_degree,
+    (ProblemKind.MIS, "degree"): mis_degree_add,
+    (ProblemKind.MVC, "approx"): mvc_approx_matching,
+    (ProblemKind.MVC, "greedy"): mvc_greedy_max_degree,
+    (ProblemKind.MVC, "degree"): mvc_degree_removal,
+    (ProblemKind.PFSP, "palmer"): pfsp_palmer,
+    (ProblemKind.PFSP, "neh"): pfsp_neh,
     (ProblemKind.JSSP, "spt"): lambda inst, **kw: jssp_dispatch(inst, rule="spt", **kw),
     (ProblemKind.JSSP, "fifo"): lambda inst, **kw: jssp_dispatch(inst, rule="fifo", **kw),
     (ProblemKind.JSSP, "atc"): lambda inst, **kw: jssp_dispatch(inst, rule="atc", **kw),
 }
 
+# Method names per kind, in registry order (the order CLI messages list them).
 METHODS_BY_KIND: Dict[ProblemKind, Tuple[str, ...]] = {
-    ProblemKind.TSP: ("nn", "fi", "aco"),
-    ProblemKind.OP: ("greedy", "greedy_insertion", "tsili", "aco"),
-    ProblemKind.CVRP: ("sweep", "savings", "aco"),
-    ProblemKind.MIS: ("greedy", "degree"),
-    ProblemKind.MVC: ("approx", "greedy", "degree"),
-    ProblemKind.PFSP: ("palmer", "neh"),
-    ProblemKind.JSSP: ("spt", "fifo", "atc"),
+    kind: tuple(m for k, m in _REGISTRY if k is kind) for kind, _ in _REGISTRY
 }
 
 # Methods whose behavior depends on a random seed.

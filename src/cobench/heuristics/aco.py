@@ -1,20 +1,24 @@
 """Ant colony optimization for the three routing kinds.
 
-One vectorized construction engine per kind: every ant advances one step per
-numpy operation, so full-size colonies stay fast. Pheromones start at 1.0,
-evaporate by rho per iteration, and only the best-so-far solution deposits
-(elitist update).
+All three kinds build their ants' solutions with the shared masked-rollout
+kernel (rollout.py); a kind only supplies its heuristic desirability eta, its
+feasibility mask and what a stuck ant does. Each iteration computes the
+choice-info matrix tau**alpha * eta**beta once, and every step gathers one
+row of it per ant (Dorigo & Stuetzle, Ant Colony Optimization, 2004, ch. 3).
+Pheromones start at 1.0, evaporate by rho per iteration, and only the
+best-so-far solution deposits (elitist update).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..problems.generate import distance_matrix
 from ..problems.types import Instance, ProblemKind, Route, RouteSet, Solution
+from .rollout import rollout, roulette, within_budget
 
 _EPS = 1e-12
 
@@ -47,202 +51,70 @@ class AcoConfig:
 
 
 def aco_solve(inst: Instance, cfg: Optional[AcoConfig] = None) -> Solution:
+    """Best solution an elitist ant colony finds on a TSP, OP or CVRP instance."""
     if cfg is None:
-        cfg = AcoConfig.default_for(inst.kind)
-        cfg = replace(cfg, seed=0)
-    if inst.kind is ProblemKind.TSP:
-        return _aco_tsp(inst, cfg)
-    if inst.kind is ProblemKind.OP:
-        return _aco_op(inst, cfg)
-    if inst.kind is ProblemKind.CVRP:
-        return _aco_cvrp(inst, cfg)
-    raise ValueError(f"no ACO construction for {inst.kind.value}")
-
-
-def _sample_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one column index per row proportionally to that row's weights."""
-    cum = weights.cumsum(axis=1)
-    total = cum[:, -1:]
-    u = np.maximum(rng.random((weights.shape[0], 1)), 1e-16)
-    col = (cum < u * total).sum(axis=1)
-    return np.minimum(col, weights.shape[1] - 1)
-
-
-def _route_edges(seq: List[int]) -> List[Tuple[int, int]]:
-    return list(zip(seq[:-1], seq[1:]))
-
-
-def _aco_tsp(inst: Instance, cfg: AcoConfig) -> Route:
+        cfg = replace(AcoConfig.default_for(inst.kind), seed=0)
+    kind = inst.kind
+    if kind not in (ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP):
+        raise ValueError(f"no ACO construction for {kind.value}")
     p = inst.payload
     d = distance_matrix(p.coords)
-    n = p.n
-    rng = np.random.default_rng(cfg.seed)
-    eta = 1.0 / np.maximum(d, _EPS)
-    np.fill_diagonal(eta, 0.0)
-    tau = np.ones((n, n))
-    best_tour: Optional[List[int]] = None
-    best_len = np.inf
-    R = cfg.ants
-
-    for _ in range(cfg.iterations):
-        cur = np.zeros(R, dtype=int)
-        visited = np.zeros((R, n), dtype=bool)
-        visited[:, 0] = True
-        steps = np.empty((R, n - 1), dtype=np.int32)
-        for s in range(n - 1):
-            w = (tau[cur] ** cfg.alpha) * (eta[cur] ** cfg.beta)
-            w[visited] = 0.0
-            col = _sample_rows(w, rng)
-            # a zero-weight draw can only happen on numerically dead rows;
-            # fall back to the first unvisited node there
-            dead = w[np.arange(R), col] <= 0.0
-            if dead.any():
-                col[dead] = np.argmax(~visited[dead], axis=1)
-            visited[np.arange(R), col] = True
-            steps[:, s] = col
-            cur = col
-        depot_col = np.zeros((R, 1), dtype=np.int32)
-        tours = np.concatenate([depot_col, steps, depot_col], axis=1)
-        lengths = d[tours[:, :-1], tours[:, 1:]].sum(axis=1)
-        i = int(np.argmin(lengths))
-        if lengths[i] < best_len - _EPS:
-            best_len = float(lengths[i])
-            best_tour = [int(v) for v in tours[i]]
-        tau *= 1.0 - cfg.evaporation
-        for a, b in _route_edges(best_tour):
-            tau[a, b] += 1.0 / max(best_len, _EPS)
-            tau[b, a] += 1.0 / max(best_len, _EPS)
-    return Route(tuple(best_tour))
-
-
-def _aco_op(inst: Instance, cfg: AcoConfig) -> Route:
-    p = inst.payload
-    d = distance_matrix(p.coords)
-    prizes = np.asarray(p.prizes, dtype=float)
-    n = p.n
-    budget = p.distance_limit
-    rng = np.random.default_rng(cfg.seed)
-    eta = prizes[None, :] / np.maximum(d, _EPS)  # prize-per-distance from anywhere
-    tau = np.ones((n, n))
-    best_route: List[int] = [0]
-    best_prize, best_len = -np.inf, np.inf
-    R = cfg.ants
-
-    for _ in range(cfg.iterations):
-        cur = np.zeros(R, dtype=int)
-        visited = np.zeros((R, n), dtype=bool)
-        visited[:, 0] = True
-        length = np.zeros(R)
-        collected = np.zeros(R)
-        active = np.ones(R, dtype=bool)
-        steps = np.full((R, n - 1), -1, dtype=np.int32)
-        for s in range(n - 1):
-            if not active.any():
-                break
-            dcur = d[cur]
-            feasible = (~visited) & (length[:, None] + dcur <= budget + 1e-9)
-            feasible &= active[:, None]
-            active &= feasible.any(axis=1)
-            if not active.any():
-                break
-            w = (tau[cur] ** cfg.alpha) * (eta[cur] ** cfg.beta)
-            w = np.where(feasible, w, 0.0)
-            zero = (w.sum(axis=1) <= 0.0) & active
-            if zero.any():  # all-zero desirability: uniform over feasible
-                w[zero] = feasible[zero].astype(float)
-            col = _sample_rows(w, rng)
-            move_d = dcur[np.arange(R), col]
-            length = np.where(active, length + move_d, length)
-            collected = np.where(active, collected + prizes[col], collected)
-            visited[np.arange(R), np.where(active, col, 0)] |= active
-            steps[:, s] = np.where(active, col, -1)
-            cur = np.where(active, col, cur)
-        i = int(np.lexsort((length, -collected))[0])
-        route = [0] + [int(v) for v in steps[i] if v >= 0]
-        if collected[i] > best_prize + _EPS or (
-            abs(collected[i] - best_prize) <= _EPS and length[i] < best_len - _EPS
-        ):
-            best_prize, best_len = float(collected[i]), float(length[i])
-            best_route = route
-        tau *= 1.0 - cfg.evaporation
+    rules: dict = {}  # TSP: every unvisited node is feasible, no ant gets stuck
+    if kind is ProblemKind.OP:
+        prizes = np.asarray(p.prizes, dtype=float)
         total_prize = max(prizes.sum(), _EPS)
-        for a, b in _route_edges(best_route):
-            tau[a, b] += best_prize / total_prize
-            tau[b, a] += best_prize / total_prize
-    return Route(tuple(best_route))
+        eta = prizes[None, :] / np.maximum(d, _EPS)  # prize-per-distance from anywhere
+        rules = dict(feasible=within_budget(d, p.distance_limit), gain=prizes)
+    else:
+        eta = 1.0 / np.maximum(d, _EPS)
+    if kind is ProblemKind.CVRP:
+        demands = np.asarray(p.demands, dtype=float)
+        Q = float(p.capacity)
+        if demands.max() > Q:
+            raise ValueError("a customer demand exceeds the vehicle capacity")
 
+        def fits(cur, unvisited, length, load):
+            return unvisited & (demands <= (Q - load)[:, None] + 1e-9)
 
-def _aco_cvrp(inst: Instance, cfg: AcoConfig) -> RouteSet:
-    p = inst.payload
-    d = distance_matrix(p.coords)
-    demands = np.asarray(p.demands, dtype=float)
-    n = p.n
-    Q = float(p.capacity)
-    if demands.max() > Q:
-        raise ValueError("a customer demand exceeds the vehicle capacity")
-    rng = np.random.default_rng(cfg.seed)
-    eta = 1.0 / np.maximum(d, _EPS)
+        # a stuck ant heads to the depot, either to reload or to close its final loop
+        rules = dict(feasible=fits, gain=demands, reload=True, max_steps=2 * p.n + 2)
     np.fill_diagonal(eta, 0.0)
-    tau = np.ones((n, n))
-    best_seq: Optional[List[int]] = None
-    best_len = np.inf
-    R = cfg.ants
-    max_steps = 2 * n + 2
+    eta_b = eta ** cfg.beta
+    rng = np.random.default_rng(cfg.seed)
+    tau = np.ones_like(d)
+    no_prize = np.zeros(cfg.ants)
+    best_prize, best_len = -np.inf, np.inf  # the first iteration always improves
 
     for _ in range(cfg.iterations):
-        cur = np.zeros(R, dtype=int)
-        visited = np.zeros((R, n), dtype=bool)
-        visited[:, 0] = True
-        cap = np.full(R, Q)
-        length = np.zeros(R)
-        done = np.zeros(R, dtype=bool)
-        steps = np.full((R, max_steps), -1, dtype=np.int32)
-        for s in range(max_steps):
-            if done.all():
-                break
-            feasible = (~visited) & (demands[None, :] <= cap[:, None] + 1e-9)
-            feasible[done] = False
-            has_move = feasible.any(axis=1)
-            served_all = visited.all(axis=1)
-            moving = (~done) & has_move
-            # ants with no feasible customer head to the depot, either to
-            # reload (capacity reset) or to close their final loop
-            returning = (~done) & (~has_move)
-            if moving.any():
-                w = (tau[cur] ** cfg.alpha) * (eta[cur] ** cfg.beta)
-                w = np.where(feasible, w, 0.0)
-                zero = (w.sum(axis=1) <= 0.0) & moving
-                if zero.any():
-                    w[zero] = feasible[zero].astype(float)
-                col = _sample_rows(w, rng)
-                move_d = d[cur[moving], col[moving]]
-                length[moving] += move_d
-                cap[moving] -= demands[col[moving]]
-                visited[np.arange(R)[moving], col[moving]] = True
-                steps[moving, s] = col[moving]
-                cur[moving] = col[moving]
-            if returning.any():
-                back = d[cur[returning], 0]
-                length[returning] += np.where(cur[returning] == 0, 0.0, back)
-                cap[returning] = Q
-                steps[returning, s] = 0
-                cur[returning] = 0
-                done |= returning & served_all
-        # an ant that somehow ran out of steps has no complete solution
-        length = np.where(done, length, np.inf)
-        i = int(np.argmin(length))
-        if length[i] < best_len - _EPS:
-            best_len = float(length[i])
-            best_seq = [0] + [int(v) for v in steps[i] if v >= 0]
+        # choice info, once per iteration; kept finite so that masking by a
+        # product never turns an overflowed weight into NaN
+        ci = np.nan_to_num(tau ** cfg.alpha * eta_b, copy=False)
+        walks = rollout(d, cfg.ants, lambda cur, mask: roulette(ci[cur] * mask, mask, rng), **rules)
+        paths, length, prize = walks.paths, walks.length, no_prize
+        if kind is ProblemKind.TSP:
+            paths = np.pad(paths, ((0, 0), (0, 1)))  # close every tour at the depot
+            length = d[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+        elif kind is ProblemKind.OP:
+            prize = walks.load
+        else:  # an ant that ran out of steps has no complete solution
+            length = np.where(walks.walking, np.inf, length)
+        i = int(np.lexsort((length, -prize))[0])
+        if prize[i] > best_prize + _EPS or (
+            abs(prize[i] - best_prize) <= _EPS and length[i] < best_len - _EPS
+        ):
+            best_prize, best_len = float(prize[i]), float(length[i])
+            best = paths[i][paths[i] >= 0]
         tau *= 1.0 - cfg.evaporation
-        for a, b in _route_edges(best_seq):
-            if a != b:
-                tau[a, b] += 1.0 / max(best_len, _EPS)
-                tau[b, a] += 1.0 / max(best_len, _EPS)
-    return _seq_to_routes(best_seq)
+        # elitist update; every edge gets the same amount, so the order of
+        # the additions cannot change the sums
+        amount = best_prize / total_prize if kind is ProblemKind.OP else 1.0 / max(best_len, _EPS)
+        np.add.at(tau, (np.r_[best[:-1], best[1:]], np.r_[best[1:], best[:-1]]), amount)
+
+    nodes = tuple(int(v) for v in best)
+    return _seq_to_routes(nodes) if kind is ProblemKind.CVRP else Route(nodes)
 
 
-def _seq_to_routes(seq: List[int]) -> RouteSet:
+def _seq_to_routes(seq: Sequence[int]) -> RouteSet:
     """Split a depot-separated visit sequence into per-vehicle loops."""
     routes: List[List[int]] = []
     current: List[int] = []

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..problems.generate import distance_matrix
 from ..problems.types import Instance, ProblemKind, Route, RouteSet, RoutingInstance
+from .rollout import rollout, roulette, within_budget
 
 _EPS = 1e-12
 _IMPROVE_TOL = 1e-10
@@ -191,58 +192,26 @@ def op_tsili(inst: Instance, samples: int = 1280, seed: Optional[int] = None) ->
         raise ValueError("samples must be >= 1")
     d = distance_matrix(p.coords)
     prizes = np.asarray(p.prizes, dtype=float)
-    n = p.n
-    budget = p.distance_limit
     rng = np.random.default_rng(seed)
+    rows = np.arange(samples)
+    width = min(4, max(1, p.n - 1))
 
-    R = samples
-    cur = np.zeros(R, dtype=int)
-    visited = np.zeros((R, n), dtype=bool)
-    visited[:, 0] = True
-    length = np.zeros(R)
-    collected = np.zeros(R)
-    active = np.ones(R, dtype=bool)
-    steps = np.full((R, n), -1, dtype=np.int32)
-    width = min(4, max(1, n - 1))
-
-    for step_i in range(n - 1):
-        if not active.any():
-            break
-        dcur = d[cur]
-        feasible = (~visited) & (length[:, None] + dcur <= budget + 1e-9)
-        feasible &= active[:, None]
-        has_move = feasible.any(axis=1)
-        active &= has_move
-        if not active.any():
-            break
-        masked = np.where(feasible, dcur, np.inf)
+    def choose(cur: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+        masked = np.where(feasible, d[cur], np.inf)
         cand = np.argpartition(masked, kth=width - 1, axis=1)[:, :width]
         cand_d = np.take_along_axis(masked, cand, axis=1)
         ok = np.isfinite(cand_d)
         w = np.where(ok, (prizes[cand] / np.maximum(cand_d, _EPS)) ** 4, 0.0)
         row_sum = w.sum(axis=1, keepdims=True)
-        degenerate = (row_sum[:, 0] <= 0) & active
+        degenerate = row_sum[:, 0] <= 0
         if degenerate.any():  # all candidate prizes zero: fall back to uniform
-            w[degenerate] = ok[degenerate].astype(float)
+            w[degenerate] = ok[degenerate]
             row_sum = w.sum(axis=1, keepdims=True)
-        probs = np.where(active[:, None], w / np.maximum(row_sum, _EPS), 0.0)
-        cum = probs.cumsum(axis=1)
-        # u is clamped away from 0 so a leading zero-weight candidate can
-        # never be selected by an exact-zero draw.
-        u = np.maximum(rng.random(R), 1e-16)
-        col = (cum < u[:, None] * cum[:, -1:]).sum(axis=1)
-        col = np.minimum(col, width - 1)
-        chosen = cand[np.arange(R), col]
-        move_d = dcur[np.arange(R), chosen]
-        length = np.where(active, length + move_d, length)
-        collected = np.where(active, collected + prizes[chosen], collected)
-        visited[np.arange(R), np.where(active, chosen, 0)] |= active
-        steps[:, step_i] = np.where(active, chosen, -1)
-        cur = np.where(active, chosen, cur)
+        return cand[rows, roulette(w / np.maximum(row_sum, _EPS), ok, rng)]
 
-    best = int(np.lexsort((length, -collected))[0])
-    route = [0] + [int(v) for v in steps[best] if v >= 0]
-    return Route(tuple(route))
+    walks = rollout(d, samples, choose, within_budget(d, p.distance_limit), gain=prizes)
+    best = int(np.lexsort((walks.length, -walks.load))[0])
+    return Route(tuple(int(v) for v in walks.paths[best] if v >= 0))
 
 
 # ---------------------------------------------------------------------------

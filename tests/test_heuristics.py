@@ -37,7 +37,7 @@ from cobench.problems.types import (
 )
 from cobench.verify import check, objective, pfsp_makespan
 
-from conftest import ALL_KINDS, make_instance
+from conftest import ALL_KINDS, ROUTING_KINDS, make_instance
 
 
 def _tsp(coords):
@@ -226,6 +226,29 @@ def test_aco_config_defaults():
         AcoConfig(ants=0)
     with pytest.raises(ValueError):
         AcoConfig(evaporation=1.5)
+
+
+@pytest.mark.parametrize("kind", ROUTING_KINDS)
+@pytest.mark.parametrize(
+    "coord_range,beta,underflow",
+    [
+        ((10**5, 10**6), 200.0, True),  # every eta**beta underflows to 0.0
+        ((1, 3), 1000.0, False),  # coincident and unit-distance nodes overflow
+    ],
+)
+def test_aco_survives_degenerate_desirability(kind, coord_range, beta, underflow):
+    inst = make_instance(kind, size=15, seed=1, coord_range=coord_range)
+    p = inst.payload
+    top = np.asarray(p.prizes, dtype=float) if kind is ProblemKind.OP else 1.0
+    off_diagonal = ~np.eye(p.n, dtype=bool)
+    with np.errstate(over="ignore"):
+        eta_b = (top / np.maximum(distance_matrix(p.coords), 1e-12))[off_diagonal] ** beta
+        sol = aco_solve(inst, AcoConfig(ants=6, iterations=5, beta=beta, seed=0))
+    if underflow:
+        assert (eta_b == 0.0).all()
+    else:
+        assert np.isinf(eta_b).any()
+    assert check(inst, sol).feasible
 
 
 def test_aco_rejects_non_routing():
