@@ -27,7 +27,7 @@ from .rewards import (
     total_reward,
 )
 from .tai import encode, parse, render_prompt
-from .verify import FeasibilityReport, check, objective
+from .verify import FeasibilityReport, check, objective, score
 
 __version__ = "0.1.0"
 
@@ -54,5 +54,6 @@ __all__ = [
     "parse",
     "render_prompt",
     "save_instance",
+    "score",
     "total_reward",
 ]

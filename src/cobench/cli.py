@@ -32,11 +32,11 @@ from .problems.io import (
     save_reference,
 )
 from .problems.types import Distribution, GenConfig, GraphFamily, Instance, ProblemKind
-from .rewards import RewardConfig, feasibility_reward, optimality_reward, total_reward
+from .rewards import RewardConfig, feasibility_reward, optimality_reward
 from .tai.encode import encode
 from .tai.parse import parse, strip_thinking
 from .tai.render import render_prompt
-from .verify import check, objective
+from .verify import check, score
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,10 +196,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if ref.instance_id != inst.id:
             return _fail(f"reference is for {ref.instance_id}, not {inst.id}")
         sol = ref.solution
-    report = check(inst, sol)
+    report, value = score(inst, sol)
     payload = report.to_dict()
     if report.feasible:
-        payload["objective"] = objective(inst, sol).value
+        payload["objective"] = value
     print(json.dumps(payload))
     return EXIT_OK if report.feasible else EXIT_DATA
 
@@ -212,19 +212,14 @@ def _cmd_reward(args: argparse.Namespace) -> int:
     reference = args.reference_objective
     if reference is None and args.reference:
         reference = load_reference(args.reference).objective
-    if parsed.format_ok and parsed.solution is not None:
-        report = check(inst, parsed.solution)
-        value = objective(inst, parsed.solution).value if report.feasible else None
-    else:
-        report = check(inst, None)
+    # A parse failure leaves solution None, which scores as a failed format gate.
+    report, value = score(inst, parsed.solution)
+    if not report.feasible:
         value = None
     r_f = feasibility_reward(inst.kind, report)
     r_o = 0.0
-    if report.feasible and value is not None and reference is not None:
+    if value is not None and reference is not None:
         r_o = optimality_reward(inst.kind, value, reference, cfg)
-    total = r_f + r_o
-    if reference is not None:
-        total = total_reward(inst.kind, report, value, reference, cfg)
     print(
         json.dumps(
             {
@@ -232,7 +227,7 @@ def _cmd_reward(args: argparse.Namespace) -> int:
                 "constraints": dict(report.constraints),
                 "feasibility_reward": r_f,
                 "optimality_reward": r_o,
-                "total_reward": total,
+                "total_reward": r_f + r_o,
                 "objective": value,
             }
         )

@@ -19,7 +19,7 @@ from ..problems.types import (
     Sense,
 )
 from ..tai.parse import parse
-from ..verify import FeasibilityReport, check, objective
+from ..verify import FeasibilityReport, score
 
 GAP_KS = (1, 5, 10)
 
@@ -40,14 +40,8 @@ def build_candidate(inst: Instance, raw_text: str) -> Candidate:
     parsed = parse(raw_text, inst.kind)
     if not parsed.format_ok or parsed.solution is None:
         return Candidate(raw_text, False, None, None)
-    report = check(inst, parsed.solution)
-    value: Optional[float] = None
-    if report.feasible:
-        try:
-            value = objective(inst, parsed.solution).value
-        except ValueError:
-            value = None
-    return Candidate(raw_text, True, report, value)
+    report, value = score(inst, parsed.solution)
+    return Candidate(raw_text, True, report, value if report.feasible else None)
 
 
 def bon_select(candidates: Sequence[Candidate], sense: Sense) -> Optional[int]:

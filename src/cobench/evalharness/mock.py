@@ -24,7 +24,7 @@ from ..problems.types import (
     VertexSet,
 )
 from ..tai.render import format_solution
-from ..verify import objective
+from ..verify import score
 
 _PROSE = (
     "This instance looks quite challenging; a good tour probably follows the "
@@ -156,8 +156,5 @@ def mock_policy(
         sol = _degrade(inst, reference, rng)
     else:
         sol = reference
-    try:
-        value = objective(inst, sol).value
-    except ValueError:
-        value = 0.0
-    return format_solution(inst.kind, sol, value)
+    value = score(inst, sol)[1]
+    return format_solution(inst.kind, sol, 0.0 if value is None else value)

@@ -15,7 +15,7 @@ from ..problems.io import ReferenceSolution
 from ..problems.types import Instance
 from ..tai.encode import encode
 from ..tai.render import format_solution
-from ..verify import check, objective
+from ..verify import score
 
 
 def sft_records(
@@ -26,14 +26,13 @@ def sft_records(
         ref = references.get(inst.id)
         if ref is None:
             raise ValueError(f"no reference solution for instance {inst.id}")
-        report = check(inst, ref.solution)
+        report, value = score(inst, ref.solution)
         if not report.feasible:
             violated = [name for name, ok in report.constraints if not ok]
             raise ValueError(
                 f"reference for {inst.id} is infeasible "
                 f"(zeta={int(report.zeta)}, violated: {', '.join(violated) or 'format'})"
             )
-        value = objective(inst, ref.solution).value
         tai = encode(inst)
         records.append(
             {

@@ -25,7 +25,7 @@ from ..problems.types import (
     Solution,
     VertexSet,
 )
-from ..verify import jssp_start_times, objective
+from ..verify import jssp_makespan, jssp_start_times, objective
 
 
 class BudgetExceededError(Exception):
@@ -360,7 +360,7 @@ def _jssp_exact(inst: Instance, budget: BruteForceBudget) -> MachineSchedules:
         start = jssp_start_times(p, sol)
         if start is None:
             continue  # deadlocked combination
-        mk = max(start[(j, i)] + p.ptimes[j][i] for j in range(jobs) for i in range(machines))
+        mk = jssp_makespan(p, start)
         if mk < best_mk - 1e-12:
             best_mk = mk
             best_sol = sol

@@ -58,7 +58,6 @@ def mvc_greedy_max_degree(inst: Instance) -> VertexSet:
     """Adaptive greedy: repeatedly add the vertex covering the most remaining
     edges until every edge is covered."""
     p = _require(inst, ProblemKind.MVC)
-    adj = [set(a) for a in p.adjacency()]
     cover: List[int] = []
     remaining = {e for e in p.edges}
     while remaining:

@@ -8,6 +8,7 @@ estimates; this module turns them into scalars.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
 
@@ -89,12 +90,15 @@ def optimality_reward(
     Minimization kinds score alpha / (1 + gap) with gap = (value - ref)/|ref|;
     maximization kinds (OP, MIS) score alpha * value / ref. Values beating
     the reference are clamped to 1.05 * alpha with a logged warning, and the
-    result never goes below 0.
+    result never goes below 0. A zero reference (an OP can score 0) gives no
+    scale for a gap: matching it earns alpha, beating it earns the clamped
+    ceiling, and falling short earns 0.
     """
-    if reference == 0:
-        raise ValueError("reference objective must be nonzero")
     sense = SENSE_BY_KIND[kind]
-    if sense is Sense.MIN:
+    if reference == 0:
+        beats = value < 0 if sense is Sense.MIN else value > 0
+        raw = cfg.alpha if value == 0 else (math.inf if beats else 0.0)
+    elif sense is Sense.MIN:
         gap = (value - reference) / abs(reference)
         raw = cfg.alpha / (1.0 + gap) if gap > -1.0 else cfg.alpha * 1.05
     else:

@@ -1,17 +1,24 @@
-"""Feasibility checking and objective computation.
+"""Feasibility checking and objective computation in one scoring pass.
 
-check() never raises on bad candidate solutions: structural mismatches come
-back as an all-false report. objective() is stricter and raises ValueError
-when the solution is too malformed to score (out-of-range ids, deadlocked
-schedules), since callers only score candidates that passed check().
+score() checks every constraint and computes the objective value from the
+same validated view of the solution, and never raises. Every id passes one
+gate first (an integer in range), so a solution the report calls feasible
+always has a value: feasible implies objective() succeeds. A solution that
+is well-formed but infeasible still gets a value; the value is None only
+when the solution cannot be scored at all (wrong type, bad ids, JSSP rows
+that are not permutations, or a deadlocked schedule). check() and
+objective() are thin views of score(); objective() raises ValueError where
+the value is None.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .problems.types import (
     GraphInstance,
@@ -28,7 +35,6 @@ from .problems.types import (
     SOLUTION_TYPE_BY_KIND,
     SENSE_BY_KIND,
     VertexSet,
-    euclid,
 )
 
 # Absolute tolerance for comparing route lengths and loads against limits.
@@ -76,25 +82,53 @@ class FeasibilityReport:
         }
 
 
+Scored = Tuple[FeasibilityReport, Optional[float]]
+
+
+def _report(kind: ProblemKind, *flags, margins=()) -> FeasibilityReport:
+    names = CONSTRAINT_NAMES[kind]
+    return FeasibilityReport(
+        zeta=True,
+        constraints=tuple((n, bool(ok)) for n, ok in zip(names, flags)),
+        margins=margins,
+    )
+
+
 def _failed_report(kind: ProblemKind) -> FeasibilityReport:
     names = CONSTRAINT_NAMES[kind]
     return FeasibilityReport(zeta=False, constraints=tuple((n, False) for n in names))
 
 
 def route_length(coords, nodes) -> float:
-    """Sum of Euclidean edge lengths along a node sequence (open path)."""
+    """Sum of Euclidean edge lengths along a node sequence (open path).
+
+    Each edge is euclid()'s arithmetic inlined, and edges are summed in
+    path order, so lengths match a loop over euclid() bit for bit."""
     total = 0.0
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        total += euclid(coords[a], coords[b])
+    if not nodes:
+        return total
+    x0, y0 = coords[nodes[0]]
+    for b in nodes[1:]:
+        x1, y1 = coords[b]
+        total += math.hypot(x0 - x1, y0 - y1)
+        x0, y0 = x1, y1
     return total
+
+
+def score(inst: Instance, sol: Solution) -> Scored:
+    """Feasibility report and objective value of `sol`. Never raises.
+
+    The value is None only when the solution cannot be scored; it is never
+    None for a solution the report calls feasible.
+    """
+    if not isinstance(sol, SOLUTION_TYPE_BY_KIND[inst.kind]):
+        return _failed_report(inst.kind), None
+    return _SCORERS[inst.kind](inst.payload, sol)
 
 
 def check(inst: Instance, sol: Solution) -> FeasibilityReport:
     """Evaluate every constraint of `inst` against `sol`. Never raises."""
-    if not isinstance(sol, SOLUTION_TYPE_BY_KIND[inst.kind]):
-        return _failed_report(inst.kind)
-    checker = _CHECKERS[inst.kind]
-    return checker(inst.payload, sol)
+    return score(inst, sol)[0]
 
 
 def objective(inst: Instance, sol: Solution) -> ObjectiveValue:
@@ -103,148 +137,115 @@ def objective(inst: Instance, sol: Solution) -> ObjectiveValue:
     Raises ValueError if the solution is structurally unscoreable
     (wrong shape, out-of-range ids, or a deadlocked JSSP schedule).
     """
-    if not isinstance(sol, SOLUTION_TYPE_BY_KIND[inst.kind]):
-        raise ValueError(
-            f"{inst.kind.value} expects {SOLUTION_TYPE_BY_KIND[inst.kind].__name__}, "
-            f"got {type(sol).__name__}"
-        )
-    value = _OBJECTIVES[inst.kind](inst.payload, sol)
+    report, value = score(inst, sol)
+    if value is None:
+        kind = inst.kind
+        if not report.zeta:
+            cause = (
+                f"{kind.value} expects {SOLUTION_TYPE_BY_KIND[kind].__name__}, "
+                f"got {type(sol).__name__}"
+            )
+        elif kind is not ProblemKind.JSSP:
+            cause = "solution has out-of-range, non-integer or missing ids"
+        elif report.constraints[0][1]:
+            cause = "schedule deadlocks (cyclic machine/job order)"
+        else:
+            cause = "machine sequences are not permutations of the jobs"
+        raise ValueError(cause)
     return ObjectiveValue(value=value, sense=SENSE_BY_KIND[inst.kind])
+
+
+def _ids_ok(ids, n: int) -> bool:
+    """The one id gate: integers (numpy ones included) in [0, n).
+
+    The exact-type test is a fast path: an ABC isinstance check costs ~10x
+    more, and parsed ids are plain ints."""
+    return all(
+        (type(v) is int or isinstance(v, numbers.Integral)) and 0 <= v < n for v in ids
+    )
 
 
 # ---------------------------------------------------------------------------
 # Routing
 
 
-def _ids_in_range(nodes, n: int) -> bool:
-    # numpy integers are fine; floats and everything else are not ids.
-    return all(isinstance(v, numbers.Integral) and 0 <= v < n for v in nodes)
-
-
-def _check_tsp(p: RoutingInstance, sol: Route) -> FeasibilityReport:
+def _score_tsp(p: RoutingInstance, sol: Route) -> Scored:
     nodes = sol.nodes
-    n = p.n
+    ids_ok = _ids_ok(nodes, p.n)
     closed = len(nodes) >= 2 and nodes[0] == nodes[-1]
     body = nodes[:-1] if closed else nodes
-    in_range = _ids_in_range(nodes, n)
-    visits_once = in_range and Counter(body) == Counter(range(n))
-    names = CONSTRAINT_NAMES[ProblemKind.TSP]
-    return FeasibilityReport(
-        zeta=True,
-        constraints=((names[0], bool(visits_once)), (names[1], bool(closed))),
-    )
+    # With every id in range, n distinct ids are exactly the n nodes.
+    visits_once = ids_ok and len(body) == p.n and len(set(body)) == p.n
+    value = route_length(p.coords, nodes) if ids_ok and nodes else None
+    return _report(ProblemKind.TSP, visits_once, closed), value
 
 
-def _tsp_objective(p: RoutingInstance, sol: Route) -> float:
-    if not sol.nodes or not _ids_in_range(sol.nodes, p.n):
-        raise ValueError("route has out-of-range or missing nodes")
-    return route_length(p.coords, sol.nodes)
-
-
-def _check_op(p: RoutingInstance, sol: Route) -> FeasibilityReport:
+def _score_op(p: RoutingInstance, sol: Route) -> Scored:
     nodes = sol.nodes
-    n = p.n
-    depot = p.depot_index
-    names = CONSTRAINT_NAMES[ProblemKind.OP]
-    starts = len(nodes) >= 1 and nodes[0] == depot
-    in_range = _ids_in_range(nodes, n)
+    starts = bool(nodes) and nodes[0] == p.depot_index
+    if not (nodes and _ids_ok(nodes, p.n)):
+        # An empty route revisits nothing; bad ids leave the visits undefined.
+        return _report(ProblemKind.OP, starts, not nodes, False), None
     # A single trailing return to the depot is allowed and not a revisit.
     core = nodes[:-1] if (len(nodes) >= 2 and nodes[-1] == nodes[0]) else nodes
-    once = in_range and len(set(core)) == len(core)
-    margins: Tuple[Tuple[str, float], ...] = ()
-    if in_range and len(nodes) >= 1:
-        length = route_length(p.coords, nodes)
-        within = length <= p.distance_limit + TOLERANCE
-        margins = (("distance_limit", p.distance_limit - length),)
-    else:
-        within = False
-    return FeasibilityReport(
-        zeta=True,
-        constraints=(
-            (names[0], bool(starts)),
-            (names[1], bool(once)),
-            (names[2], bool(within)),
-        ),
-        margins=margins,
+    length = route_length(p.coords, nodes)
+    report = _report(
+        ProblemKind.OP,
+        starts,
+        len(set(core)) == len(core),
+        length <= p.distance_limit + TOLERANCE,
+        margins=(("distance_limit", p.distance_limit - length),),
     )
+    return report, float(sum(p.prizes[v] for v in set(nodes)))
 
 
-def _op_objective(p: RoutingInstance, sol: Route) -> float:
-    if not sol.nodes or not _ids_in_range(sol.nodes, p.n):
-        raise ValueError("route has out-of-range or missing nodes")
-    return float(sum(p.prizes[v] for v in set(sol.nodes)))
-
-
-def _check_cvrp(p: RoutingInstance, sol: RouteSet) -> FeasibilityReport:
-    n = p.n
+def _score_cvrp(p: RoutingInstance, sol: RouteSet) -> Scored:
     depot = p.depot_index
-    names = CONSTRAINT_NAMES[ProblemKind.CVRP]
     routes = [r for r in sol.routes if len(r) > 0]
-    in_range = all(_ids_in_range(r, n) for r in routes)
-
     nonempty = [r for r in routes if any(v != depot for v in r)]
     endpoints_ok = bool(routes) and all(
         len(r) >= 2 and r[0] == depot and r[-1] == depot for r in nonempty
     )
-    if not routes:
-        endpoints_ok = False
+    if not all(_ids_ok(r, p.n) for r in routes):
+        return _report(ProblemKind.CVRP, endpoints_ok, False, False), None
 
-    visits = Counter(v for r in routes for v in r if v != depot) if in_range else Counter()
-    customers = set(range(n)) - {depot}
-    exactly_once = in_range and visits == Counter(customers)
-
-    margins: Tuple[Tuple[str, float], ...] = ()
-    if in_range:
-        loads = [sum(p.demands[v] for v in r if v != depot) for r in nonempty]
-        capacity_ok = all(load <= p.capacity + TOLERANCE for load in loads)
-        slack = min((p.capacity - load for load in loads), default=float(p.capacity))
-        margins = (("capacity", float(slack)),)
-    else:
-        capacity_ok = False
-    return FeasibilityReport(
-        zeta=True,
-        constraints=(
-            (names[0], bool(endpoints_ok)),
-            (names[1], bool(exactly_once)),
-            (names[2], bool(capacity_ok)),
-        ),
-        margins=margins,
+    visits = [v for r in routes for v in r if v != depot]
+    # With every id in range, n - 1 distinct non-depot ids are the customers.
+    exactly_once = len(visits) == p.n - 1 and len(set(visits)) == p.n - 1
+    loads = [sum(p.demands[v] for v in r if v != depot) for r in nonempty]
+    capacity_ok = all(load <= p.capacity + TOLERANCE for load in loads)
+    slack = min((p.capacity - load for load in loads), default=float(p.capacity))
+    report = _report(
+        ProblemKind.CVRP,
+        endpoints_ok,
+        exactly_once,
+        capacity_ok,
+        margins=(("capacity", float(slack)),),
     )
-
-
-def _cvrp_objective(p: RoutingInstance, sol: RouteSet) -> float:
     total = 0.0
-    for r in sol.routes:
-        if not _ids_in_range(r, p.n):
-            raise ValueError("route has out-of-range nodes")
+    for r in routes:
         total += route_length(p.coords, r)
-    return total
+    return report, total
 
 
 # ---------------------------------------------------------------------------
 # Graphs
 
 
-def _check_mis(p: GraphInstance, sol: VertexSet) -> FeasibilityReport:
-    names = CONSTRAINT_NAMES[ProblemKind.MIS]
+def _score_mis(p: GraphInstance, sol: VertexSet) -> Scored:
     chosen = sol.vertices
-    in_range = all(0 <= v < p.num_nodes for v in chosen)
-    independent = in_range and not any(u in chosen and v in chosen for u, v in p.edges)
-    return FeasibilityReport(zeta=True, constraints=((names[0], bool(independent)),))
+    if not _ids_ok(chosen, p.num_nodes):
+        return _report(ProblemKind.MIS, False), None
+    independent = not any(u in chosen and v in chosen for u, v in p.edges)
+    return _report(ProblemKind.MIS, independent), float(len(chosen))
 
 
-def _check_mvc(p: GraphInstance, sol: VertexSet) -> FeasibilityReport:
-    names = CONSTRAINT_NAMES[ProblemKind.MVC]
+def _score_mvc(p: GraphInstance, sol: VertexSet) -> Scored:
     chosen = sol.vertices
-    in_range = all(0 <= v < p.num_nodes for v in chosen)
-    covered = in_range and all(u in chosen or v in chosen for u, v in p.edges)
-    return FeasibilityReport(zeta=True, constraints=((names[0], bool(covered)),))
-
-
-def _set_objective(p: GraphInstance, sol: VertexSet) -> float:
-    if any(not (0 <= v < p.num_nodes) for v in sol.vertices):
-        raise ValueError("vertex id out of range")
-    return float(len(sol.vertices))
+    if not _ids_ok(chosen, p.num_nodes):
+        return _report(ProblemKind.MVC, False), None
+    covered = all(u in chosen or v in chosen for u, v in p.edges)
+    return _report(ProblemKind.MVC, covered), float(len(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -265,148 +266,117 @@ def pfsp_makespan(ptimes, order) -> float:
     return completion[-1]
 
 
-def _check_pfsp(p: SchedulingInstance, sol: JobOrder) -> FeasibilityReport:
-    names = CONSTRAINT_NAMES[ProblemKind.PFSP]
-    perm = sorted(sol.jobs) == list(range(p.num_jobs))
-    return FeasibilityReport(zeta=True, constraints=((names[0], bool(perm)),))
+def _score_pfsp(p: SchedulingInstance, sol: JobOrder) -> Scored:
+    jobs = sol.jobs
+    if not (jobs and _ids_ok(jobs, p.num_jobs)):
+        return _report(ProblemKind.PFSP, False), None
+    perm = sorted(jobs) == list(range(p.num_jobs))
+    return _report(ProblemKind.PFSP, perm), pfsp_makespan(p.ptimes, jobs)
 
 
-def _pfsp_objective(p: SchedulingInstance, sol: JobOrder) -> float:
-    if not sol.jobs or not _ids_in_range(sol.jobs, p.num_jobs):
-        raise ValueError("job order has out-of-range or missing jobs")
-    return pfsp_makespan(p.ptimes, sol.jobs)
+def _op_index(p: SchedulingInstance) -> List[List[int]]:
+    """op_of[j][m]: the index of job j's operation that runs on machine m."""
+    op_of = [[0] * p.num_machines for _ in range(p.num_jobs)]
+    for j, row in enumerate(p.machine_order):
+        for i, m in enumerate(row):
+            op_of[j][m] = i
+    return op_of
 
 
-def jssp_start_times(
-    p: SchedulingInstance, sol: MachineSchedules
-) -> Optional[Dict[Tuple[int, int], float]]:
-    """Semi-active decode: earliest start per operation (job j, op index i)
+def _start_times(
+    p: SchedulingInstance, sequences: Sequence[Sequence[int]], op_of: List[List[int]]
+) -> Optional[np.ndarray]:
+    # Operation (j, i) is node j * M + i. Each node has at most two
+    # successors: the job's next operation (node + 1, unless i is the last
+    # one) and the next operation on its machine (msucc, -1 if none).
+    jobs, machines = p.num_jobs, p.num_machines
+    total = jobs * machines
+    msucc = [-1] * total
+    indeg = [0 if i == 0 else 1 for _ in range(jobs) for i in range(machines)]
+    for m, seq in enumerate(sequences):
+        prev = -1
+        for j in seq:
+            node = j * machines + op_of[j][m]
+            if prev >= 0:
+                msucc[prev] = node
+                indeg[node] += 1
+            prev = node
+    duration = [float(t) for row in p.ptimes for t in row]
+    earliest = [0.0] * total
+    ready = [k for k in range(total) if indeg[k] == 0]
+    processed = 0
+    while ready:
+        k = ready.pop()
+        finish = earliest[k] + duration[k]
+        processed += 1
+        for nxt in (k + 1 if (k + 1) % machines else -1, msucc[k]):
+            if nxt < 0:
+                continue
+            if finish > earliest[nxt]:
+                earliest[nxt] = finish
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+    if processed != total:
+        return None  # cycle between job precedence and machine sequences
+    return np.array(earliest).reshape(jobs, machines)
+
+
+def jssp_start_times(p: SchedulingInstance, sol: MachineSchedules) -> Optional[np.ndarray]:
+    """Semi-active decode: the earliest start of every operation, as a
+    (jobs, machines) array indexed [j, i] by job and operation index,
     respecting job precedence and the per-machine job sequences.
 
     Returns None when the combined order is cyclic (deadlock).
     """
+    return _start_times(p, sol.sequences, _op_index(p))
+
+
+def jssp_makespan(p: SchedulingInstance, start: np.ndarray) -> float:
+    """Latest finish over all operations of a decoded schedule."""
+    return float((start + np.asarray(p.ptimes, dtype=float)).max())
+
+
+def _score_jssp(p: SchedulingInstance, sol: MachineSchedules) -> Scored:
     jobs, machines = p.num_jobs, p.num_machines
-    # op_of[j][m]: the index of job j's operation that runs on machine m.
-    op_of: List[Dict[int, int]] = [dict() for _ in range(jobs)]
-    for j in range(jobs):
-        for i, m in enumerate(p.machine_order[j]):
-            op_of[j][m] = i
-
-    # Successor lists over operation nodes (j, i).
-    succs: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    indeg: Dict[Tuple[int, int], int] = {}
-    for j in range(jobs):
-        for i in range(machines):
-            succs[(j, i)] = []
-            indeg[(j, i)] = 0
-    for j in range(jobs):
-        for i in range(1, machines):
-            succs[(j, i - 1)].append((j, i))
-            indeg[(j, i)] += 1
-    for m, seq in enumerate(sol.sequences):
-        for a, b in zip(seq[:-1], seq[1:]):
-            u = (a, op_of[a][m])
-            v = (b, op_of[b][m])
-            succs[u].append(v)
-            indeg[v] += 1
-
-    start: Dict[Tuple[int, int], float] = {}
-    ready = [op for op, d in indeg.items() if d == 0]
-    ready.sort()
-    processed = 0
-    earliest: Dict[Tuple[int, int], float] = {op: 0.0 for op in indeg}
-    while ready:
-        op = ready.pop()
-        j, i = op
-        start[op] = earliest[op]
-        finish = start[op] + p.ptimes[j][i]
-        processed += 1
-        for nxt in succs[op]:
-            earliest[nxt] = max(earliest[nxt], finish)
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if processed != jobs * machines:
-        return None  # cycle between job precedence and machine sequences
-    return start
-
-
-def _check_jssp(p: SchedulingInstance, sol: MachineSchedules) -> FeasibilityReport:
-    names = CONSTRAINT_NAMES[ProblemKind.JSSP]
-    jobs, machines = p.num_jobs, p.num_machines
-    all_scheduled = len(sol.sequences) == machines and all(
-        sorted(seq) == list(range(jobs)) for seq in sol.sequences
+    seqs = sol.sequences
+    all_scheduled = len(seqs) == machines and all(
+        _ids_ok(seq, jobs) and sorted(seq) == list(range(jobs)) for seq in seqs
     )
     if not all_scheduled:
         # Without a full, valid sequence set the decode is undefined.
-        return FeasibilityReport(
-            zeta=True,
-            constraints=((names[0], False), (names[1], False), (names[2], False)),
-        )
-    start = jssp_start_times(p, sol)
+        return _report(ProblemKind.JSSP, False, False, False), None
+    op_of = _op_index(p)
+    start = _start_times(p, seqs, op_of)
     if start is None:
-        return FeasibilityReport(
-            zeta=True,
-            constraints=((names[0], True), (names[1], False), (names[2], False)),
-        )
-    # Semi-active decode already enforces both, but verify outright.
+        return _report(ProblemKind.JSSP, True, False, False), None
+    # The semi-active decode already enforces both, but verify outright.
+    st = start.tolist()
+    ptimes = p.ptimes
     no_conflict = True
-    for m, seq in enumerate(sol.sequences):
+    for m, seq in enumerate(seqs):
         t = -1.0
         for j in seq:
-            i = None
-            for k, mm in enumerate(p.machine_order[j]):
-                if mm == m:
-                    i = k
-                    break
-            s = start[(j, i)]
+            i = op_of[j][m]
+            s = st[j][i]
             if s < t - TOLERANCE:
                 no_conflict = False
-            t = max(t, s + p.ptimes[j][i])
+            t = max(t, s + ptimes[j][i])
     precedence = all(
-        start[(j, i)] >= start[(j, i - 1)] + p.ptimes[j][i - 1] - TOLERANCE
+        st[j][i] >= st[j][i - 1] + ptimes[j][i - 1] - TOLERANCE
         for j in range(jobs)
         for i in range(1, machines)
     )
-    return FeasibilityReport(
-        zeta=True,
-        constraints=(
-            (names[0], True),
-            (names[1], bool(no_conflict)),
-            (names[2], bool(precedence)),
-        ),
-    )
+    report = _report(ProblemKind.JSSP, True, no_conflict, precedence)
+    return report, jssp_makespan(p, start)
 
 
-def _jssp_objective(p: SchedulingInstance, sol: MachineSchedules) -> float:
-    jobs, machines = p.num_jobs, p.num_machines
-    valid = len(sol.sequences) == machines and all(
-        sorted(seq) == list(range(jobs)) for seq in sol.sequences
-    )
-    if not valid:
-        raise ValueError("machine sequences are not permutations of the jobs")
-    start = jssp_start_times(p, sol)
-    if start is None:
-        raise ValueError("schedule deadlocks (cyclic machine/job order)")
-    return max(start[(j, i)] + p.ptimes[j][i] for j in range(jobs) for i in range(machines))
-
-
-_CHECKERS = {
-    ProblemKind.TSP: _check_tsp,
-    ProblemKind.OP: _check_op,
-    ProblemKind.CVRP: _check_cvrp,
-    ProblemKind.MIS: _check_mis,
-    ProblemKind.MVC: _check_mvc,
-    ProblemKind.PFSP: _check_pfsp,
-    ProblemKind.JSSP: _check_jssp,
-}
-
-_OBJECTIVES = {
-    ProblemKind.TSP: _tsp_objective,
-    ProblemKind.OP: _op_objective,
-    ProblemKind.CVRP: _cvrp_objective,
-    ProblemKind.MIS: _set_objective,
-    ProblemKind.MVC: _set_objective,
-    ProblemKind.PFSP: _pfsp_objective,
-    ProblemKind.JSSP: _jssp_objective,
+_SCORERS = {
+    ProblemKind.TSP: _score_tsp,
+    ProblemKind.OP: _score_op,
+    ProblemKind.CVRP: _score_cvrp,
+    ProblemKind.MIS: _score_mis,
+    ProblemKind.MVC: _score_mvc,
+    ProblemKind.PFSP: _score_pfsp,
+    ProblemKind.JSSP: _score_jssp,
 }

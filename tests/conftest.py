@@ -1,13 +1,25 @@
 """Shared helpers for the test suite."""
 
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import settings
 
 from cobench.heuristics import solve
 from cobench.problems.generate import gen_instance
 from cobench.problems.types import GenConfig, ProblemKind
 from cobench.verify import check, objective
+
+# Property tests keep no example database, and hypothesis keeps its other
+# caches (parsed source constants, unicode tables) outside the working tree,
+# so a test run leaves no .hypothesis/ directory in the repository.
+settings.register_profile("cobench", database=None)
+settings.load_profile("cobench")
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "cobench-hypothesis")
+)
 
 ALL_KINDS = list(ProblemKind)
 

@@ -129,9 +129,14 @@ def test_optimality_reward_never_negative():
     assert optimality_reward(ProblemKind.OP, -5.0, 100.0) == 0.0
 
 
-def test_optimality_reward_zero_reference_raises():
-    with pytest.raises(ValueError, match="nonzero"):
-        optimality_reward(ProblemKind.TSP, 10.0, 0.0)
+def test_optimality_reward_zero_reference():
+    # Matching a zero reference earns alpha.
+    assert optimality_reward(ProblemKind.OP, 0.0, 0.0) == 1.0
+    assert optimality_reward(ProblemKind.TSP, 0.0, 0.0) == 1.0
+    # A maximization value above it is clamped to the ceiling.
+    assert optimality_reward(ProblemKind.OP, 7.0, 0.0) == pytest.approx(1.05)
+    # A minimization value above it earns nothing.
+    assert optimality_reward(ProblemKind.TSP, 10.0, 0.0) == 0.0
 
 
 def test_optimality_reward_alpha_scaling():

@@ -4,7 +4,10 @@ independent implementations in oracles.py."""
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cobench.problems.types import (
@@ -25,6 +28,7 @@ from cobench.verify import (
     jssp_start_times,
     objective,
     pfsp_makespan,
+    score,
 )
 
 from conftest import ALL_KINDS, make_instance
@@ -429,6 +433,78 @@ def test_check_never_raises_on_junk():
         for sol in junk:
             report = check(inst, sol)  # must not raise
             assert report.feasible in (False,) or report.zeta
+
+
+# Ids a model could emit: in range, just out of range, huge, negative,
+# floats, strings, None and numpy integers.
+_JUNK_ID = st.one_of(
+    st.integers(-2, 8),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+    st.integers(-2, 8).map(np.int64),
+)
+_JUNK_ROW = st.lists(_JUNK_ID, max_size=7).map(tuple)
+
+
+def _perm(lo, hi):
+    return st.permutations(range(lo, hi)).map(tuple)
+
+
+def _solutions(inst):
+    """Solutions of the kind's type: junk, ragged or empty rows, and
+    well-formed candidates that are often feasible."""
+    kind, p = inst.kind, inst.payload
+    if kind is ProblemKind.TSP:
+        tours = _perm(0, p.n).map(lambda t: t + t[:1])
+        return st.builds(Route, st.one_of(_JUNK_ROW, tours))
+    if kind is ProblemKind.OP:
+        paths = st.lists(st.integers(1, p.n - 1), unique=True, max_size=3)
+        closed = paths.map(lambda r: (0, *r, 0))
+        return st.builds(Route, st.one_of(_JUNK_ROW, closed))
+    if kind is ProblemKind.CVRP:
+        singles = _perm(1, p.n).map(lambda c: tuple((0, v, 0) for v in c))
+        junk = st.lists(_JUNK_ROW, max_size=4).map(tuple)
+        return st.builds(RouteSet, st.one_of(junk, singles))
+    if kind in (ProblemKind.MIS, ProblemKind.MVC):
+        subsets = st.frozensets(st.integers(0, p.num_nodes - 1))
+        return st.builds(VertexSet, st.one_of(st.frozensets(_JUNK_ID, max_size=7), subsets))
+    if kind is ProblemKind.PFSP:
+        return st.builds(JobOrder, st.one_of(_JUNK_ROW, _perm(0, p.num_jobs)))
+    rows = st.one_of(_JUNK_ROW, _perm(0, p.num_jobs))
+    m = p.num_machines
+    return st.builds(
+        MachineSchedules,
+        st.one_of(
+            st.lists(rows, max_size=m + 1).map(tuple),
+            st.lists(_perm(0, p.num_jobs), min_size=m, max_size=m).map(tuple),
+        ),
+    )
+
+
+_PROPERTY_SIZES = {"pfsp": 3, "jssp": 3, "mis": 6, "mvc": 6}
+_PROPERTY_INSTANCES = {
+    kind: make_instance(kind, size=_PROPERTY_SIZES.get(kind.value, 5), seed=4)
+    for kind in ALL_KINDS
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_score_is_total_and_feasible_means_scoreable(kind, data):
+    inst = _PROPERTY_INSTANCES[kind]
+    sol = data.draw(_solutions(inst))
+    report, value = score(inst, sol)
+    assert check(inst, sol) == report
+    try:
+        assert objective(inst, sol).value == value
+    except ValueError:
+        assert value is None
+    if report.feasible:
+        assert value is not None
+        assert value == pytest.approx(oracles.objective_value(inst, sol))
 
 
 def test_constraint_names_match_report_order():
