@@ -2,9 +2,10 @@
 
 No network needed: the mock plays a model that sometimes rambles, sometimes
 returns an infeasible edit, and otherwise echoes (possibly degraded) reference
-solutions. The run produces the same EvalRecord/MetricsSummary objects a live
-endpoint evaluation would, so the whole reporting path is exercised offline,
-including the Best-of-N prefix curves and the SFT dataset export.
+solutions. The mock is just another sampler for `evaluate`, the same loop a
+live endpoint evaluation runs, so the whole reporting path is exercised
+offline: JSONL persistence and resume, the Best-of-N prefix curves and the SFT
+dataset export.
 """
 
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 from cobench import GenConfig, ProblemKind, gen_instance
 from cobench.evalharness import (
     MockPolicyConfig,
-    evaluate_with_policy,
+    evaluate,
     metrics,
     mock_policy,
     sft_records,
@@ -41,10 +42,16 @@ for i in range(30):
 
 mock_cfg = MockPolicyConfig(format_fail_prob=0.1, infeasible_prob=0.2, perturbation=0.5, seed=4)
 
-def policy(inst, draw):
-    return mock_policy(inst, refs[inst.id].solution, mock_cfg, draw)
+def sample(inst):
+    return [mock_policy(inst, refs[inst.id].solution, mock_cfg, d) for d in range(8)]
 
-records = evaluate_with_policy(instances, refs, policy, n_samples=8)
+with tempfile.TemporaryDirectory() as tmp:
+    raw = Path(tmp) / "raw.jsonl"
+    records = evaluate(instances, refs, sample, out_path=raw)
+    # A rerun on the same file resumes: nothing is sampled again.
+    resumed = evaluate(instances, refs, lambda inst: [], out_path=raw)
+    assert [r.gap for r in resumed] == [r.gap for r in records]
+    print(f"{len(raw.read_text().splitlines())} JSONL rows; resumed run sampled nothing")
 
 summary = metrics(records)
 print(f"records={summary.num_records} M_f={summary.feasibility_rate:.0%} "

@@ -16,10 +16,12 @@ from typing import Dict, List, Optional
 from . import __version__
 from .evalharness.endpoint import (
     EndpointConfig,
+    evaluate,
     evaluate_endpoint,
-    evaluate_with_policy,
+    load_rows,
+    record_from_row,
 )
-from .evalharness.metrics import EvalRecord, build_record, metrics
+from .evalharness.metrics import EvalRecord, metrics
 from .evalharness.mock import MockPolicyConfig, mock_policy
 from .evalharness.sft import export_sft
 from .heuristics import METHODS_BY_KIND, BudgetExceededError, brute_force, solve
@@ -68,9 +70,12 @@ def _load_instances(path: Path) -> List[Instance]:
     return [load_instance(p) for p in files]
 
 
-def _record_rows(records: List[EvalRecord]) -> List[dict]:
-    """Per-record detail lines for evaluation reports."""
-    return [
+def _print_report(
+    args: argparse.Namespace, records: List[EvalRecord], out: Optional[str]
+) -> None:
+    """Print the metrics JSON with per-record detail lines, and write it to
+    out when given."""
+    detail = [
         {
             "instance_id": r.instance_id,
             "kind": r.kind.value,
@@ -84,6 +89,11 @@ def _record_rows(records: List[EvalRecord]) -> List[dict]:
         }
         for r in records
     ]
+    payload = dict(metrics(records).to_dict(), records=detail, provenance=_provenance(args))
+    text = json.dumps(payload, indent=2)
+    if out:
+        Path(out).write_text(text + "\n")
+    print(text)
 
 
 def _load_references(path: Path) -> Dict[str, ReferenceSolution]:
@@ -269,12 +279,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
 
-        def policy(inst: Instance, draw: int) -> str:
-            return mock_policy(inst, references[inst.id].solution, mock_cfg, draw)
+        def sample(inst: Instance) -> List[str]:
+            ref = references[inst.id].solution
+            return [mock_policy(inst, ref, mock_cfg, d) for d in range(args.n_samples)]
 
-        records = evaluate_with_policy(
-            instances, references, policy, args.n_samples, out_path
-        )
+        records = evaluate(instances, references, sample, out_path)
     else:
         if not args.base_url:
             return _fail("either --mock or --base-url is required", EXIT_USAGE)
@@ -288,13 +297,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             retries=args.retries,
         )
         records = evaluate_endpoint(instances, references, cfg, out_path)
-    summary = metrics(records)
-    payload = dict(
-        summary.to_dict(), records=_record_rows(records), provenance=_provenance(args)
-    )
-    if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
+    _print_report(args, records, args.report)
     failed = [r.instance_id for r in records if not r.candidates]
     if failed:
         for iid in failed:
@@ -317,32 +320,15 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     instances = {i.id: i for i in _load_instances(Path(args.instances))}
     references = _load_references(Path(args.references))
-    records: List[EvalRecord] = []
-    with Path(args.records).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            inst = instances.get(row["instance_id"])
-            if inst is None:
-                return _fail(f"records mention unknown instance {row['instance_id']}")
-            cleaned = [strip_thinking(t) for t in row["raw_texts"]]
-            records.append(
-                build_record(
-                    inst,
-                    cleaned,
-                    references[inst.id].objective,
-                    row.get("wall_time", 0.0),
-                )
-            )
-    summary = metrics(records)
-    payload = dict(
-        summary.to_dict(), records=_record_rows(records), provenance=_provenance(args)
-    )
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
+    rows, _ = load_rows(Path(args.records))
+    unknown = [iid for iid in rows if iid not in instances]
+    if unknown:
+        return _fail(f"records mention unknown instance {unknown[0]}")
+    records = [
+        record_from_row(instances[iid], row, references[iid].objective)
+        for iid, row in rows.items()
+    ]
+    _print_report(args, records, args.out)
     return EXIT_OK
 
 

@@ -1,9 +1,4 @@
-from .endpoint import (
-    EndpointConfig,
-    evaluate_endpoint,
-    evaluate_with_policy,
-    request_samples,
-)
+from .endpoint import EndpointConfig, evaluate, evaluate_endpoint, request_samples
 from .metrics import (
     Candidate,
     EvalRecord,
@@ -27,8 +22,8 @@ __all__ = [
     "bon_select",
     "build_candidate",
     "build_record",
+    "evaluate",
     "evaluate_endpoint",
-    "evaluate_with_policy",
     "export_sft",
     "metrics",
     "mock_policy",

@@ -1,12 +1,18 @@
-"""HTTP evaluation against an OpenAI-style chat completions endpoint.
+"""The evaluation loop, and an HTTP sampler for OpenAI-style endpoints.
 
-Responses are persisted to JSONL as raw text keyed by instance id; metrics are
-always rederived from the raw text, so a resumed run cannot drift from a fresh
-one. Thinking blocks are stripped before parsing.
+`evaluate` is the one loop behind every run: a sampler maps an instance to
+its raw completions, and the mock policy and the HTTP endpoint differ only
+in that sampler. Each instance's completions are appended to a JSONL file as
+raw text keyed by instance id as soon as they arrive, in instance order, so a
+crash loses only the instances still in flight, and a rerun on the same file
+samples only the instances without a row. Metrics are always rederived from
+the raw text, with thinking blocks stripped, so a resumed run and `cobench
+report` cannot drift from a fresh one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -14,7 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
 
 import requests
 
@@ -23,7 +29,7 @@ from ..problems.types import Instance
 from ..tai.encode import encode
 from ..tai.parse import strip_thinking
 from ..tai.render import render_prompt
-from .metrics import EvalRecord, build_record, size_tier
+from .metrics import EvalRecord, build_record
 
 logger = logging.getLogger(__name__)
 
@@ -75,7 +81,10 @@ def _post_once(cfg: EndpointConfig, prompt: str, n: int) -> List[str]:
 
 def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
     """Collect n_samples completions, retrying with exponential backoff and
-    topping up one by one if the server returns fewer choices than asked."""
+    topping up one by one if the server returns fewer choices than asked.
+
+    A client error (a 4xx status other than 429) fails at once, because the
+    same request would be refused again."""
     texts: List[str] = []
     while len(texts) < cfg.n_samples:
         want = cfg.n_samples - len(texts)
@@ -86,9 +95,10 @@ def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
                 break
             except (requests.RequestException, KeyError, ValueError) as err:
                 last_err = err
-                if attempt == cfg.retries:
+                status = getattr(getattr(err, "response", None), "status_code", 0)
+                if attempt == cfg.retries or (400 <= status < 500 and status != 429):
                     raise RuntimeError(
-                        f"endpoint request failed after {cfg.retries + 1} attempts: {err}"
+                        f"endpoint request failed after {attempt + 1} attempts: {err}"
                     ) from err
                 delay = cfg.backoff * (2**attempt)
                 logger.warning("endpoint error (%s); retrying in %.1fs", err, delay)
@@ -99,28 +109,91 @@ def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
     return texts
 
 
-def _load_existing(path: Path) -> Dict[str, List[str]]:
-    rows: Dict[str, List[str]] = {}
-    if not path.exists():
-        return rows
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            rows[row["instance_id"]] = row["raw_texts"]
-    return rows
+def load_rows(path: Path) -> Tuple[Dict[str, dict], int]:
+    """The rows of a JSONL response file by instance id, and the byte length
+    of the file up to the end of its last whole row.
+
+    A later row for an id replaces an earlier one. An unparsable final line,
+    left by a write cut short, is skipped; an unparsable line anywhere else
+    raises ValueError."""
+    rows: Dict[str, dict] = {}
+    end = 0
+    lines = path.read_bytes().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.strip():
+            try:
+                row = json.loads(line)
+            except ValueError:
+                if i == len(lines) - 1:
+                    break
+                raise
+            rows[row["instance_id"]] = row
+        end += len(line)
+    return rows, end
 
 
-def _append_row(path: Path, instance_id: str, raw_texts: List[str], wall: float) -> None:
-    with path.open("a") as fh:
-        fh.write(
-            json.dumps(
-                {"instance_id": instance_id, "raw_texts": raw_texts, "wall_time": wall}
-            )
-            + "\n"
-        )
+def _append_row(fh: BinaryIO, row: dict) -> None:
+    fh.write(json.dumps(row).encode() + b"\n")
+    fh.flush()
+
+
+def record_from_row(inst: Instance, row: dict, reference_objective: float) -> EvalRecord:
+    """Score one row's raw texts; a row whose sampling failed has none."""
+    texts = [strip_thinking(t) for t in row["raw_texts"] or ()]
+    return build_record(inst, texts, reference_objective, row.get("wall_time", 0.0))
+
+
+def evaluate(
+    instances: Sequence[Instance],
+    references: Dict[str, ReferenceSolution],
+    sample: Callable[[Instance], List[str]],
+    out_path: Optional[Path] = None,
+    max_parallel: int = 1,
+) -> List[EvalRecord]:
+    """Ask `sample` for each instance's raw completions and score them
+    Best-of-N, sampling up to max_parallel instances at a time.
+
+    When out_path is given, each instance's row is appended there as soon as
+    its samples arrive, in instance order, and instances that already have a
+    row are not sampled again. A sampler that raises RuntimeError (a request
+    that failed after its retries) yields a record with zero candidates that
+    is not persisted, so a rerun retries it; the batch itself never aborts."""
+    rows: Dict[str, dict] = {}
+    with contextlib.ExitStack() as stack:
+        fh: Optional[BinaryIO] = None
+        if out_path is not None:
+            out_path = Path(out_path)
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+            fh = stack.enter_context(out_path.open("a+b"))
+            rows, end = load_rows(out_path)
+            fh.truncate(end)  # drop a final line cut short
+            fh.seek(max(end - 1, 0))
+            if fh.read(1) not in (b"", b"\n"):
+                fh.write(b"\n")  # the next row starts on a fresh line
+
+        def timed(inst: Instance) -> dict:
+            t0 = time.perf_counter()
+            try:
+                texts: Optional[List[str]] = sample(inst)
+            except RuntimeError as err:
+                logger.error("instance %s: %s", inst.id, err)
+                texts = None
+            wall = time.perf_counter() - t0
+            return {"instance_id": inst.id, "raw_texts": texts, "wall_time": wall}
+
+        pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_parallel))
+        todo = [inst for inst in instances if inst.id not in rows]
+        for row in pool.map(timed, todo):
+            texts = row["raw_texts"]
+            if texts is not None and not texts:
+                raise ValueError("n_samples must be >= 1")
+            rows[row["instance_id"]] = row
+            if fh is not None and texts is not None:
+                _append_row(fh, row)
+    return [
+        record_from_row(inst, rows[inst.id], references[inst.id].objective)
+        for inst in instances
+    ]
 
 
 def evaluate_endpoint(
@@ -129,87 +202,9 @@ def evaluate_endpoint(
     cfg: EndpointConfig,
     out_path: Optional[Path] = None,
 ) -> List[EvalRecord]:
-    """Sample completions for each instance and score them Best-of-N.
+    """`evaluate` with completions sampled from the endpoint in cfg."""
 
-    When out_path is given, raw responses are appended there as JSONL and
-    instances already present are not re-queried on a rerun. An instance whose
-    requests fail even after retries yields a record with zero candidates (and
-    is not persisted, so a rerun retries it); the batch itself never aborts."""
-    existing: Dict[str, List[str]] = {}
-    if out_path is not None:
-        out_path = Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        existing = _load_existing(out_path)
+    def sample(inst: Instance) -> List[str]:
+        return request_samples(cfg, render_prompt(encode(inst)))
 
-    def fetch(inst: Instance) -> List[str]:
-        prompt = render_prompt(encode(inst))
-        return request_samples(cfg, prompt)
-
-    records: List[EvalRecord] = []
-    todo = [inst for inst in instances if inst.id not in existing]
-    fetched: Dict[str, Optional[List[str]]] = {}
-    times: Dict[str, float] = {}
-    if todo:
-        with ThreadPoolExecutor(max_workers=cfg.max_parallel) as pool:
-            def timed(inst: Instance):
-                t0 = time.perf_counter()
-                try:
-                    texts = fetch(inst)
-                except RuntimeError as err:
-                    logger.error("instance %s: %s", inst.id, err)
-                    texts = None
-                return inst.id, texts, time.perf_counter() - t0
-
-            for iid, texts, wall in pool.map(timed, todo):
-                fetched[iid] = texts
-                times[iid] = wall
-        if out_path is not None:
-            for inst in todo:  # keep file order deterministic
-                if fetched[inst.id] is not None:
-                    _append_row(out_path, inst.id, fetched[inst.id], times[inst.id])
-    for inst in instances:
-        raw = existing.get(inst.id, fetched.get(inst.id))
-        ref = references[inst.id]
-        if raw is None:
-            records.append(
-                EvalRecord(
-                    instance_id=inst.id,
-                    kind=inst.kind,
-                    size_tier=size_tier(inst),
-                    candidates=(),
-                    reference_objective=ref.objective,
-                    selected_index=None,
-                    gap=None,
-                    wall_time=times.get(inst.id, 0.0),
-                )
-            )
-            continue
-        cleaned = [strip_thinking(t) for t in raw]
-        records.append(
-            build_record(inst, cleaned, ref.objective, times.get(inst.id, 0.0))
-        )
-    return records
-
-
-def evaluate_with_policy(
-    instances: Sequence[Instance],
-    references: Dict[str, ReferenceSolution],
-    policy: Callable[[Instance, int], str],
-    n_samples: int,
-    out_path: Optional[Path] = None,
-) -> List[EvalRecord]:
-    """Local twin of evaluate_endpoint driven by an in-process policy."""
-    records: List[EvalRecord] = []
-    if out_path is not None:
-        out_path = Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    for inst in instances:
-        t0 = time.perf_counter()
-        raw = [policy(inst, draw) for draw in range(n_samples)]
-        wall = time.perf_counter() - t0
-        if out_path is not None:
-            _append_row(out_path, inst.id, raw, wall)
-        ref = references[inst.id]
-        cleaned = [strip_thinking(t) for t in raw]
-        records.append(build_record(inst, cleaned, ref.objective, wall))
-    return records
+    return evaluate(instances, references, sample, out_path, cfg.max_parallel)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from ..problems.types import (
     Instance,

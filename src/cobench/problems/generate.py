@@ -14,7 +14,6 @@ import networkx as nx
 import numpy as np
 
 from .types import (
-    CLUSTERED,
     Distribution,
     GenConfig,
     GraphFamily,

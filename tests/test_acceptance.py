@@ -598,6 +598,7 @@ def test_criterion_8_mock_endpoint_end_to_end(capsys):
         records = evaluate_endpoint(instances, refs, cfg)
     finally:
         server.shutdown()
+        server.server_close()
         thread.join()
 
     summary = metrics(records)

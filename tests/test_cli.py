@@ -376,6 +376,68 @@ def test_report_recomputes_identical_metrics(bench, tmp_path, capsys):
         assert a[key] == b[key], key
 
 
+def test_evaluate_mock_rerun_resumes(bench, tmp_path, capsys):
+    insts, refs = bench
+    raw_file = tmp_path / "raw.jsonl"
+    argv = ["evaluate", "--instances", str(insts), "--references", str(refs),
+            "--mock", "--n-samples", "2", "--out", str(raw_file)]
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert len(raw_file.read_text().splitlines()) == 3
+    code, out, _ = run(
+        capsys, "report", "--records", str(raw_file), "--instances", str(insts),
+        "--references", str(refs),
+    )
+    assert code == 0
+    assert json.loads(out)["num_records"] == 3
+
+
+def test_evaluate_mock_rejects_zero_samples(bench, capsys):
+    insts, refs = bench
+    code, _, err = run(
+        capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
+        "--mock", "--n-samples", "0",
+    )
+    assert code == 2
+    assert "n_samples must be >= 1" in err
+
+
+def _report(capsys, records, insts, refs):
+    code, out, _ = run(
+        capsys, "report", "--records", str(records), "--instances", str(insts),
+        "--references", str(refs),
+    )
+    return code, json.loads(out) if code == 0 else None
+
+
+def test_report_skips_a_truncated_last_line(bench, tmp_path, capsys):
+    insts, refs = bench
+    raw_file = tmp_path / "raw.jsonl"
+    run(capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
+        "--mock", "--out", str(raw_file))
+    whole = raw_file.read_text()
+    raw_file.write_text(whole[: len(whole) - 20])
+    code, payload = _report(capsys, raw_file, insts, refs)
+    assert code == 0 and payload["num_records"] == 2
+    assert _report(capsys, tmp_path / "missing.jsonl", insts, refs)[0] == 2
+
+
+def test_report_duplicate_ids_resolve_last_wins(bench, tmp_path, capsys):
+    insts, refs = bench
+    raw_file = tmp_path / "raw.jsonl"
+    run(capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
+        "--mock", "--out", str(raw_file))
+    good = raw_file.read_text()
+    bad = "".join(
+        json.dumps(dict(json.loads(line), raw_texts=["no answer"])) + "\n"
+        for line in good.splitlines()
+    )
+    raw_file.write_text(bad + good)
+    code, payload = _report(capsys, raw_file, insts, refs)
+    assert code == 0
+    assert payload["num_records"] == 3 and payload["feasibility_rate"] == 1.0
+
+
 def test_evaluate_missing_reference_is_usage_error(bench, tmp_path, capsys):
     insts, refs = bench
     extra = tmp_path / "extra"

@@ -14,8 +14,8 @@ from cobench.evalharness import (
     bon_select,
     build_candidate,
     build_record,
+    evaluate,
     evaluate_endpoint,
-    evaluate_with_policy,
     export_sft,
     metrics,
     mock_policy,
@@ -341,22 +341,100 @@ def test_mock_policy_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# evaluate_with_policy
+# evaluate with an in-process sampler
 
 
-def test_evaluate_with_policy_writes_jsonl(tmp_path):
+def _echo_sampler(refs, calls=None):
+    def sample(inst):
+        if calls is not None:
+            calls.append(inst.id)
+        ref = refs[inst.id]
+        return [format_solution(inst.kind, ref.solution, ref.objective)] * 2
+
+    return sample
+
+
+def test_evaluate_writes_jsonl(tmp_path):
     insts, refs = _bench(ProblemKind.TSP, count=3, size=8)
     out = tmp_path / "raw.jsonl"
-
-    def policy(inst, draw):
-        return format_solution(inst.kind, refs[inst.id].solution, refs[inst.id].objective)
-
-    records = evaluate_with_policy(insts, refs, policy, n_samples=2, out_path=out)
+    records = evaluate(insts, refs, _echo_sampler(refs), out_path=out)
     assert len(records) == 3
     assert all(r.gap == pytest.approx(0.0) for r in records)
     rows = [json.loads(l) for l in out.read_text().splitlines()]
     assert [r["instance_id"] for r in rows] == [i.id for i in insts]
     assert all(len(r["raw_texts"]) == 2 for r in rows)
+
+
+def test_evaluate_rerun_keeps_one_row_and_stored_wall_time(tmp_path):
+    insts, refs = _bench(ProblemKind.TSP, count=3, size=8)
+    out = tmp_path / "raw.jsonl"
+    first = evaluate(insts, refs, _echo_sampler(refs), out_path=out)
+    calls = []
+    second = evaluate(insts, refs, _echo_sampler(refs, calls=calls), out_path=out)
+    assert calls == []
+    assert len(out.read_text().splitlines()) == 3
+    assert [r.wall_time for r in second] == [r.wall_time for r in first]
+
+
+def test_evaluate_crash_keeps_finished_rows(tmp_path):
+    insts, refs = _bench(ProblemKind.TSP, count=5, size=8)
+    out = tmp_path / "raw.jsonl"
+    echo = _echo_sampler(refs)
+
+    def crashing(inst):
+        if inst.id == insts[2].id:
+            raise KeyboardInterrupt
+        return echo(inst)
+
+    with pytest.raises(KeyboardInterrupt):
+        evaluate(insts, refs, crashing, out_path=out)
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["instance_id"] for r in rows] == [i.id for i in insts[:2]]
+    calls = []
+    records = evaluate(insts, refs, _echo_sampler(refs, calls=calls), out_path=out)
+    assert calls == [i.id for i in insts[2:]]
+    assert all(r.any_feasible for r in records)
+
+
+def test_evaluate_resumes_past_a_truncated_last_line(tmp_path):
+    insts, refs = _bench(ProblemKind.TSP, count=3, size=8)
+    out = tmp_path / "raw.jsonl"
+    evaluate(insts[:2], refs, _echo_sampler(refs), out_path=out)
+    whole = out.read_text()
+    out.write_text(whole[: len(whole) - 20])  # the second row is cut short
+    calls = []
+    records = evaluate(insts, refs, _echo_sampler(refs, calls=calls), out_path=out)
+    assert calls == [i.id for i in insts[1:]]
+    assert all(r.any_feasible for r in records)
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["instance_id"] for r in rows] == [i.id for i in insts]
+    # A row without its newline is kept, and the next row starts a new line.
+    out.write_text(out.read_text().rstrip("\n"))
+    evaluate(insts[2:], refs, _echo_sampler(refs), out_path=out)
+    assert len(out.read_text().splitlines()) == 3
+
+
+def test_evaluate_unparsable_middle_line_is_an_error(tmp_path):
+    insts, refs = _bench(ProblemKind.TSP, count=2, size=8)
+    out = tmp_path / "raw.jsonl"
+    evaluate(insts, refs, _echo_sampler(refs), out_path=out)
+    lines = out.read_text().splitlines()
+    out.write_text(lines[0][:-5] + "\n" + lines[1] + "\n")
+    with pytest.raises(ValueError):
+        evaluate(insts, refs, _echo_sampler(refs), out_path=out)
+
+
+def test_evaluate_duplicate_rows_resolve_last_wins(tmp_path):
+    insts, refs = _bench(ProblemKind.TSP, count=2, size=8)
+    out = tmp_path / "raw.jsonl"
+    evaluate(insts, refs, lambda inst: ["no answer"], out_path=out)
+    evaluate(insts, refs, _echo_sampler(refs), out_path=tmp_path / "good.jsonl")
+    out.write_text(out.read_text() + (tmp_path / "good.jsonl").read_text())
+    calls = []
+    records = evaluate(insts, refs, _echo_sampler(refs, calls=calls), out_path=out)
+    assert calls == []
+    assert [r.instance_id for r in records] == [i.id for i in insts]
+    assert all(r.any_feasible for r in records)
 
 
 def _bench(kind, count, size, start_seed=0):
@@ -378,7 +456,8 @@ def _bench(kind, count, size, start_seed=0):
 class _EchoHandler(BaseHTTPRequestHandler):
     answers = {}       # prompt -> response text
     fail_first = False
-    always_fail = set()  # prompts that 500 on every attempt
+    always_fail = set()  # prompts that fail on every attempt
+    fail_status = 500
     hits = []          # one entry per POST
     failed_once = set()
 
@@ -392,7 +471,7 @@ class _EchoHandler(BaseHTTPRequestHandler):
         )
         if fail:
             type(self).failed_once.add(prompt)
-            self.send_response(500)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
         n = body.get("n", 1)
@@ -416,6 +495,7 @@ def echo_server():
     _EchoHandler.fail_first = False
     _EchoHandler.always_fail = set()
     _EchoHandler.failed_once = set()
+    _EchoHandler.fail_status = 500
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -423,6 +503,7 @@ def echo_server():
         yield f"http://127.0.0.1:{server.server_port}/v1"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 
@@ -493,6 +574,21 @@ def test_request_retries_on_server_error(echo_server):
     records = evaluate_endpoint(insts, refs, cfg)
     assert records[0].any_feasible
     assert len(_EchoHandler.hits) == 2  # one failure, one success
+
+
+def test_client_errors_are_not_retried(echo_server, tmp_path):
+    insts, refs = _bench(ProblemKind.TSP, count=1, size=8)
+    _arm_echo(insts, refs)
+    _EchoHandler.always_fail = {render_prompt(encode(insts[0]))}
+    _EchoHandler.fail_status = 400
+    out = tmp_path / "raw.jsonl"
+    cfg = EndpointConfig(
+        base_url=echo_server, model_name="echo", retries=3, backoff=0.01
+    )
+    records = evaluate_endpoint(insts, refs, cfg, out_path=out)
+    assert len(_EchoHandler.hits) == 1
+    assert records[0].candidates == ()
+    assert out.read_text() == ""
 
 
 def test_request_failures_never_abort_the_batch(echo_server, tmp_path):

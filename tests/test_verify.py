@@ -1,7 +1,6 @@
 """Feasibility checker and objective tests, cross-checked against the
 independent implementations in oracles.py."""
 
-import math
 import random
 
 import numpy as np
