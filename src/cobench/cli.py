@@ -324,6 +324,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     unknown = [iid for iid in rows if iid not in instances]
     if unknown:
         return _fail(f"records mention unknown instance {unknown[0]}")
+    missing = [iid for iid in rows if iid not in references]
+    if missing:
+        return _fail(f"missing references for: {', '.join(missing[:5])}")
     records = [
         record_from_row(instances[iid], row, references[iid].objective)
         for iid, row in rows.items()

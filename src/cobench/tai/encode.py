@@ -101,9 +101,11 @@ def _pfsp_instruction(jobs: int, machines: int) -> str:
         "processed on each machine in the same order. Identify the job order that "
         "minimizes the maximum completing time. The input includes the processing "
         "times of each machine on every job, the jobs with the lowest processing time "
-        "for each machine, and their respective processing times. Provide the solution "
-        "in the following format: 1. Order: List the order that jobs are processed on "
-        "each machine. 2. Objective: The objective value (maximum completing time)."
+        "for each machine, and their respective processing times. Jobs are numbered "
+        f"1 to {jobs} in the order their processing times are listed, and the answer "
+        "uses these numbers. Provide the solution in the following format: 1. Order: "
+        "List the order that jobs are processed on each machine. 2. Objective: The "
+        "objective value (maximum completing time)."
     )
 
 
@@ -154,7 +156,8 @@ def _pfsp_input(p: SchedulingInstance, feats: HeuristicFeatures) -> str:
     parts = []
     for m in range(p.num_machines):
         times = ", ".join(str(p.ptimes[j][m]) for j in range(p.num_jobs))
-        lowest = ", ".join(f"{j}: {int(t)}" for j, t in feats.entries[m])
+        # Jobs display 1-based, as the Order answer grammar reads them.
+        lowest = ", ".join(f"{j + 1}: {int(t)}" for j, t in feats.entries[m])
         parts.append(
             f"Machine {m}, processing times: [{times}], "
             f"jobs with lowest processing time: [{lowest}]"

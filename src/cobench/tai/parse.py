@@ -1,17 +1,31 @@
-"""Solution text -> ParsedSolution.
+r"""Solution text -> ParsedSolution.
 
 The parser is total: any input string yields a ParsedSolution, never an
 exception. It scans for the expected answer label ("Route:", "Set:", ...),
 takes the LAST well-formed occurrence (models often restate their final
 answer), reads the bracketed payload, and picks up a following
 "Objective: <number>" if present.
+
+A payload is read as a Python literal. The canonical payload, decimal ints
+in one or two levels of [...], is recognised by precompiled regexes and
+read with int(), without compiling it. That fast grammar is a strict subset
+of what ast.literal_eval accepts, and gives the same values:
+
+- ints are ASCII [0-9] with an optional attached "-", no leading zeros and
+  at most 18 digits (compile rejects Unicode digits such as "\u0663", and
+  "01");
+- whitespace is only space, tab and newline (compile rejects U+00A0).
+
+Any other payload (tuples, "+1", "- 1", trailing commas, longer ints,
+comments, \r or \f, three levels, junk) goes to ast.literal_eval unchanged,
+so parse returns the same result for every input either way.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..problems.types import (
     JobOrder,
@@ -25,59 +39,77 @@ from ..problems.types import (
 from .types import GRAMMAR_BY_KIND, OutputGrammar, ParsedSolution
 
 # Single routes accept both labels: instruction text says "Route" but some
-# outputs (and the nested grammar) use "Routes".
-_LABELS = {
-    OutputGrammar.ROUTE: ("Route", "Routes"),
-    OutputGrammar.ROUTES: ("Routes", "Route"),
-    OutputGrammar.SET: ("Set",),
-    OutputGrammar.ORDER: ("Order",),
-    OutputGrammar.SCHEDULE: ("Schedule",),
+# outputs (and the nested grammar) use "Routes". Alternation backtracks, so
+# "Route" before "Routes" still matches both.
+_LABEL_RES = {
+    grammar: re.compile(
+        r"(?:" + "|".join(re.escape(l) for l in labels) + r")\s*\**\s*[:=]",
+        re.IGNORECASE,
+    )
+    for grammar, labels in (
+        (OutputGrammar.ROUTE, ("Route", "Routes")),
+        (OutputGrammar.ROUTES, ("Routes", "Route")),
+        (OutputGrammar.SET, ("Set",)),
+        (OutputGrammar.ORDER, ("Order",)),
+        (OutputGrammar.SCHEDULE, ("Schedule",)),
+    )
 }
 
 _OBJECTIVE_RE = re.compile(
     r"objective\s*\**\s*[:=]\s*\**\s*(-?\d+(?:\.\d+)?)", re.IGNORECASE
 )
 
+# Markdown adornment and whitespace tolerated between a label and its '['.
+_LEAD_RE = re.compile(r"[ \t\r\n*_`]*")
+_BRACKET_RE = re.compile(r"[\[\]]")
 
-def _find_label_positions(text: str, labels: Sequence[str]) -> List[int]:
-    pat = re.compile(
-        r"(?:" + "|".join(re.escape(l) for l in labels) + r")\s*\**\s*[:=]",
-        re.IGNORECASE,
-    )  # alternation backtracks, so "Route" before "Routes" still matches both
-    return [m.end() for m in pat.finditer(text)]
+# The fast grammar; see the module docstring for why each class is narrow.
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_WS = r"[ \t\n]*"
+_ROW = rf"\[{_WS}(?:{_INT}(?:{_WS},{_WS}{_INT})*{_WS})?\]"
+_FLAT_RE = re.compile(_ROW)
+_NESTED_RE = re.compile(rf"\[{_WS}(?:{_ROW}(?:{_WS},{_WS}{_ROW})*{_WS})?\]")
+_ROW_BODY_RE = re.compile(r"\[([^\[\]]*)\]")
 
 
 def _scan_bracket(text: str, start: int) -> Optional[Tuple[str, int]]:
     """Return (bracketed substring, end index) for the first balanced
     [...] beginning at or shortly after `start`."""
-    i = start
-    n = len(text)
-    # Tolerate whitespace and markdown adornment between the label and '['.
-    while i < n and text[i] in " \t\r\n*_`":
-        i += 1
-    if i >= n or text[i] != "[":
+    i = _LEAD_RE.match(text, start).end()
+    if not text.startswith("[", i):
         return None
     depth = 0
-    for j in range(i, n):
-        c = text[j]
-        if c == "[":
+    for m in _BRACKET_RE.finditer(text, i):
+        if m.group() == "[":
             depth += 1
-        elif c == "]":
+        else:
             depth -= 1
             if depth == 0:
-                return text[i : j + 1], j + 1
+                return text[i : m.end()], m.end()
     return None
+
+
+def _ints(row: str) -> List[int]:
+    """The ints between one fast-grammar row's brackets; int() strips the
+    space, tab and newline around each."""
+    return list(map(int, row.split(","))) if row.strip(" \t\n") else []
+
+
+def _literal(payload: str):
+    """The value ast.literal_eval gives `payload`, read without compiling
+    it when the payload is in the fast grammar."""
+    if _FLAT_RE.fullmatch(payload):
+        return _ints(payload[1:-1])
+    if _NESTED_RE.fullmatch(payload):
+        return [_ints(row) for row in _ROW_BODY_RE.findall(payload)]
+    return ast.literal_eval(payload)
 
 
 def _as_int_list(obj) -> Optional[List[int]]:
     if not isinstance(obj, (list, tuple)) or not obj:
         return None
-    out = []
-    for v in obj:
-        if isinstance(v, bool) or not isinstance(v, int):
-            return None
-        out.append(v)
-    return out
+    # literal_eval makes no int subclass but bool, which the exact test rejects.
+    return list(obj) if all(type(v) is int for v in obj) else None
 
 
 def _as_nested_int_lists(obj) -> Optional[List[List[int]]]:
@@ -136,14 +168,14 @@ def parse(text, kind: ProblemKind) -> ParsedSolution:
         return failed
     try:
         grammar = GRAMMAR_BY_KIND[kind]
-        positions = _find_label_positions(text, _LABELS[grammar])
+        positions = [m.end() for m in _LABEL_RES[grammar].finditer(text)]
         for pos in reversed(positions):
             scanned = _scan_bracket(text, pos)
             if scanned is None:
                 continue
             payload_text, end = scanned
             try:
-                obj = ast.literal_eval(payload_text)
+                obj = _literal(payload_text)
             except (ValueError, SyntaxError, MemoryError, RecursionError):
                 continue
             sol = _payload_to_solution(kind, obj)

@@ -6,13 +6,23 @@ simulation instead of graph decodes, exact Fraction arithmetic for the policy
 math. Agreement between these and the package is the point of the tests.
 """
 
+import ast
 import math
+import re
 import statistics
 from fractions import Fraction
 
 import networkx as nx
 
-from cobench.problems.types import ProblemKind
+from cobench.problems.types import (
+    JobOrder,
+    MachineSchedules,
+    ProblemKind,
+    Route,
+    RouteSet,
+    VertexSet,
+)
+from cobench.tai.types import ParsedSolution
 
 TOL = 1e-6
 
@@ -203,3 +213,107 @@ def group_advantages_ref(rewards):
     if sigma < 1e-8:
         return [0.0 for _ in rewards]
     return [(r - mu) / sigma for r in rewards]
+
+
+# ---------------------------------------------------------------------------
+# Answer parsing: every payload through ast.literal_eval, brackets matched
+# one character at a time
+
+
+_ANSWER_LABELS = {
+    ProblemKind.TSP: ("Route", "Routes"),
+    ProblemKind.OP: ("Route", "Routes"),
+    ProblemKind.CVRP: ("Routes", "Route"),
+    ProblemKind.MIS: ("Set",),
+    ProblemKind.MVC: ("Set",),
+    ProblemKind.PFSP: ("Order",),
+    ProblemKind.JSSP: ("Schedule",),
+}
+
+
+def _bracketed(text, start):
+    i = start
+    while i < len(text) and text[i] in " \t\r\n*_`":
+        i += 1
+    if i >= len(text) or text[i] != "[":
+        return None
+    depth = 0
+    for j in range(i, len(text)):
+        if text[j] == "[":
+            depth += 1
+        elif text[j] == "]":
+            depth -= 1
+            if depth == 0:
+                return text[i : j + 1], j + 1
+    return None
+
+
+def _ints(obj):
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return None
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in obj):
+        return None
+    return tuple(obj)
+
+
+def _int_rows(obj):
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return None
+    rows = [_ints(r) for r in obj]
+    return None if any(r is None for r in rows) else tuple(rows)
+
+
+def _solution(kind, obj):
+    if kind in (ProblemKind.TSP, ProblemKind.OP):
+        flat = _ints(obj)
+        return None if flat is None else Route(flat)
+    if kind is ProblemKind.CVRP:
+        rows = _int_rows(obj)
+        if rows is not None:
+            return RouteSet(rows)
+        flat = _ints(obj)
+        return None if flat is None else RouteSet((flat,))
+    if kind in (ProblemKind.MIS, ProblemKind.MVC):
+        if isinstance(obj, (list, tuple)) and not obj:
+            return VertexSet(frozenset())
+        flat = _ints(obj)
+        return None if flat is None else VertexSet(frozenset(flat))
+    if kind is ProblemKind.PFSP:
+        flat = _ints(obj)
+        return None if flat is None else JobOrder(tuple(j - 1 for j in flat))
+    rows = _int_rows(obj)
+    return None if rows is None else MachineSchedules(rows)
+
+
+def reference_parse(text, kind):
+    """The answer parser before its regex fast path: the LAST label whose
+    bracketed payload ast.literal_eval reads as the kind's shape. An error
+    outside literal_eval's own (an unhashable dict key) fails the parse."""
+    failed = ParsedSolution(solution=None, stated_objective=None, format_ok=False)
+    if not isinstance(text, str) or not text:
+        return failed
+    label = re.compile(
+        "(?:" + "|".join(_ANSWER_LABELS[kind]) + r")\s*\**\s*[:=]", re.IGNORECASE
+    )
+    try:
+        for m in reversed(list(label.finditer(text))):
+            scanned = _bracketed(text, m.end())
+            if scanned is None:
+                continue
+            try:
+                sol = _solution(kind, ast.literal_eval(scanned[0]))
+            except (ValueError, SyntaxError, MemoryError, RecursionError):
+                continue
+            if sol is None:
+                continue
+            stated = re.compile(
+                r"objective\s*\**\s*[:=]\s*\**\s*(-?\d+(?:\.\d+)?)", re.IGNORECASE
+            ).search(text, scanned[1])
+            return ParsedSolution(
+                solution=sol,
+                stated_objective=float(stated.group(1)) if stated else None,
+                format_ok=True,
+            )
+    except Exception:
+        pass
+    return failed

@@ -454,6 +454,21 @@ def test_evaluate_missing_reference_is_usage_error(bench, tmp_path, capsys):
     assert "missing references" in err
 
 
+def test_report_missing_reference_is_data_error(bench, tmp_path, capsys):
+    insts, refs = bench
+    raw_file = tmp_path / "raw.jsonl"
+    run(capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
+        "--mock", "--out", str(raw_file))
+    gone = sorted(Path(refs).glob("*.json"))[0]
+    gone.unlink()
+    code, _, err = run(
+        capsys, "report", "--records", str(raw_file), "--instances", str(insts),
+        "--references", str(refs),
+    )
+    assert code == 2
+    assert err.strip() == f"error: missing references for: {gone.stem}"
+
+
 def test_evaluate_needs_mock_or_base_url(bench, capsys):
     insts, refs = bench
     code, _, err = run(

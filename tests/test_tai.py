@@ -5,9 +5,12 @@ wording, neighbor-list formats, and the canonical answer grammar.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cobench.problems.types import (
     GraphInstance,
@@ -39,7 +42,9 @@ from cobench.tai.render import (
     render_prompt,
 )
 from cobench.tai.types import GRAMMAR_BY_KIND, OutputGrammar
+from cobench.verify import score
 
+import oracles
 from conftest import ALL_KINDS, make_instance
 
 
@@ -164,9 +169,11 @@ def test_pfsp_instruction_golden():
         "processed on each machine in the same order. Identify the job order that "
         "minimizes the maximum completing time. The input includes the processing "
         "times of each machine on every job, the jobs with the lowest processing time "
-        "for each machine, and their respective processing times. Provide the solution "
-        "in the following format: 1. Order: List the order that jobs are processed on "
-        "each machine. 2. Objective: The objective value (maximum completing time)."
+        "for each machine, and their respective processing times. Jobs are numbered "
+        "1 to 6 in the order their processing times are listed, and the answer uses "
+        "these numbers. Provide the solution in the following format: 1. Order: List "
+        "the order that jobs are processed on each machine. 2. Objective: The "
+        "objective value (maximum completing time)."
     )
 
 
@@ -226,15 +233,15 @@ def test_pfsp_input_golden():
     tai = encode(inst, k=2)
     assert tai.input == (
         "Machine 0, processing times: [32, 22, 26, 49, 44, 14], "
-        "jobs with lowest processing time: [5: 14, 1: 22]; "
+        "jobs with lowest processing time: [6: 14, 2: 22]; "
         "Machine 1, processing times: [49, 87, 91, 98, 13, 3], "
-        "jobs with lowest processing time: [5: 3, 4: 13]; "
+        "jobs with lowest processing time: [6: 3, 5: 13]; "
         "Machine 2, processing times: [56, 46, 96, 10, 46, 23], "
-        "jobs with lowest processing time: [3: 10, 5: 23]; "
+        "jobs with lowest processing time: [4: 10, 6: 23]; "
         "Machine 3, processing times: [99, 21, 6, 65, 4, 76], "
-        "jobs with lowest processing time: [4: 4, 2: 6]; "
+        "jobs with lowest processing time: [5: 4, 3: 6]; "
         "Machine 4, processing times: [56, 27, 59, 9, 70, 64], "
-        "jobs with lowest processing time: [3: 9, 1: 27]"
+        "jobs with lowest processing time: [4: 9, 2: 27]"
     )
 
 
@@ -526,3 +533,127 @@ def test_parse_round_trip_through_render(small_instances):
         parsed = parse(text, kind)
         assert parsed.format_ok, text
         assert objective(inst, parsed.solution).value == pytest.approx(res.objective.value)
+
+
+# ---------------------------------------------------------------------------
+# The regex fast path against ast.literal_eval
+
+# Canonical payloads at depth 1-3 (empty rows included), with up to two
+# tokens swapped for ones the fast grammar must either read as literal_eval
+# does or leave to it: signs, leading zeros, 18-22 digit ints (either side
+# of the 18-digit bound), an int past the 4300-digit conversion limit,
+# Unicode digits, non-int literals, tuples, comments, trailing commas,
+# unbalanced brackets, and whitespace that only some readers accept
+# (U+00A0, \r, \f).
+_ODD = {
+    "int": st.one_of(
+        st.integers(10**17, 10**22).map(str),
+        st.sampled_from([
+            "-1", "-0", "- 1", "+1", "01", "00", "-01", "9" * 4301,
+            "0x1", "1_0", "1.0", "1e3", "True", "None", "'1'", "(1,2)", "()", "{[]: 1}", "",
+        ]),
+        # Arabic-Indic, Devanagari and fullwidth digits, alone or after an ASCII one
+        st.builds(
+            lambda lead, digit: lead + digit,
+            st.sampled_from(["", "1", "-2"]),
+            st.sampled_from(["\u0663", "\u0967", "\uff11"]),
+        ),
+    ),
+    ", ": st.sampled_from([
+        ",", " , ", ",\n", "\t,\t", ",\xa0", "\xa0,", ",\r", ",\f", ", # c\n", ",,", " ",
+    ]),
+    "[": st.sampled_from(["(", "[[", "", "[ ", "[\n", "[\xa0", "[\r", "[\f", "[#c\n"]),
+    "]": st.sampled_from([")", "]]", "", ",]", " ]", "\t]", "\xa0]", "\r]", "\f]"]),
+}
+
+
+@st.composite
+def _near_canonical_payload(draw):
+    shape = st.integers(0, 99).map(str)
+    for _ in range(draw(st.integers(1, 3))):
+        shape = st.lists(shape, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]")
+    text = draw(shape)
+    for _ in range(draw(st.integers(0, 2))):
+        spans = [m.span() for m in re.finditer(r"[0-9]+|, |\[|\]", text)]
+        a, b = spans[draw(st.integers(0, len(spans) - 1))]
+        token = text[a:b]
+        text = text[:a] + draw(_ODD.get(token, _ODD["int"])) + text[b:]
+    return text
+
+
+_SEGMENTS = st.one_of(
+    st.builds(
+        lambda label, lead, payload: label + lead + payload,
+        st.sampled_from([
+            "Route: ", "Routes:", "route = ", "Set: ", "SET:", "Order: ", "Order:\n",
+            "Schedule: ", "**Schedule**: ", "Route:**",
+        ]),
+        st.sampled_from(["", " ", "\n", "**", "`", "_ "]),
+        _near_canonical_payload(),
+    ),
+    st.sampled_from([
+        ", Objective: 12", ", Objective: 3.25", " objective = -4", "\nObjective:",
+        " **Objective**: 7", "[", "]", " then ", "Route:", "# note\n",
+    ]),
+)
+# One kind per answer grammar.
+_GRAMMAR_KINDS = (
+    ProblemKind.TSP, ProblemKind.CVRP, ProblemKind.MIS, ProblemKind.PFSP, ProblemKind.JSSP,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(text=st.lists(_SEGMENTS, min_size=1, max_size=4).map("".join))
+@example("Route: [1, 1\u0663]")
+@example("Order: [1,\xa02]")
+@example("Set: [01, 2]")
+@example("Schedule: [[0, 1], [" + "9" * 4301 + "]]")
+@example("Route: [0, 1] Route: [" + "1" * 19 + "]")
+def test_parse_matches_literal_eval_reference(text):
+    for kind in _GRAMMAR_KINDS:
+        assert parse(text, kind) == oracles.reference_parse(text, kind), kind
+
+
+# ---------------------------------------------------------------------------
+# Prompt ids against the answer grammar
+
+
+def _hint_ids(kind, text):
+    """The answer-entity ids an encoded input shows, hints included."""
+    if kind in (ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP):
+        hints = "".join(re.findall(r"neighbors: \[[^\]]*\]", text))
+        ids = re.findall(r"Node (\d+)", text) + re.findall(r"(\d+):", hints)
+    elif kind in (ProblemKind.MIS, ProblemKind.MVC):
+        ids = re.findall(r"(?<![#\d])\d+", text)  # every number but the #degrees
+    elif kind is ProblemKind.PFSP:
+        hints = "".join(re.findall(r"jobs with lowest processing time: \[[^\]]*\]", text))
+        ids = re.findall(r"(\d+):", hints)
+    else:
+        ids = re.findall(r"Job (\d+),", text)
+    return {int(i) for i in ids}
+
+
+def _answer_with(kind, inst, shown):
+    """An answer text that puts the shown id where the grammar takes an id."""
+    if kind in (ProblemKind.TSP, ProblemKind.OP):
+        return f"Route: [{shown}]"
+    if kind is ProblemKind.CVRP:
+        return f"Routes: [[0, {shown}, 0]]"
+    if kind in (ProblemKind.MIS, ProblemKind.MVC):
+        return f"Set: [{shown}]"
+    if kind is ProblemKind.PFSP:
+        return f"Order: [{shown}]"
+    # Every machine runs the shown job first, then the rest in id order.
+    row = [shown] + [j for j in range(inst.payload.num_jobs) if j != shown]
+    return f"Schedule: {[row] * inst.payload.num_machines}"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_id_the_prompt_shows_is_an_answer_id(kind):
+    inst = make_instance(kind, size=6, seed=3)
+    shown = _hint_ids(kind, encode(inst, k=3).input)
+    assert shown
+    for i in sorted(shown):
+        parsed = parse(_answer_with(kind, inst, i), kind)
+        assert parsed.format_ok
+        assert score(inst, parsed.solution)[1] is not None, f"{kind.value} id {i}"
