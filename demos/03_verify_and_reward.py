@@ -1,14 +1,14 @@
 """From model text to a scalar reward.
 
 Takes one OP instance and three candidate responses (a perfect echo, a
-feasible-but-worse tour, unparseable prose), then walks parse -> check ->
+feasible-but-worse tour, unparseable prose), then walks parse -> score ->
 reward exactly the way the training loop would, ending with the group
 advantages and the clipped policy surrogate.
 """
 
 import numpy as np
 
-from cobench import GenConfig, ProblemKind, check, gen_instance, objective, parse
+from cobench import GenConfig, ProblemKind, gen_instance, parse, score
 from cobench.heuristics import solve
 from cobench.rewards import (
     RewardConfig,
@@ -33,12 +33,10 @@ cfg = RewardConfig()
 rewards = []
 for label, text in (("perfect", perfect), ("shorter", worse), ("prose", prose)):
     parsed = parse(text, inst.kind)
-    if parsed.solution is None:
-        report = check(inst, None)  # no structure at all: every gate fails
+    # One pass checks and values the answer; no solution fails every gate.
+    report, value = score(inst, parsed.solution)
+    if not report.feasible:
         value = None
-    else:
-        report = check(inst, parsed.solution)
-        value = objective(inst, parsed.solution).value if report.feasible else None
     r_f = feasibility_reward(inst.kind, report)
     r = total_reward(inst.kind, report, value, ref.objective.value, cfg)
     rewards.append(r)

@@ -7,9 +7,10 @@ answer), reads the bracketed payload, and picks up a following
 "Objective: <number>" if present.
 
 A payload is read as a Python literal. The canonical payload, decimal ints
-in one or two levels of [...], is recognised by precompiled regexes and
-read with int(), without compiling it. That fast grammar is a strict subset
-of what ast.literal_eval accepts, and gives the same values:
+in one or two levels of [...], is recognised by a precompiled regex and
+read with one json.loads, without compiling it. That fast grammar is a
+strict subset of both JSON and what ast.literal_eval accepts, and both give
+it the same values:
 
 - ints are ASCII [0-9] with an optional attached "-", no leading zeros and
   at most 18 digits (compile rejects Unicode digits such as "\u0663", and
@@ -24,6 +25,7 @@ so parse returns the same result for every input either way.
 from __future__ import annotations
 
 import ast
+import json
 import re
 from typing import List, Optional, Tuple
 
@@ -63,13 +65,12 @@ _OBJECTIVE_RE = re.compile(
 _LEAD_RE = re.compile(r"[ \t\r\n*_`]*")
 _BRACKET_RE = re.compile(r"[\[\]]")
 
-# The fast grammar; see the module docstring for why each class is narrow.
+# The fast grammar, flat or nested; see the module docstring for why each
+# class is narrow.
 _INT = r"-?(?:0|[1-9][0-9]{0,17})"
 _WS = r"[ \t\n]*"
 _ROW = rf"\[{_WS}(?:{_INT}(?:{_WS},{_WS}{_INT})*{_WS})?\]"
-_FLAT_RE = re.compile(_ROW)
-_NESTED_RE = re.compile(rf"\[{_WS}(?:{_ROW}(?:{_WS},{_WS}{_ROW})*{_WS})?\]")
-_ROW_BODY_RE = re.compile(r"\[([^\[\]]*)\]")
+_FAST_RE = re.compile(rf"{_ROW}|\[{_WS}(?:{_ROW}(?:{_WS},{_WS}{_ROW})*{_WS})?\]")
 
 
 def _scan_bracket(text: str, start: int) -> Optional[Tuple[str, int]]:
@@ -89,19 +90,11 @@ def _scan_bracket(text: str, start: int) -> Optional[Tuple[str, int]]:
     return None
 
 
-def _ints(row: str) -> List[int]:
-    """The ints between one fast-grammar row's brackets; int() strips the
-    space, tab and newline around each."""
-    return list(map(int, row.split(","))) if row.strip(" \t\n") else []
-
-
 def _literal(payload: str):
     """The value ast.literal_eval gives `payload`, read without compiling
     it when the payload is in the fast grammar."""
-    if _FLAT_RE.fullmatch(payload):
-        return _ints(payload[1:-1])
-    if _NESTED_RE.fullmatch(payload):
-        return [_ints(row) for row in _ROW_BODY_RE.findall(payload)]
+    if _FAST_RE.fullmatch(payload):
+        return json.loads(payload)
     return ast.literal_eval(payload)
 
 

@@ -9,6 +9,11 @@ when the solution cannot be scored at all (wrong type, bad ids, JSSP rows
 that are not permutations, or a deadlocked schedule). check() and
 objective() are thin views of score(); objective() raises ValueError where
 the value is None.
+
+JSSP answers are decoded semi-actively by Kahn's walk over the operation
+graph, from tables built once per instance and kept on its frozen payload.
+The machine-conflict and precedence constraints are then still verified
+outright, as whole-array comparisons against the decoded start times.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -158,8 +164,12 @@ def objective(inst: Instance, sol: Solution) -> ObjectiveValue:
 def _ids_ok(ids, n: int) -> bool:
     """The one id gate: integers (numpy ones included) in [0, n).
 
-    The exact-type test is a fast path: an ABC isinstance check costs ~10x
-    more, and parsed ids are plain ints."""
+    Parsed ids are plain ints, so one type pass over them and a min/max is
+    the fast path. Anything else (numpy ints, bools, junk) goes through the
+    per-element test, where the exact-type check spares most of the ~10x
+    dearer ABC isinstance check."""
+    if set(map(type, ids)) == {int}:
+        return min(ids) >= 0 and max(ids) < n
     return all(
         (type(v) is int or isinstance(v, numbers.Integral)) and 0 <= v < n for v in ids
     )
@@ -258,11 +268,11 @@ def pfsp_makespan(ptimes, order) -> float:
     m = len(ptimes[0])
     completion = [0.0] * m
     for j in order:
-        prev_machine = 0.0
+        row = ptimes[j]
+        prev = 0.0
         for i in range(m):
-            start = max(completion[i], prev_machine)
-            completion[i] = start + ptimes[j][i]
-            prev_machine = completion[i]
+            c = completion[i]
+            prev = completion[i] = (c if c > prev else prev) + row[i]
     return completion[-1]
 
 
@@ -274,99 +284,133 @@ def _score_pfsp(p: SchedulingInstance, sol: JobOrder) -> Scored:
     return _report(ProblemKind.PFSP, perm), pfsp_makespan(p.ptimes, jobs)
 
 
-def _op_index(p: SchedulingInstance) -> List[List[int]]:
-    """op_of[j][m]: the index of job j's operation that runs on machine m."""
-    op_of = [[0] * p.num_machines for _ in range(p.num_jobs)]
-    for j, row in enumerate(p.machine_order):
-        for i, m in enumerate(row):
-            op_of[j][m] = i
-    return op_of
+class _JsspTables(NamedTuple):
+    """Per-instance JSSP tables. Operation (j, i) is node j * M + i."""
+
+    op_flat: np.ndarray  # [j * M + m]: the node of job j's operation on machine m
+    duration: List[float]  # per node
+    indeg: np.ndarray  # per node: 1 for the job precedence edge, 0 for first ops
+    ptimes: np.ndarray  # (J, M) floats
 
 
-def _start_times(
-    p: SchedulingInstance, sequences: Sequence[Sequence[int]], op_of: List[List[int]]
-) -> Optional[np.ndarray]:
-    # Operation (j, i) is node j * M + i. Each node has at most two
-    # successors: the job's next operation (node + 1, unless i is the last
-    # one) and the next operation on its machine (msucc, -1 if none).
-    jobs, machines = p.num_jobs, p.num_machines
-    total = jobs * machines
-    msucc = [-1] * total
-    indeg = [0 if i == 0 else 1 for _ in range(jobs) for i in range(machines)]
-    for m, seq in enumerate(sequences):
-        prev = -1
-        for j in seq:
-            node = j * machines + op_of[j][m]
-            if prev >= 0:
-                msucc[prev] = node
-                indeg[node] += 1
-            prev = node
-    duration = [float(t) for row in p.ptimes for t in row]
+def _jssp_tables(p: SchedulingInstance) -> _JsspTables:
+    """The tables of `p`, built on first use and kept in its __dict__.
+
+    The payload is frozen, so they cannot go stale, and as a non-field they
+    stay out of ==, repr, fields() and the JSON form. A dataclasses.replace
+    copy starts without them. Two threads racing on a new payload only
+    build the same tables twice."""
+    tables = p.__dict__.get("_jssp_tables")
+    if tables is None:
+        jobs, machines = p.num_jobs, p.num_machines
+        base = np.arange(jobs)[:, None] * machines
+        op_flat = np.empty(jobs * machines, dtype=np.intp)
+        op_flat[(base + np.asarray(p.machine_order, dtype=np.intp)).ravel()] = (
+            base + np.arange(machines)
+        ).ravel()
+        ptimes = np.asarray(p.ptimes, dtype=float)
+        indeg = np.ones((jobs, machines), dtype=np.intp)
+        indeg[:, 0] = 0
+        tables = _JsspTables(op_flat, ptimes.ravel().tolist(), indeg.ravel(), ptimes)
+        p.__dict__["_jssp_tables"] = tables  # frozen: bypass __setattr__
+    return tables
+
+
+def _machine_nodes(t: _JsspTables, sequences, machines: int) -> np.ndarray:
+    """nodes[m, k]: the node of the k-th job in machine m's sequence."""
+    seqs = np.asarray(sequences, dtype=np.intp)
+    return t.op_flat[seqs * machines + np.arange(machines)[:, None]]
+
+
+def _earliest(t: _JsspTables, nodes: np.ndarray, machines: int) -> Optional[np.ndarray]:
+    """Flat earliest starts by Kahn's walk, or None on a cycle, which leaves
+    some in-degree above zero.
+
+    Each node has at most two successors: the job's next operation (node + 1,
+    unless it is the job's last) and the next operation on its machine
+    (msucc, -1 if none)."""
+    total = len(t.duration)
+    msucc = np.full(total, -1, dtype=np.intp)
+    msucc[nodes[:, :-1]] = nodes[:, 1:]
+    indeg = t.indeg.copy()
+    indeg[nodes[:, 1:]] += 1  # every node appears once in `nodes`
+    ready = np.flatnonzero(indeg == 0).tolist()
+    msucc, indeg = msucc.tolist(), indeg.tolist()
+    duration = t.duration
     earliest = [0.0] * total
-    ready = [k for k in range(total) if indeg[k] == 0]
-    processed = 0
     while ready:
         k = ready.pop()
         finish = earliest[k] + duration[k]
-        processed += 1
-        for nxt in (k + 1 if (k + 1) % machines else -1, msucc[k]):
-            if nxt < 0:
-                continue
+        nxt = k + 1
+        if nxt % machines:
             if finish > earliest[nxt]:
                 earliest[nxt] = finish
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
+            d = indeg[nxt] - 1
+            indeg[nxt] = d
+            if not d:
                 ready.append(nxt)
-    if processed != total:
+        nxt = msucc[k]
+        if nxt >= 0:
+            if finish > earliest[nxt]:
+                earliest[nxt] = finish
+            d = indeg[nxt] - 1
+            indeg[nxt] = d
+            if not d:
+                ready.append(nxt)
+    if any(indeg):
         return None  # cycle between job precedence and machine sequences
-    return np.array(earliest).reshape(jobs, machines)
+    return np.array(earliest)
 
 
 def jssp_start_times(p: SchedulingInstance, sol: MachineSchedules) -> Optional[np.ndarray]:
     """Semi-active decode: the earliest start of every operation, as a
     (jobs, machines) array indexed [j, i] by job and operation index,
-    respecting job precedence and the per-machine job sequences.
+    respecting job precedence and the per-machine job sequences. Every
+    sequence must be a permutation of the jobs, as score() checks first.
 
     Returns None when the combined order is cyclic (deadlock).
     """
-    return _start_times(p, sol.sequences, _op_index(p))
+    t = _jssp_tables(p)
+    start = _earliest(t, _machine_nodes(t, sol.sequences, p.num_machines), p.num_machines)
+    return None if start is None else start.reshape(p.num_jobs, p.num_machines)
 
 
 def jssp_makespan(p: SchedulingInstance, start: np.ndarray) -> float:
     """Latest finish over all operations of a decoded schedule."""
-    return float((start + np.asarray(p.ptimes, dtype=float)).max())
+    return float((start + _jssp_tables(p).ptimes).max())
+
+
+def _all_permutations(rows, n: int) -> bool:
+    """Every row is a permutation of range(n). One type pass over all rows
+    sends plain ints straight to the sort; other rows pass the id gate
+    first, so a sort never compares junk."""
+    target = list(range(n))
+    if set(map(type, chain.from_iterable(rows))) == {int}:
+        return all(sorted(row) == target for row in rows)
+    return all(_ids_ok(row, n) and sorted(row) == target for row in rows)
 
 
 def _score_jssp(p: SchedulingInstance, sol: MachineSchedules) -> Scored:
     jobs, machines = p.num_jobs, p.num_machines
     seqs = sol.sequences
-    all_scheduled = len(seqs) == machines and all(
-        _ids_ok(seq, jobs) and sorted(seq) == list(range(jobs)) for seq in seqs
-    )
-    if not all_scheduled:
+    if not (len(seqs) == machines and _all_permutations(seqs, jobs)):
         # Without a full, valid sequence set the decode is undefined.
         return _report(ProblemKind.JSSP, False, False, False), None
-    op_of = _op_index(p)
-    start = _start_times(p, seqs, op_of)
-    if start is None:
+    t = _jssp_tables(p)
+    nodes = _machine_nodes(t, seqs, machines)
+    flat = _earliest(t, nodes, machines)
+    if flat is None:
         return _report(ProblemKind.JSSP, True, False, False), None
-    # The semi-active decode already enforces both, but verify outright.
-    st = start.tolist()
-    ptimes = p.ptimes
-    no_conflict = True
-    for m, seq in enumerate(seqs):
-        t = -1.0
-        for j in seq:
-            i = op_of[j][m]
-            s = st[j][i]
-            if s < t - TOLERANCE:
-                no_conflict = False
-            t = max(t, s + ptimes[j][i])
-    precedence = all(
-        st[j][i] >= st[j][i - 1] + ptimes[j][i - 1] - TOLERANCE
-        for j in range(jobs)
-        for i in range(1, machines)
-    )
+    # The semi-active decode already enforces both; verify outright anyway,
+    # vectorised. On each machine row, every start must reach the latest
+    # finish before it; in each job, every start must reach the previous
+    # operation's finish.
+    start_m = flat[nodes]
+    finish_m = start_m + t.ptimes.ravel()[nodes]
+    latest = np.maximum.accumulate(finish_m, axis=1)
+    no_conflict = not (start_m[:, 1:] < latest[:, :-1] - TOLERANCE).any()
+    start, pt = flat.reshape(jobs, machines), t.ptimes
+    precedence = (start[:, 1:] >= start[:, :-1] + pt[:, :-1] - TOLERANCE).all()
     report = _report(ProblemKind.JSSP, True, no_conflict, precedence)
     return report, jssp_makespan(p, start)
 

@@ -1,7 +1,10 @@
 """Feasibility checker and objective tests, cross-checked against the
 independent implementations in oracles.py."""
 
+import copy
+import pickle
 import random
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cobench.problems.generate import gen_instance
+from cobench.problems.io import instance_to_json
 from cobench.problems.types import (
+    GenConfig,
     GraphInstance,
     Instance,
     JobOrder,
@@ -385,6 +391,31 @@ def test_jssp_decode_matches_event_sim():
     assert agreements > 10 and deadlocks > 5  # both branches exercised
 
 
+def test_jssp_scoring_keeps_payload_value_semantics():
+    # Scoring memoises per-instance tables on the frozen payload; they must
+    # not leak into equality, repr, fields or the JSON form, must survive a
+    # pickle or a deepcopy, and must not follow a payload into replace().
+    cfg = GenConfig(seed=5, size_range=(6, 6))
+    inst = gen_instance(ProblemKind.JSSP, cfg)
+    text, shown = instance_to_json(inst), repr(inst)
+    sol = MachineSchedules((tuple(range(6)),) * 6)
+    scored = score(inst, sol)
+    assert scored[0].feasible
+    assert inst == gen_instance(ProblemKind.JSSP, cfg)
+    assert instance_to_json(inst) == text and repr(inst) == shown
+    assert [f.name for f in fields(inst.payload)] == ["ptimes", "machine_order"]
+    for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert twin == inst and score(twin, sol) == scored
+
+    doubled = replace(
+        inst.payload, ptimes=tuple(tuple(2 * t for t in row) for row in inst.payload.ptimes)
+    )
+    report, value = score(replace(inst, payload=doubled), sol)
+    assert report == scored[0] and value == 2 * scored[1]
+    assert value == oracles.jssp_sim(doubled, [list(r) for r in sol.sequences])
+    assert score(inst, sol) == scored
+
+
 def test_jssp_makespan_lower_bounds():
     from cobench.heuristics import solve
 
@@ -478,13 +509,19 @@ def _solutions(inst):
         st.one_of(
             st.lists(rows, max_size=m + 1).map(tuple),
             st.lists(_perm(0, p.num_jobs), min_size=m, max_size=m).map(tuple),
+            # One job order on every machine never deadlocks, at any size.
+            _perm(0, p.num_jobs).map(lambda order: (order,) * m),
         ),
     )
 
 
-_PROPERTY_SIZES = {"pfsp": 3, "jssp": 3, "mis": 6, "mvc": 6}
+# Scheduling kinds also run at the paper's top size, 20 jobs x 20 machines.
+_PROPERTY_SIZES = {"pfsp": (3, 20), "jssp": (3, 20), "mis": (6,), "mvc": (6,)}
 _PROPERTY_INSTANCES = {
-    kind: make_instance(kind, size=_PROPERTY_SIZES.get(kind.value, 5), seed=4)
+    kind: [
+        make_instance(kind, size=size, seed=4)
+        for size in _PROPERTY_SIZES.get(kind.value, (5,))
+    ]
     for kind in ALL_KINDS
 }
 
@@ -493,7 +530,7 @@ _PROPERTY_INSTANCES = {
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(data=st.data())
 def test_score_is_total_and_feasible_means_scoreable(kind, data):
-    inst = _PROPERTY_INSTANCES[kind]
+    inst = data.draw(st.sampled_from(_PROPERTY_INSTANCES[kind]))
     sol = data.draw(_solutions(inst))
     report, value = score(inst, sol)
     assert check(inst, sol) == report
@@ -561,20 +598,24 @@ def _random_candidate(rnd, inst):
         s = list(range(p.num_jobs))
         rnd.shuffle(s)
         seqs.append(tuple(s))
+    if rnd.random() < 0.3:
+        seqs = [seqs[0]] * p.num_machines  # one order everywhere never deadlocks
     return MachineSchedules(tuple(seqs))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_check_agrees_with_oracle(kind):
-    rnd = random.Random(hash(kind.value) & 0xFFFF)
-    sizes = {"pfsp": 6, "jssp": 4}
+    rnd = random.Random(kind.value)
+    # Scheduling kinds alternate a small size with the paper's top size.
+    sizes = {"pfsp": (6, 20), "jssp": (4, 20)}.get(kind.value, (8,))
     for trial in range(50):
-        inst = make_instance(kind, size=sizes.get(kind.value, 8), seed=trial % 7)
+        size = sizes[trial % len(sizes)]
+        inst = make_instance(kind, size=size, seed=trial % 7)
         sol = _random_candidate(rnd, inst)
-        assert check(inst, sol).feasible == oracles.feasible(inst, sol), (
-            inst.id,
-            sol,
-        )
+        report, value = score(inst, sol)
+        assert report.feasible == oracles.feasible(inst, sol), (inst.id, sol)
+        if report.feasible:
+            assert value == pytest.approx(oracles.objective_value(inst, sol)), inst.id
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
