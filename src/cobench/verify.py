@@ -365,8 +365,9 @@ def _earliest(t: _JsspTables, nodes: np.ndarray, machines: int) -> Optional[np.n
 def jssp_start_times(p: SchedulingInstance, sol: MachineSchedules) -> Optional[np.ndarray]:
     """Semi-active decode: the earliest start of every operation, as a
     (jobs, machines) array indexed [j, i] by job and operation index,
-    respecting job precedence and the per-machine job sequences. Every
-    sequence must be a permutation of the jobs, as score() checks first.
+    respecting job precedence and the per-machine job sequences. `sol`
+    must hold one permutation of the jobs per machine, as score() checks
+    first; for anything else the result is undefined.
 
     Returns None when the combined order is cyclic (deadlock).
     """
