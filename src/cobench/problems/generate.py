@@ -2,15 +2,17 @@
 
 Generation is a pure function of (kind, config): the same GenConfig always
 yields byte-identical serialized instances. All randomness flows through one
-numpy Generator seeded from the config.
+numpy Generator seeded from the config; graph edges come from a random.Random
+seeded by one draw of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from typing import Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .types import (
@@ -109,13 +111,6 @@ def nearest_neighbor_tour_length(coords, start: int = 0) -> float:
     return total
 
 
-def op_distance_limit(coords, rng: np.random.Generator) -> float:
-    """OP route budget: u * L_T with u ~ U[0.5, 0.7] and L_T the closed
-    nearest-neighbor tour length from the depot over all nodes."""
-    u = float(rng.uniform(0.5, 0.7))
-    return u * nearest_neighbor_tour_length(coords, start=0)
-
-
 def default_capacity(demands) -> int:
     """CVRP default capacity: max(30, round(mean(customer demands) * n / 4)),
     n counting customers. Yields a handful of routes on typical instances."""
@@ -167,22 +162,44 @@ def _gen_routing(kind: ProblemKind, cfg: GenConfig, rng: np.random.Generator, n:
     return RoutingInstance(coords=coords, demands=demands, capacity=int(capacity)), meta
 
 
+def _er_edges(n: int, p: float, seed: int) -> list:
+    """Erdős–Rényi G(n, p); the same edges as networkx.gnp_random_graph."""
+    r = random.Random(seed)
+    return [e for e in itertools.combinations(range(n), 2) if r.random() < p]
+
+
+def _ba_edges(n: int, m: int, seed: int) -> list:
+    """Barabási–Albert graph grown from the star on m + 1 nodes; the same edges
+    as networkx.barabasi_albert_graph."""
+    if not 1 <= m < n:
+        raise ValueError(f"Barabási–Albert graph needs 1 <= m < n, got m = {m}, n = {n}")
+    r = random.Random(seed)
+    edges = [(0, v) for v in range(1, m + 1)]
+    repeated = [0] * m + list(range(1, m + 1))  # each node once per incident edge
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(r.choice(repeated))
+        edges += [(t, source) for t in targets]
+        repeated += list(targets) + [source] * m
+    return edges
+
+
 def _gen_graph(cfg: GenConfig, rng: np.random.Generator, n: int):
     family = cfg.graph_family
     if family is None:
         family = GraphFamily.ER if rng.integers(0, 2) == 0 else GraphFamily.BA
-    nx_seed = int(rng.integers(0, 2**31 - 1))
+    graph_seed = int(rng.integers(0, 2**31 - 1))
     if family is GraphFamily.ER:
         p = float(rng.uniform(*cfg.er_prob_range))
-        g = nx.gnp_random_graph(n, p, seed=nx_seed)
+        edges = _er_edges(n, p, graph_seed)
         meta = {"family": "er", "p": f"{p:.6f}"}
     else:
         lo, hi = cfg.ba_attach_range
         m = int(rng.integers(lo, hi + 1))
-        g = nx.barabasi_albert_graph(n, m, seed=nx_seed)
+        edges = _ba_edges(n, m, graph_seed)
         meta = {"family": "ba", "m": str(m)}
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
-    return GraphInstance(num_nodes=n, edges=edges), meta
+    return GraphInstance(num_nodes=n, edges=tuple(sorted(edges))), meta
 
 
 def _gen_scheduling(kind: ProblemKind, cfg: GenConfig, rng: np.random.Generator):

@@ -1,13 +1,13 @@
 """Heuristic feature extraction for TAI inputs.
 
-All selections use exact values with deterministic tie-breaks (lower id wins),
-so the exhaustive and KD-tree routing paths agree bit for bit.
+All selections use exact values with deterministic tie-breaks (lower id wins).
+Routing neighbours come from one exact pass over blocks of rows of the
+distance matrix, so memory stays bounded on TSPLIB-sized inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..problems.types import (
     GraphInstance,
@@ -18,56 +18,34 @@ from ..problems.types import (
 )
 from .types import HeuristicFeatures
 
-# Above this size the KD-tree path replaces the exhaustive scan.
-KDTREE_THRESHOLD = 64
+# Rows per block of the routing neighbour pass; a block holds BLOCK_ROWS * n
+# distances.
+BLOCK_ROWS = 256
 
 DEFAULT_K = 2
-
-
-def _pair_dists(pts: np.ndarray, i: int, idx: np.ndarray) -> np.ndarray:
-    # One shared distance formula for both neighbor paths.
-    d = pts[idx] - pts[i]
-    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-
-
-def _routing_exhaustive(pts: np.ndarray, k: int):
-    n = len(pts)
-    out = []
-    for i in range(n):
-        idx = np.arange(n)
-        idx = idx[idx != i]
-        d = _pair_dists(pts, i, idx)
-        order = np.lexsort((idx, d))  # ascending distance, ties to lower id
-        take = order[: min(k, n - 1)]
-        out.append(tuple((int(idx[t]), float(d[t])) for t in take))
-    return tuple(out)
-
-
-def _routing_kdtree(pts: np.ndarray, k: int):
-    n = len(pts)
-    tree = cKDTree(pts)
-    kq = min(n, k + 1)  # +1: the query returns the point itself
-    dists, _ = tree.query(pts, k=kq)
-    out = []
-    for i in range(n):
-        # Requery by radius so equidistant neighbors beyond the k-th are not
-        # dropped by the tree's arbitrary tie order.
-        r = float(dists[i][-1]) if kq > 1 else 0.0
-        cand = tree.query_ball_point(pts[i], r=np.nextafter(r, np.inf))
-        idx = np.array(sorted(j for j in cand if j != i), dtype=int)
-        d = _pair_dists(pts, i, idx)
-        order = np.lexsort((idx, d))
-        take = order[: min(k, n - 1)]
-        out.append(tuple((int(idx[t]), float(d[t])) for t in take))
-    return tuple(out)
 
 
 def routing_features(payload: RoutingInstance, k: int = DEFAULT_K) -> HeuristicFeatures:
     """k nearest neighbors per node, ascending distance, ties to lower id."""
     pts = np.asarray(payload.coords, dtype=float)
-    if len(pts) > KDTREE_THRESHOLD:
-        return HeuristicFeatures(_routing_kdtree(pts, k))
-    return HeuristicFeatures(_routing_exhaustive(pts, k))
+    n = len(pts)
+    kk = min(k, n - 1)
+    out = []
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        dx = pts[None, :, 0] - pts[lo:hi, 0, None]
+        dy = pts[None, :, 1] - pts[lo:hi, 1, None]
+        d = np.sqrt(dx * dx + dy * dy)
+        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never its own neighbour
+        # Every candidate within the row's kk-th distance, ordered by (row,
+        # distance, id); the first kk of each row are exact at ties.
+        kth = np.partition(d, kk - 1, axis=1)[:, kk - 1]
+        rows, cols = np.nonzero(d <= kth[:, None])
+        dist = d[rows, cols]
+        order = np.lexsort((cols, dist, rows))
+        take = order[np.searchsorted(rows, np.arange(hi - lo))[:, None] + np.arange(kk)]
+        out += [tuple(zip(i, x)) for i, x in zip(cols[take].tolist(), dist[take].tolist())]
+    return HeuristicFeatures(tuple(out))
 
 
 def graph_features(payload: GraphInstance, k: int = DEFAULT_K) -> HeuristicFeatures:

@@ -192,6 +192,20 @@ def objective_value(inst, sol):
 
 
 # ---------------------------------------------------------------------------
+# Routing features
+
+
+def nearest_neighbours(coords, k):
+    """Per node, its k nearest other nodes as (id, distance) pairs, ascending
+    distance, ties to the lower id."""
+    out = []
+    for i, a in enumerate(coords):
+        ranked = sorted((math.dist(a, b), j) for j, b in enumerate(coords) if j != i)
+        out.append(tuple((j, d) for d, j in ranked[:k]))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Policy math in exact arithmetic
 
 

@@ -84,6 +84,17 @@ def test_generate_rejects_unknown_kind(tmp_path, capsys):
     assert code == 1
 
 
+def test_generate_ba_with_m_not_below_n_is_data_error(tmp_path, capsys):
+    # Seed 0 draws m = 3, which a BA graph on 3 nodes cannot attach.
+    code, _, err = run(
+        capsys, "generate", "--kind", "mis", "--size", "3", "--graph-family", "ba",
+        "--out", str(tmp_path / "d"),
+    )
+    assert code == 2
+    assert err.splitlines() == [err.strip()]
+    assert "m = 3, n = 3" in err
+
+
 # ---------------------------------------------------------------------------
 # encode
 

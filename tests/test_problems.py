@@ -10,11 +10,12 @@ import pytest
 
 from cobench.problems.benchmarks import parse_taillard, parse_tsplib, write_taillard
 from cobench.problems.generate import (
+    _ba_edges,
+    _er_edges,
     default_capacity,
     gen_batch,
     gen_instance,
     nearest_neighbor_tour_length,
-    op_distance_limit,
 )
 from cobench.problems.io import (
     instance_from_json,
@@ -179,16 +180,6 @@ def test_op_distance_limit_formula():
     coords = [(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)]
     assert nearest_neighbor_tour_length(coords) == pytest.approx(6.0)
 
-    class StubRng:
-        def __init__(self, u):
-            self.u = u
-
-        def uniform(self, lo, hi):
-            return lo + (hi - lo) * self.u
-
-    assert op_distance_limit(coords, StubRng(0.0)) == pytest.approx(3.0)   # u = 0.5
-    assert op_distance_limit(coords, StubRng(1.0)) == pytest.approx(4.2)   # u = 0.7
-
 
 def test_nearest_neighbor_ties_take_lower_id():
     # 1 and 2 are equidistant from 0; the tour must visit 1 first.
@@ -246,6 +237,28 @@ def test_ba_graph_meta():
     assert 1 <= m <= 4
     # BA on n nodes with attachment m has m*(n - m) edges.
     assert len(inst.payload.edges) == m * (30 - m)
+
+
+def _nx_edges(g):
+    return sorted((min(u, v), max(u, v)) for u, v in g.edges())
+
+
+@pytest.mark.parametrize("n", [2, 10, 30, 100])
+def test_graph_generators_match_networkx(n):
+    nx = pytest.importorskip("networkx")
+    for seed in range(20):
+        for p in (0.0, 0.1, 0.25, 0.4, 1.0):
+            assert sorted(_er_edges(n, p, seed)) == _nx_edges(nx.gnp_random_graph(n, p, seed=seed))
+        for m in range(1, min(n, 5)):
+            assert sorted(_ba_edges(n, m, seed)) == _nx_edges(
+                nx.barabasi_albert_graph(n, m, seed=seed)
+            )
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (10, 0)])
+def test_ba_rejects_m_outside_one_to_n(n, m):
+    with pytest.raises(ValueError, match=f"m = {m}, n = {n}"):
+        _ba_edges(n, m, seed=0)
 
 
 def test_graph_family_draw_is_seeded():

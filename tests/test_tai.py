@@ -26,8 +26,7 @@ from cobench.problems.types import (
 )
 from cobench.tai.encode import encode
 from cobench.tai.features import (
-    _routing_exhaustive,
-    _routing_kdtree,
+    BLOCK_ROWS,
     compute_features,
     graph_features,
     jssp_features,
@@ -302,21 +301,26 @@ def test_routing_features_tie_breaks_to_lower_id():
     assert feats.entries[0] == ((1, 1.0), (2, 1.0))
 
 
-def test_kdtree_matches_exhaustive_on_tie_rich_grid():
-    # A regular grid well above the KD-tree threshold maximizes distance ties.
-    side = 10
-    pts = np.array([(float(x), float(y)) for x in range(side) for y in range(side)])
-    assert len(pts) > 64
-    for k in (1, 2, 3):
-        assert _routing_kdtree(pts, k) == _routing_exhaustive(pts, k)
+def _grid(side):
+    return tuple((float(x), float(y)) for x in range(side) for y in range(side))
 
 
-def test_kdtree_path_used_above_threshold():
-    inst = make_instance(ProblemKind.TSP, size=80, seed=3)
-    pts = np.asarray(inst.payload.coords)
-    feats = routing_features(inst.payload, k=2)
-    assert feats.entries == _routing_kdtree(pts, 2)
-    assert feats.entries == _routing_exhaustive(pts, 2)
+def _random_points(n):
+    # Integer coordinates in a small box, as generated, so ties are common.
+    rng = np.random.default_rng(n)
+    return tuple((float(x), float(y)) for x, y in rng.integers(0, 20, size=(n, 2)))
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [pytest.param(_grid(side), id=f"grid{side}") for side in (10, 17)]
+    + [pytest.param(_random_points(n), id=f"random{n}") for n in (2, 3, 65, 100, BLOCK_ROWS + 1)],
+)
+def test_routing_features_match_math_dist_oracle(coords):
+    # The 17x17 grid and BLOCK_ROWS + 1 random points span two row blocks.
+    payload = RoutingInstance(coords=coords)
+    for k in (1, 2, 3, 5):
+        assert routing_features(payload, k).entries == oracles.nearest_neighbours(coords, k)
 
 
 def test_k_larger_than_n_truncates():
