@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..problems.types import (
+    ROUTING_KINDS,
     SCHEDULING_KINDS,
     SENSE_BY_KIND,
     Instance,
@@ -76,9 +77,7 @@ def size_tier(inst: Instance) -> str:
         if size <= 10:
             return "small"
         return "medium" if size <= 15 else "large"
-    n = inst.payload.n if inst.kind in (
-        ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP
-    ) else inst.payload.num_nodes
+    n = inst.payload.n if inst.kind in ROUTING_KINDS else inst.payload.num_nodes
     if n <= 30:
         return "small"
     return "medium" if n <= 60 else "large"
@@ -104,22 +103,23 @@ class EvalRecord:
 
         Candidates stay in sampling order, so prefixes are exactly what a
         smaller-N Best-of-N run would have seen."""
-        cands = self.candidates[:n]
-        sense = SENSE_BY_KIND[self.kind]
-        idx = bon_select(cands, sense)
-        gap = None
-        if idx is not None:
-            gap = solution_gap(sense, cands[idx].objective, self.reference_objective)
-        return EvalRecord(
-            instance_id=self.instance_id,
-            kind=self.kind,
-            size_tier=self.size_tier,
-            candidates=cands,
-            reference_objective=self.reference_objective,
-            selected_index=idx,
-            gap=gap,
-            wall_time=self.wall_time,
+        return _select(
+            self.instance_id, self.kind, self.size_tier, self.candidates[:n],
+            self.reference_objective, self.wall_time,
         )
+
+
+def _select(
+    instance_id: str, kind: ProblemKind, tier: str, cands: Tuple[Candidate, ...],
+    reference: float, wall_time: float,
+) -> EvalRecord:
+    """The record for these candidates: Best-of-N selection and its gap."""
+    sense = SENSE_BY_KIND[kind]
+    idx = bon_select(cands, sense)
+    gap = None
+    if idx is not None:
+        gap = solution_gap(sense, cands[idx].objective, reference)
+    return EvalRecord(instance_id, kind, tier, cands, reference, idx, gap, wall_time)
 
 
 def build_record(
@@ -129,21 +129,7 @@ def build_record(
     wall_time: float = 0.0,
 ) -> EvalRecord:
     cands = tuple(build_candidate(inst, t) for t in raw_texts)
-    sense = SENSE_BY_KIND[inst.kind]
-    idx = bon_select(cands, sense)
-    gap = None
-    if idx is not None:
-        gap = solution_gap(sense, cands[idx].objective, reference_objective)
-    return EvalRecord(
-        instance_id=inst.id,
-        kind=inst.kind,
-        size_tier=size_tier(inst),
-        candidates=cands,
-        reference_objective=reference_objective,
-        selected_index=idx,
-        gap=gap,
-        wall_time=wall_time,
-    )
+    return _select(inst.id, inst.kind, size_tier(inst), cands, reference_objective, wall_time)
 
 
 @dataclass(frozen=True)

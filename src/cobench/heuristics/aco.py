@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..problems.generate import distance_matrix
-from ..problems.types import Instance, ProblemKind, Route, RouteSet, Solution
+from ..problems.types import ROUTING_KINDS, Instance, ProblemKind, Route, RouteSet, Solution
 from .rollout import rollout, roulette, within_budget
 
 _EPS = 1e-12
@@ -55,7 +55,7 @@ def aco_solve(inst: Instance, cfg: Optional[AcoConfig] = None) -> Solution:
     if cfg is None:
         cfg = replace(AcoConfig.default_for(inst.kind), seed=0)
     kind = inst.kind
-    if kind not in (ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP):
+    if kind not in ROUTING_KINDS:
         raise ValueError(f"no ACO construction for {kind.value}")
     p = inst.payload
     d = distance_matrix(p.coords)

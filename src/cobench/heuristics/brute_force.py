@@ -82,15 +82,13 @@ def brute_force(
 # Routing
 
 
-def _tsp_exact(inst: Instance, budget: BruteForceBudget) -> Route:
-    """Held-Karp over subsets of the non-depot nodes."""
-    n = inst.payload.n
-    if n > budget.tsp_max_nodes:
-        raise BudgetExceededError(inst.kind, n, budget.tsp_max_nodes)
-    d = distance_matrix(inst.payload.coords)
-    if n == 2:
-        return Route((0, 1, 0))
-    m = n - 1  # nodes 1..n-1 tracked in the mask
+def _held_karp(d: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Shortest depot-rooted paths over subsets of nodes 1..m.
+
+    dp[mask, j] is the length of the shortest path that leaves the depot,
+    visits exactly the nodes of `mask` (bit j stands for node j + 1) and ends
+    at node j + 1; parent[mask, j] is the bit of the node before it, or -1
+    after the depot."""
     size = 1 << m
     dp = np.full((size, m), np.inf)
     parent = np.full((size, m), -1, dtype=np.int32)
@@ -110,18 +108,30 @@ def _tsp_exact(inst: Instance, budget: BruteForceBudget) -> Route:
                 if cand < dp[nmask, k] - 1e-15:
                     dp[nmask, k] = cand
                     parent[nmask, k] = j
-    full = size - 1
-    totals = dp[full] + d[1:, 0]
-    j = int(np.argmin(totals))
+    return dp, parent
+
+
+def _loop(d: np.ndarray, dp: np.ndarray, parent: np.ndarray, mask: int) -> Tuple[int, ...]:
+    """The shortest closed depot loop through the nodes of `mask`."""
+    j = int(np.argmin(dp[mask] + d[1:, 0]))
     seq = []
-    mask = full
     while j >= 0:
         seq.append(j + 1)
         pj = int(parent[mask, j])
         mask ^= 1 << j
         j = pj
     seq.reverse()
-    return Route(tuple([0] + seq + [0]))
+    return tuple([0] + seq + [0])
+
+
+def _tsp_exact(inst: Instance, budget: BruteForceBudget) -> Route:
+    """Held-Karp over subsets of the non-depot nodes."""
+    n = inst.payload.n
+    if n > budget.tsp_max_nodes:
+        raise BudgetExceededError(inst.kind, n, budget.tsp_max_nodes)
+    d = distance_matrix(inst.payload.coords)
+    dp, parent = _held_karp(d, n - 1)
+    return Route(_loop(d, dp, parent, (1 << (n - 1)) - 1))
 
 
 def _op_exact(inst: Instance, budget: BruteForceBudget) -> Route:
@@ -200,39 +210,15 @@ def _cvrp_exact(inst: Instance, budget: BruteForceBudget) -> RouteSet:
     demands = list(p.demands[1:])
     cap = p.capacity
 
-    # Held-Karp path costs from the depot across each subset.
-    dp = np.full((size, customers), np.inf)
-    parent = np.full((size, customers), -1, dtype=np.int32)
-    for j in range(customers):
-        dp[1 << j, j] = d[0, j + 1]
-    for mask in range(size):
-        for j in range(customers):
-            cur = dp[mask, j]
-            if not np.isfinite(cur):
-                continue
-            for k in range(customers):
-                if mask & (1 << k):
-                    continue
-                nmask = mask | (1 << k)
-                cand = cur + d[j + 1, k + 1]
-                if cand < dp[nmask, k] - 1e-15:
-                    dp[nmask, k] = cand
-                    parent[nmask, k] = j
+    dp, parent = _held_karp(d, customers)
 
     subset_demand = np.zeros(size)
     for mask in range(1, size):
         low = mask & -mask
         subset_demand[mask] = subset_demand[mask ^ low] + demands[low.bit_length() - 1]
 
-    loop_cost = np.full(size, np.inf)
-    loop_end = np.full(size, -1, dtype=np.int32)
-    for mask in range(1, size):
-        if subset_demand[mask] > cap + 1e-9:
-            continue
-        closes = dp[mask] + d[1:, 0]
-        j = int(np.argmin(closes))
-        loop_cost[mask] = closes[j]
-        loop_end[mask] = j
+    loop_cost = (dp + d[1:, 0]).min(axis=1)
+    loop_cost[subset_demand > cap + 1e-9] = np.inf
 
     best = np.full(size, np.inf)
     choice = np.zeros(size, dtype=np.int64)
@@ -254,16 +240,7 @@ def _cvrp_exact(inst: Instance, budget: BruteForceBudget) -> RouteSet:
     mask = size - 1
     while mask:
         sub = int(choice[mask])
-        j = int(loop_end[sub])
-        seq = []
-        mm = sub
-        while j >= 0:
-            seq.append(j + 1)
-            pj = int(parent[mm, j])
-            mm ^= 1 << j
-            j = pj
-        seq.reverse()
-        routes.append(tuple([0] + seq + [0]))
+        routes.append(_loop(d, dp, parent, sub))
         mask ^= sub
     routes.sort()
     return RouteSet(tuple(routes))

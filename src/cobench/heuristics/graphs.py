@@ -29,17 +29,22 @@ def mis_greedy_min_degree(inst: Instance) -> VertexSet:
     return VertexSet.of(chosen)
 
 
-def mis_degree_add(inst: Instance) -> VertexSet:
-    """Static variant: scan vertices by their original degree (ascending) and
-    add each one that stays independent. No degree updates."""
-    p = _require(inst, ProblemKind.MIS)
+def _degree_scan(p: GraphInstance) -> Set[int]:
+    """Scan vertices by their original degree (ascending, then id) and keep
+    each one with no kept neighbour. No degree updates."""
     adj = p.adjacency()
     deg = [len(a) for a in adj]
     chosen: Set[int] = set()
     for v in sorted(range(p.num_nodes), key=lambda u: (deg[u], u)):
         if not any(w in chosen for w in adj[v]):
             chosen.add(v)
-    return VertexSet.of(chosen)
+    return chosen
+
+
+def mis_degree_add(inst: Instance) -> VertexSet:
+    """Static variant: scan vertices by their original degree (ascending) and
+    add each one that stays independent. No degree updates."""
+    return VertexSet.of(_degree_scan(_require(inst, ProblemKind.MIS)))
 
 
 def mvc_approx_matching(inst: Instance) -> VertexSet:
@@ -74,14 +79,7 @@ def mvc_greedy_max_degree(inst: Instance) -> VertexSet:
 def mvc_degree_removal(inst: Instance) -> VertexSet:
     """Static variant: start from the full vertex set and scan by original
     degree (ascending), dropping each vertex whose removal leaves all its
-    edges covered. The complement of this cover is exactly what
-    mis_degree_add builds on the same graph."""
+    edges covered. The vertices dropped are exactly those mis_degree_add
+    keeps on the same graph, so the cover is that set's complement."""
     p = _require(inst, ProblemKind.MVC)
-    adj = p.adjacency()
-    deg = [len(a) for a in adj]
-    cover: Set[int] = set(range(p.num_nodes))
-    for v in sorted(range(p.num_nodes), key=lambda u: (deg[u], u)):
-        # dropping v is safe iff every incident edge keeps its other endpoint
-        if all(w in cover for w in adj[v]):
-            cover.discard(v)
-    return VertexSet.of(cover)
+    return VertexSet.of(set(range(p.num_nodes)) - _degree_scan(p))

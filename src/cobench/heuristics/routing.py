@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..problems.generate import distance_matrix
+from ..problems.generate import distance_matrix, nearest_neighbor_tour
 from ..problems.types import Instance, ProblemKind, Route, RouteSet, RoutingInstance
 from .rollout import rollout, roulette, within_budget
 
@@ -32,19 +32,7 @@ def _require(inst: Instance, kind: ProblemKind) -> RoutingInstance:
 def tsp_nearest_neighbor(inst: Instance, start: int = 0) -> Route:
     """Greedy nearest-neighbor tour from `start`, closed back to it."""
     p = _require(inst, ProblemKind.TSP)
-    d = distance_matrix(p.coords)
-    n = p.n
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    tour = [start]
-    cur = start
-    for _ in range(n - 1):
-        row = np.where(visited, np.inf, d[cur])
-        cur = int(np.argmin(row))  # first minimum wins: lowest id on ties
-        visited[cur] = True
-        tour.append(cur)
-    tour.append(start)
-    return Route(tuple(tour))
+    return Route(tuple(nearest_neighbor_tour(distance_matrix(p.coords), start) + [start]))
 
 
 def two_opt(d: np.ndarray, tour: Sequence[int]) -> List[int]:
@@ -221,15 +209,8 @@ def op_tsili(inst: Instance, samples: int = 1280, seed: Optional[int] = None) ->
 def _route_order_nn(d: np.ndarray, members: List[int]) -> List[int]:
     """Order one vehicle's customers by nearest neighbor from the depot,
     then 2-opt the closed loop."""
-    route = [0]
-    remaining = set(members)
-    cur = 0
-    while remaining:
-        nxt = min(remaining, key=lambda v: (d[cur, v], v))
-        route.append(nxt)
-        remaining.discard(nxt)
-        cur = nxt
-    route.append(0)
+    ids = [0] + sorted(members)  # ascending, so local ties go to the lower global id
+    route = [ids[i] for i in nearest_neighbor_tour(d[np.ix_(ids, ids)])] + [0]
     if len(route) > 4:
         route = two_opt(d, route)
     return route

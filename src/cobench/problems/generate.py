@@ -11,11 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .types import (
+    GRAPH_KINDS,
+    ROUTING_KINDS,
     Distribution,
     GenConfig,
     GraphFamily,
@@ -90,24 +92,32 @@ def _sample_coords(
     raise ValueError(f"unknown distribution {dist.name!r}")
 
 
+def nearest_neighbor_tour(d: np.ndarray, start: int = 0) -> List[int]:
+    """Greedy nearest-neighbour order of every node of distance matrix `d`,
+    from `start`, not closed. Ties go to the lower node id."""
+    n = d.shape[0]
+    visited = np.zeros(n, dtype=bool)
+    visited[start] = True
+    tour = [start]
+    cur = start
+    for _ in range(n - 1):
+        row = np.where(visited, np.inf, d[cur])
+        cur = int(np.argmin(row))  # argmin takes the first (lowest id) on ties
+        visited[cur] = True
+        tour.append(cur)
+    return tour
+
+
 def nearest_neighbor_tour_length(coords, start: int = 0) -> float:
     """Length of the greedy nearest-neighbor closed tour from `start`.
 
     Ties go to the lower node id. Used to scale the OP route budget.
     """
     d = distance_matrix(coords)
-    n = d.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    cur = start
+    tour = nearest_neighbor_tour(d, start) + [start]
     total = 0.0
-    for _ in range(n - 1):
-        row = np.where(visited, np.inf, d[cur])
-        nxt = int(np.argmin(row))  # argmin takes the first (lowest id) on ties
-        total += float(row[nxt])
-        visited[nxt] = True
-        cur = nxt
-    total += float(d[cur, start])
+    for a, b in zip(tour, tour[1:]):
+        total += float(d[a, b])
     return total
 
 
@@ -225,11 +235,11 @@ def gen_instance(kind: ProblemKind, cfg: GenConfig) -> Instance:
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.sizes_for(kind)
 
-    if kind in (ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP):
+    if kind in ROUTING_KINDS:
         n = int(rng.integers(lo, hi + 1))
         payload, meta = _gen_routing(kind, cfg, rng, n)
         tag = cfg.distribution.tag
-    elif kind in (ProblemKind.MIS, ProblemKind.MVC):
+    elif kind in GRAPH_KINDS:
         n = int(rng.integers(lo, hi + 1))
         payload, meta = _gen_graph(cfg, rng, n)
         tag = meta["family"]

@@ -12,6 +12,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .types import (
+    GRAPH_KINDS,
+    ROUTING_KINDS,
     GraphInstance,
     Instance,
     JobOrder,
@@ -59,7 +61,7 @@ def _payload_to_dict(payload) -> dict:
 
 
 def _payload_from_dict(kind: ProblemKind, d: dict):
-    if kind in (ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP):
+    if kind in ROUTING_KINDS:
         return RoutingInstance(
             coords=tuple((float(x), float(y)) for x, y in d["coords"]),
             prizes=tuple(int(p) for p in d["prizes"]) if "prizes" in d else None,
@@ -68,7 +70,7 @@ def _payload_from_dict(kind: ProblemKind, d: dict):
             distance_limit=float(d["distance_limit"]) if "distance_limit" in d else None,
             depot_index=int(d.get("depot_index", 0)),
         )
-    if kind in (ProblemKind.MIS, ProblemKind.MVC):
+    if kind in GRAPH_KINDS:
         return GraphInstance(
             num_nodes=int(d["num_nodes"]),
             edges=tuple((int(u), int(v)) for u, v in d["edges"]),

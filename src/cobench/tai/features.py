@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..problems.types import (
+    GRAPH_KINDS,
+    ROUTING_KINDS,
     GraphInstance,
     Instance,
     ProblemKind,
@@ -80,9 +82,9 @@ def jssp_features(payload: SchedulingInstance, k: int = DEFAULT_K) -> HeuristicF
 
 
 def compute_features(inst: Instance, k: int = DEFAULT_K) -> HeuristicFeatures:
-    if inst.kind in (ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP):
+    if inst.kind in ROUTING_KINDS:
         return routing_features(inst.payload, k)
-    if inst.kind in (ProblemKind.MIS, ProblemKind.MVC):
+    if inst.kind in GRAPH_KINDS:
         return graph_features(inst.payload, k)
     if inst.kind is ProblemKind.PFSP:
         return pfsp_features(inst.payload, k)

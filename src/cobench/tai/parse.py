@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 import json
 import re
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..problems.types import (
     JobOrder,
@@ -98,14 +98,14 @@ def _literal(payload: str):
     return ast.literal_eval(payload)
 
 
-def _as_int_list(obj) -> Optional[List[int]]:
+def _as_int_list(obj) -> Optional[Tuple[int, ...]]:
     if not isinstance(obj, (list, tuple)) or not obj:
         return None
     # literal_eval makes no int subclass but bool, which the exact test rejects.
-    return list(obj) if all(type(v) is int for v in obj) else None
+    return tuple(obj) if all(type(v) is int for v in obj) else None
 
 
-def _as_nested_int_lists(obj) -> Optional[List[List[int]]]:
+def _as_nested_int_lists(obj) -> Optional[Tuple[Tuple[int, ...], ...]]:
     if not isinstance(obj, (list, tuple)) or not obj:
         return None
     out = []
@@ -114,20 +114,20 @@ def _as_nested_int_lists(obj) -> Optional[List[List[int]]]:
         if vals is None:
             return None
         out.append(vals)
-    return out
+    return tuple(out)
 
 
 def _payload_to_solution(kind: ProblemKind, obj) -> Optional[Solution]:
     grammar = GRAMMAR_BY_KIND[kind]
     if grammar is OutputGrammar.ROUTE:
         flat = _as_int_list(obj)
-        return Route(tuple(flat)) if flat is not None else None
+        return Route(flat) if flat is not None else None
     if grammar is OutputGrammar.ROUTES:
         nested = _as_nested_int_lists(obj)
         if nested is not None:
-            return RouteSet(tuple(tuple(r) for r in nested))
+            return RouteSet(nested)
         flat = _as_int_list(obj)  # a single flat route is one vehicle
-        return RouteSet((tuple(flat),)) if flat is not None else None
+        return RouteSet((flat,)) if flat is not None else None
     if grammar is OutputGrammar.SET:
         if isinstance(obj, (list, tuple)) and len(obj) == 0:
             return VertexSet(frozenset())
@@ -141,7 +141,7 @@ def _payload_to_solution(kind: ProblemKind, obj) -> Optional[Solution]:
         # they never crash the parse.
         return JobOrder(tuple(j - 1 for j in flat))
     nested = _as_nested_int_lists(obj)
-    return MachineSchedules(tuple(tuple(r) for r in nested)) if nested is not None else None
+    return MachineSchedules(nested) if nested is not None else None
 
 
 def _stated_objective(text: str, after: int) -> Optional[float]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..problems.types import (
+    ROUTING_KINDS,
     JobOrder,
     MachineSchedules,
     ProblemKind,
@@ -25,7 +26,7 @@ PROMPT_TEMPLATE = (
 )
 
 # Routing objectives are real-valued distances; the rest are integral.
-_REAL_VALUED = (ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP)
+_REAL_VALUED = ROUTING_KINDS
 
 
 def _flat(values) -> str:

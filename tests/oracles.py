@@ -12,8 +12,6 @@ import re
 import statistics
 from fractions import Fraction
 
-import networkx as nx
-
 from cobench.problems.types import (
     JobOrder,
     MachineSchedules,
@@ -40,18 +38,24 @@ def prize_sum(prizes, nodes):
 
 
 def pfsp_makespan_dag(ptimes, order):
-    """Makespan as the longest path in the position/machine grid DAG."""
+    """Makespan as the longest path in the position/machine grid DAG.
+
+    Node (k, i) is job order[k] on machine i, and the source feeds (0, 0).
+    Every edge ends at a later node in row-major order, so relaxing the
+    nodes in that order is a topological pass."""
     m = len(ptimes[0])
-    g = nx.DiGraph()
-    src = ("s",)
-    g.add_edge(src, (0, 0), weight=ptimes[order[0]][0])
+    into = {(0, 0): [(("s",), ptimes[order[0]][0])]}
     for k, job in enumerate(order):
         for i in range(m):
             if i + 1 < m:
-                g.add_edge((k, i), (k, i + 1), weight=ptimes[job][i + 1])
+                into.setdefault((k, i + 1), []).append(((k, i), ptimes[job][i + 1]))
             if k + 1 < len(order):
-                g.add_edge((k, i), (k + 1, i), weight=ptimes[order[k + 1]][i])
-    return float(nx.dag_longest_path_length(g, weight="weight"))
+                into.setdefault((k + 1, i), []).append(((k, i), ptimes[order[k + 1]][i]))
+    longest = {("s",): 0}
+    for k in range(len(order)):
+        for i in range(m):
+            longest[(k, i)] = max(longest[u] + w for u, w in into[(k, i)])
+    return float(max(longest.values()))
 
 
 def jssp_sim(payload, sequences):
