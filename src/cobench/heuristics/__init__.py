@@ -12,7 +12,7 @@ from typing import Callable, Dict, Optional, Tuple
 from ..problems.types import Instance, ObjectiveValue, ProblemKind, Solution
 from ..verify import objective
 from .aco import AcoConfig, aco_solve
-from .brute_force import (
+from .exact import (
     DEFAULT_BUDGET,
     BruteForceBudget,
     BudgetExceededError,

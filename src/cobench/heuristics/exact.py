@@ -3,6 +3,11 @@
 Every solver either returns a provably optimal solution or raises
 BudgetExceededError: there is no silent fallback to a heuristic. The budgets
 bound worst-case work, not typical runtime.
+
+One Held-Karp table of shortest depot-rooted paths over node subsets serves
+all three routing kinds: TSP closes the full set's paths at the depot, OP
+picks the best-prize path within its length budget, and CVRP closes every
+subset's paths into loops and partitions the customers among them.
 """
 
 from __future__ import annotations
@@ -111,9 +116,8 @@ def _held_karp(d: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
     return dp, parent
 
 
-def _loop(d: np.ndarray, dp: np.ndarray, parent: np.ndarray, mask: int) -> Tuple[int, ...]:
-    """The shortest closed depot loop through the nodes of `mask`."""
-    j = int(np.argmin(dp[mask] + d[1:, 0]))
+def _path(parent: np.ndarray, mask: int, j: int) -> List[int]:
+    """The nodes after the depot on the dp[mask, j] path, in path order."""
     seq = []
     while j >= 0:
         seq.append(j + 1)
@@ -121,7 +125,24 @@ def _loop(d: np.ndarray, dp: np.ndarray, parent: np.ndarray, mask: int) -> Tuple
         mask ^= 1 << j
         j = pj
     seq.reverse()
-    return tuple([0] + seq + [0])
+    return seq
+
+
+def _loop(d: np.ndarray, dp: np.ndarray, parent: np.ndarray, mask: int) -> Tuple[int, ...]:
+    """The shortest closed depot loop through the nodes of `mask`."""
+    j = int(np.argmin(dp[mask] + d[1:, 0]))
+    return tuple([0] + _path(parent, mask, j) + [0])
+
+
+def _subset_sums(weights) -> np.ndarray:
+    """sums[mask] is the total weight of the nodes of `mask` (bit j stands
+    for weights[j])."""
+    size = 1 << len(weights)
+    sums = np.zeros(size)
+    for mask in range(1, size):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    return sums
 
 
 def _tsp_exact(inst: Instance, budget: BruteForceBudget) -> Route:
@@ -135,66 +156,22 @@ def _tsp_exact(inst: Instance, budget: BruteForceBudget) -> Route:
 
 
 def _op_exact(inst: Instance, budget: BruteForceBudget) -> Route:
-    """DP over (visited mask, last node) keeping the shortest path per state;
-    the best prize over budget-feasible states is optimal."""
+    """The open depot path of the Held-Karp state with the largest prize
+    within the length budget; ties go to the shorter path, then to the
+    first state in mask-major order."""
     p = inst.payload
     n = p.n
     if n > budget.op_max_nodes:
         raise BudgetExceededError(inst.kind, n, budget.op_max_nodes)
     d = distance_matrix(p.coords)
-    budget_len = p.distance_limit + 1e-9
-    size = 1 << n
-    dp = np.full((size, n), np.inf)
-    parent = np.full((size, n), -1, dtype=np.int32)
-    start_mask = 1
-    dp[start_mask, 0] = 0.0
-    best_state = (start_mask, 0)
-    best_key = (0.0, 0.0)  # (prize, -length) maximized
-    prize_of_mask = np.zeros(size)
-    prizes = np.asarray(p.prizes, dtype=float)
-    for mask in range(size):
-        if not mask & 1:
-            continue
-        for last in range(n):
-            cur = dp[mask, last]
-            if not np.isfinite(cur) or cur > budget_len:
-                continue
-            if prize_of_mask[mask] == 0.0 and mask != start_mask:
-                total = 0.0
-                mm = mask
-                while mm:
-                    b = (mm & -mm).bit_length() - 1
-                    total += prizes[b]
-                    mm &= mm - 1
-                prize_of_mask[mask] = total
-            key = (prize_of_mask[mask], -cur)
-            if key > best_key:
-                best_key = key
-                best_state = (mask, last)
-            for nxt in range(1, n):
-                if mask & (1 << nxt):
-                    continue
-                cand = cur + d[last, nxt]
-                if cand > budget_len:
-                    continue
-                nmask = mask | (1 << nxt)
-                if cand < dp[nmask, nxt] - 1e-15:
-                    dp[nmask, nxt] = cand
-                    parent[nmask, nxt] = last
-    mask, last = best_state
-    seq = []
-    while last >= 0:
-        seq.append(last)
-        pl = int(parent[mask, last])
-        mask ^= 1 << last
-        if pl < 0 and last != 0:
-            seq.append(0)  # path root
-            break
-        last = pl if pl >= 0 else -1
-    seq.reverse()
-    if seq[0] != 0:
-        seq = [0] + seq
-    return Route(tuple(seq))
+    dp, parent = _held_karp(d, n - 1)
+    fits = dp <= p.distance_limit + 1e-9
+    prize = np.where(fits, _subset_sums(p.prizes[1:])[:, None], -np.inf)
+    best = prize.max()
+    if best <= 0:
+        return Route((0,))
+    mask, j = divmod(int(np.argmin(np.where(prize == best, dp, np.inf))), n - 1)
+    return Route(tuple([0] + _path(parent, mask, j)))
 
 
 def _cvrp_exact(inst: Instance, budget: BruteForceBudget) -> RouteSet:
@@ -207,18 +184,10 @@ def _cvrp_exact(inst: Instance, budget: BruteForceBudget) -> RouteSet:
         raise BudgetExceededError(inst.kind, customers, budget.cvrp_max_customers)
     d = distance_matrix(p.coords)
     size = 1 << customers
-    demands = list(p.demands[1:])
-    cap = p.capacity
-
     dp, parent = _held_karp(d, customers)
 
-    subset_demand = np.zeros(size)
-    for mask in range(1, size):
-        low = mask & -mask
-        subset_demand[mask] = subset_demand[mask ^ low] + demands[low.bit_length() - 1]
-
     loop_cost = (dp + d[1:, 0]).min(axis=1)
-    loop_cost[subset_demand > cap + 1e-9] = np.inf
+    loop_cost[_subset_sums(p.demands[1:]) > p.capacity + 1e-9] = np.inf
 
     best = np.full(size, np.inf)
     choice = np.zeros(size, dtype=np.int64)

@@ -134,39 +134,33 @@ def op_greedy(inst: Instance) -> Route:
 
 def op_greedy_insertion(inst: Instance) -> Route:
     """Grow a route by inserting, at its cheapest position, the node with the
-    best prize-per-added-distance ratio while the budget allows."""
+    best prize-per-added-distance ratio while the budget allows.
+
+    Each insertion scores every (node, position) pair at once; position k
+    goes between route[k] and route[k + 1], and the last one appends. The
+    row-major argmax sends ratio ties to the lower node, then the lower
+    position."""
     p = _require(inst, ProblemKind.OP)
     d = distance_matrix(p.coords)
-    prizes = p.prizes
-    n = p.n
+    prizes = np.asarray(p.prizes)[:, None]
     budget = p.distance_limit
     route = [0]
-    visited = {0}
+    unvisited = np.ones(p.n, dtype=bool)
+    unvisited[0] = False
     length = 0.0
     while True:
-        best = None  # (ratio, -node) maximized; then (pos, delta)
-        for v in range(n):
-            if v in visited:
-                continue
-            # positions: between consecutive nodes, or appended at the end
-            for pos in range(len(route)):
-                if pos < len(route) - 1:
-                    a, b = route[pos], route[pos + 1]
-                    delta = d[a, v] + d[v, b] - d[a, b]
-                else:
-                    delta = d[route[-1], v]
-                if length + delta > budget + 1e-9:
-                    continue
-                ratio = prizes[v] / max(delta, _EPS)
-                key = (ratio, -v, -pos)
-                if best is None or key > best[0]:
-                    best = (key, v, pos, delta)
-        if best is None:
+        a, b = route[:-1], route[1:]
+        delta = np.empty((p.n, len(route)))
+        delta[:, :-1] = d[a].T + d[:, b] - d[a, b]
+        delta[:, -1] = d[route[-1]]
+        fits = unvisited[:, None] & (length + delta <= budget + 1e-9)
+        if not fits.any():
             break
-        _, v, pos, delta = best
+        ratio = np.where(fits, prizes / np.maximum(delta, _EPS), -np.inf)
+        v, pos = divmod(int(np.argmax(ratio)), len(route))
         route.insert(pos + 1, v)
-        visited.add(v)
-        length += delta
+        unvisited[v] = False
+        length += delta[v, pos]
     return Route(tuple(route))
 
 

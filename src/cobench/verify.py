@@ -5,8 +5,8 @@ same validated view of the solution, and never raises. Every id passes one
 gate first (an integer in range), so a solution the report calls feasible
 always has a value: feasible implies objective() succeeds. A solution that
 is well-formed but infeasible still gets a value; the value is None only
-when the solution cannot be scored at all (wrong type, bad ids, JSSP rows
-that are not permutations, or a deadlocked schedule). check() and
+when the solution cannot be scored at all (wrong type or shape, bad ids,
+JSSP rows that are not permutations, or a deadlocked schedule). check() and
 objective() are thin views of score(); objective() raises ValueError where
 the value is None.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import chain
 from typing import List, Mapping, NamedTuple, Optional, Tuple
@@ -121,13 +122,27 @@ def route_length(coords, nodes) -> float:
     return total
 
 
+def _shape_ok(sol: Solution) -> bool:
+    """The one shape gate: the solution's one field is a collection, and so
+    is each of its rows for RouteSet and MachineSchedules. Which ids they
+    hold is the id gate's job."""
+    # Parsed ids come in tuples and frozensets; exact-type tests spare the
+    # dearer ABC test.
+    (ids,) = vars(sol).values()
+    if type(ids) not in (tuple, frozenset) and not isinstance(ids, Collection):
+        return False
+    if not isinstance(sol, (RouteSet, MachineSchedules)):
+        return True
+    return set(map(type, ids)) <= {tuple} or all(isinstance(r, Collection) for r in ids)
+
+
 def score(inst: Instance, sol: Solution) -> Scored:
     """Feasibility report and objective value of `sol`. Never raises.
 
     The value is None only when the solution cannot be scored; it is never
     None for a solution the report calls feasible.
     """
-    if not isinstance(sol, SOLUTION_TYPE_BY_KIND[inst.kind]):
+    if not (isinstance(sol, SOLUTION_TYPE_BY_KIND[inst.kind]) and _shape_ok(sol)):
         return _failed_report(inst.kind), None
     return _SCORERS[inst.kind](inst.payload, sol)
 
@@ -146,11 +161,11 @@ def objective(inst: Instance, sol: Solution) -> ObjectiveValue:
     report, value = score(inst, sol)
     if value is None:
         kind = inst.kind
-        if not report.zeta:
-            cause = (
-                f"{kind.value} expects {SOLUTION_TYPE_BY_KIND[kind].__name__}, "
-                f"got {type(sol).__name__}"
-            )
+        expected = SOLUTION_TYPE_BY_KIND[kind]
+        if not isinstance(sol, expected):
+            cause = f"{kind.value} expects {expected.__name__}, got {type(sol).__name__}"
+        elif not report.zeta:
+            cause = f"{expected.__name__} ids must be held in collections, got {sol!r:.80}"
         elif kind is not ProblemKind.JSSP:
             cause = "solution has out-of-range, non-integer or missing ids"
         elif report.constraints[0][1]:

@@ -210,6 +210,38 @@ def nearest_neighbours(coords, k):
 
 
 # ---------------------------------------------------------------------------
+# Routing heuristics
+
+
+def op_greedy_insertion(d, prizes, budget):
+    """The OP greedy insertion as a scan of every (node, position) pair per
+    step. `d` is the distance matrix as nested lists, so each delta and ratio
+    is the same float operation the package performs."""
+    route, length = [0], 0.0
+    while True:
+        best = None  # (ratio, -node, -pos) maximized
+        for v in range(len(d)):
+            if v in route:
+                continue
+            for pos in range(len(route)):
+                if pos < len(route) - 1:
+                    a, b = route[pos], route[pos + 1]
+                    delta = d[a][v] + d[v][b] - d[a][b]
+                else:
+                    delta = d[route[-1]][v]
+                if length + delta > budget + 1e-9:
+                    continue
+                key = (prizes[v] / max(delta, 1e-12), -v, -pos)
+                if best is None or key > best[0]:
+                    best = (key, v, pos, delta)
+        if best is None:
+            return route
+        _, v, pos, delta = best
+        route.insert(pos + 1, v)
+        length += delta
+
+
+# ---------------------------------------------------------------------------
 # Policy math in exact arithmetic
 
 

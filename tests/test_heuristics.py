@@ -22,6 +22,7 @@ from cobench.heuristics import (
     SEEDED_METHODS,
     aco_solve,
     brute_force,
+    op_greedy_insertion,
     solve,
 )
 from cobench.heuristics.routing import two_opt
@@ -378,6 +379,20 @@ def test_seeded_methods_registry():
             assert check(inst, res.solution).feasible
 
 
+def test_op_greedy_insertion_matches_pair_scan():
+    rnd = random.Random(4)
+    insts = [make_instance(ProblemKind.OP, size=n, seed=n) for n in (2, 10, 40)]
+    for n in (3, 8, 15, 25):  # tie-rich: a 5x5 integer grid, prizes 0-2
+        coords = [(rnd.randint(0, 4), rnd.randint(0, 4)) for _ in range(n)]
+        prizes = [0] + [rnd.randint(0, 2) for _ in range(n - 1)]
+        insts.append(_op(coords, prizes, rnd.choice([2, 5, 10, 20])))
+    for inst in insts:
+        p = inst.payload
+        d = distance_matrix(p.coords).tolist()
+        expected = oracles.op_greedy_insertion(d, p.prizes, p.distance_limit)
+        assert op_greedy_insertion(inst).nodes == tuple(expected)
+
+
 # ---------------------------------------------------------------------------
 # Exact solvers vs naive exhaustive scans
 
@@ -398,11 +413,19 @@ def test_tsp_exact_matches_permutation_scan():
 
 def test_op_exact_matches_subset_scan():
     rnd = random.Random(1)
-    for trial in range(3):
-        n = 6
+    cases = []
+    for n in range(2, 9):
         coords = [(rnd.uniform(0, 100), rnd.uniform(0, 100)) for _ in range(n)]
         prizes = [0] + [rnd.randint(1, 10) for _ in range(n - 1)]
-        limit = rnd.uniform(100, 250)
+        cases.append((coords, prizes, rnd.uniform(100, 250)))
+        cases.append((coords, [0] * n, rnd.uniform(100, 250)))  # zero prizes
+        # Below the nearest node's distance: no node is reachable.
+        cases.append((coords, prizes, 0.5 * min(math.dist(coords[0], c) for c in coords[1:])))
+        # Tie-rich: a 5x5 integer grid, prizes 0-2.
+        grid = [(rnd.randint(0, 4), rnd.randint(0, 4)) for _ in range(n)]
+        cases.append((grid, [0] + [rnd.randint(0, 2) for _ in range(n - 1)], rnd.choice([2, 5, 9])))
+    for coords, prizes, limit in cases:
+        n = len(coords)
         inst = _op(coords, prizes, limit)
         sol, val = brute_force(inst)
         best_prize, best_len = 0.0, 0.0
@@ -418,6 +441,8 @@ def test_op_exact_matches_subset_scan():
                 ):
                     best_prize, best_len = prize, length
         assert val.value == pytest.approx(best_prize)
+        assert oracles.tour_length(coords, sol.nodes) <= limit + 1e-9
+        assert oracles.prize_sum(prizes, sol.nodes) == val.value
         report = check(inst, sol)
         assert report.feasible
 

@@ -25,6 +25,7 @@ from cobench.problems.types import (
     RouteSet,
     RoutingInstance,
     SchedulingInstance,
+    SOLUTION_TYPE_BY_KIND,
     VertexSet,
 )
 from cobench.verify import (
@@ -458,11 +459,29 @@ def test_check_never_raises_on_junk():
         JobOrder((7, 7, 7)),
         MachineSchedules(((),)),
     ]
+    # An id field, or a row of one, that is no collection fails the shape gate.
+    bad_shape = [
+        Route(None),
+        Route(5),
+        RouteSet(None),
+        RouteSet((0, 1, 0)),
+        VertexSet(None),
+        JobOrder(5),
+        MachineSchedules(None),
+        MachineSchedules((0, 1)),
+        MachineSchedules(((0, 1), 5)),
+    ]
     for kind in ALL_KINDS:
         inst = make_instance(kind, seed=3)
-        for sol in junk:
+        for sol in junk + bad_shape:
             report = check(inst, sol)  # must not raise
             assert report.feasible in (False,) or report.zeta
+        for sol in bad_shape:
+            report, value = score(inst, sol)
+            assert not report.zeta and not any(report.constraint_flags()) and value is None
+            own_type = isinstance(sol, SOLUTION_TYPE_BY_KIND[kind])
+            with pytest.raises(ValueError, match="must be held in collections" if own_type else "expects"):
+                objective(inst, sol)
 
 
 # Ids a model could emit: in range, just out of range, huge, negative,
