@@ -126,14 +126,11 @@ def _shape_ok(sol: Solution) -> bool:
     """The one shape gate: the solution's one field is a collection, and so
     is each of its rows for RouteSet and MachineSchedules. Which ids they
     hold is the id gate's job."""
-    # Parsed ids come in tuples and frozensets; exact-type tests spare the
-    # dearer ABC test.
     (ids,) = vars(sol).values()
-    if type(ids) not in (tuple, frozenset) and not isinstance(ids, Collection):
-        return False
-    if not isinstance(sol, (RouteSet, MachineSchedules)):
-        return True
-    return set(map(type, ids)) <= {tuple} or all(isinstance(r, Collection) for r in ids)
+    return isinstance(ids, Collection) and (
+        not isinstance(sol, (RouteSet, MachineSchedules))
+        or all(isinstance(r, Collection) for r in ids)
+    )
 
 
 def score(inst: Instance, sol: Solution) -> Scored:

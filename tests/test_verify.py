@@ -460,12 +460,15 @@ def test_check_never_raises_on_junk():
         MachineSchedules(((),)),
     ]
     # An id field, or a row of one, that is no collection fails the shape gate.
+    # One-shot iterators fail it too, though the parent scored some of them.
     bad_shape = [
         Route(None),
         Route(5),
         RouteSet(None),
         RouteSet((0, 1, 0)),
+        RouteSet(iter(((0, 1, 0),))),
         VertexSet(None),
+        JobOrder(None),
         JobOrder(5),
         MachineSchedules(None),
         MachineSchedules((0, 1)),
