@@ -7,7 +7,6 @@ instances as immutable and hashable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Tuple, Union
@@ -254,13 +253,6 @@ class ObjectiveValue:
     value: float
     sense: Sense
 
-    def better_than(self, other: "ObjectiveValue") -> bool:
-        if self.sense is not other.sense:
-            raise ValueError("cannot compare objectives with different senses")
-        if self.sense is Sense.MIN:
-            return self.value < other.value
-        return self.value > other.value
-
 
 # ---------------------------------------------------------------------------
 # Generation configuration
@@ -362,8 +354,3 @@ class GenConfig:
         if kind in SCHEDULING_KINDS:
             return (5, 20)
         return (10, 100)
-
-
-def euclid(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    """Plain Euclidean distance between two points."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])

@@ -1,4 +1,4 @@
-r"""Solution text -> ParsedSolution.
+"""Solution text -> ParsedSolution.
 
 The parser is total: any input string yields a ParsedSolution, never an
 exception. It scans for the expected answer label ("Route:", "Set:", ...),
@@ -6,20 +6,12 @@ takes the LAST well-formed occurrence (models often restate their final
 answer), reads the bracketed payload, and picks up a following
 "Objective: <number>" if present.
 
-A payload is read as a Python literal. The canonical payload, decimal ints
-in one or two levels of [...], is recognised by a precompiled regex and
-read with one json.loads, without compiling it. That fast grammar is a
-strict subset of both JSON and what ast.literal_eval accepts, and both give
-it the same values:
-
-- ints are ASCII [0-9] with an optional attached "-", no leading zeros and
-  at most 18 digits (compile rejects Unicode digits such as "\u0663", and
-  "01");
-- whitespace is only space, tab and newline (compile rejects U+00A0).
-
-Any other payload (tuples, "+1", "- 1", trailing commas, longer ints,
-comments, \r or \f, three levels, junk) goes to ast.literal_eval unchanged,
-so parse returns the same result for every input either way.
+A payload is read with json.loads, and with ast.literal_eval only where
+JSON raises ValueError. Either way parse returns the same result for every
+input: the JSON values that can become a solution, ints in one or two list
+levels, are the values literal_eval gives the same payload, and every other
+JSON value (true, null, NaN, floats, strings) fails _as_int_list's exact
+int test.
 """
 
 from __future__ import annotations
@@ -40,21 +32,15 @@ from ..problems.types import (
 )
 from .types import GRAMMAR_BY_KIND, OutputGrammar, ParsedSolution
 
-# Single routes accept both labels: instruction text says "Route" but some
-# outputs (and the nested grammar) use "Routes". Alternation backtracks, so
-# "Route" before "Routes" still matches both.
+# Both route grammars accept both labels: instruction text says "Route" but
+# some outputs (and the nested grammar) use "Routes".
+_ROUTE_GRAMMARS = (OutputGrammar.ROUTE, OutputGrammar.ROUTES)
 _LABEL_RES = {
     grammar: re.compile(
-        r"(?:" + "|".join(re.escape(l) for l in labels) + r")\s*\**\s*[:=]",
+        ("Routes?" if grammar in _ROUTE_GRAMMARS else grammar.label) + r"\s*\**\s*[:=]",
         re.IGNORECASE,
     )
-    for grammar, labels in (
-        (OutputGrammar.ROUTE, ("Route", "Routes")),
-        (OutputGrammar.ROUTES, ("Routes", "Route")),
-        (OutputGrammar.SET, ("Set",)),
-        (OutputGrammar.ORDER, ("Order",)),
-        (OutputGrammar.SCHEDULE, ("Schedule",)),
-    )
+    for grammar in OutputGrammar
 }
 
 _OBJECTIVE_RE = re.compile(
@@ -64,13 +50,6 @@ _OBJECTIVE_RE = re.compile(
 # Markdown adornment and whitespace tolerated between a label and its '['.
 _LEAD_RE = re.compile(r"[ \t\r\n*_`]*")
 _BRACKET_RE = re.compile(r"[\[\]]")
-
-# The fast grammar, flat or nested; see the module docstring for why each
-# class is narrow.
-_INT = r"-?(?:0|[1-9][0-9]{0,17})"
-_WS = r"[ \t\n]*"
-_ROW = rf"\[{_WS}(?:{_INT}(?:{_WS},{_WS}{_INT})*{_WS})?\]"
-_FAST_RE = re.compile(rf"{_ROW}|\[{_WS}(?:{_ROW}(?:{_WS},{_WS}{_ROW})*{_WS})?\]")
 
 
 def _scan_bracket(text: str, start: int) -> Optional[Tuple[str, int]]:
@@ -91,17 +70,18 @@ def _scan_bracket(text: str, start: int) -> Optional[Tuple[str, int]]:
 
 
 def _literal(payload: str):
-    """The value ast.literal_eval gives `payload`, read without compiling
-    it when the payload is in the fast grammar."""
-    if _FAST_RE.fullmatch(payload):
+    """`payload` read as JSON, else as a Python literal; see the module
+    docstring for why the two agree."""
+    try:
         return json.loads(payload)
-    return ast.literal_eval(payload)
+    except ValueError:
+        return ast.literal_eval(payload)
 
 
 def _as_int_list(obj) -> Optional[Tuple[int, ...]]:
     if not isinstance(obj, (list, tuple)) or not obj:
         return None
-    # literal_eval makes no int subclass but bool, which the exact test rejects.
+    # Neither reader makes an int subclass but bool, which the exact test rejects.
     return tuple(obj) if all(type(v) is int for v in obj) else None
 
 
@@ -146,12 +126,7 @@ def _payload_to_solution(kind: ProblemKind, obj) -> Optional[Solution]:
 
 def _stated_objective(text: str, after: int) -> Optional[float]:
     m = _OBJECTIVE_RE.search(text, pos=after)
-    if m:
-        try:
-            return float(m.group(1))
-        except ValueError:  # pragma: no cover - regex guarantees a float
-            return None
-    return None
+    return float(m.group(1)) if m else None
 
 
 def parse(text, kind: ProblemKind) -> ParsedSolution:

@@ -6,15 +6,15 @@ from typing import Optional
 
 from ..problems.types import (
     ROUTING_KINDS,
+    SOLUTION_TYPE_BY_KIND,
     JobOrder,
     MachineSchedules,
     ProblemKind,
-    Route,
     RouteSet,
     Solution,
     VertexSet,
 )
-from .types import GRAMMAR_BY_KIND, OutputGrammar, TextAttributedInstance
+from .types import GRAMMAR_BY_KIND, TextAttributedInstance
 
 # Alpaca-style wrapper; instruction/input/response slots are filled verbatim.
 PROMPT_TEMPLATE = (
@@ -49,22 +49,15 @@ def format_solution(kind: ProblemKind, sol: Solution, objective: Optional[float]
     The objective is printed at 2 decimals for routing kinds and as an
     integer otherwise; omit it by passing None.
     """
-    grammar = GRAMMAR_BY_KIND[kind]
-    if grammar in (OutputGrammar.ROUTE,) and isinstance(sol, Route):
-        body = _flat(sol.nodes)
-    elif grammar is OutputGrammar.ROUTES and isinstance(sol, RouteSet):
-        body = _nested(sol.routes)
-    elif grammar is OutputGrammar.SET and isinstance(sol, VertexSet):
-        body = _flat(sorted(sol.vertices))
-    elif grammar is OutputGrammar.ORDER and isinstance(sol, JobOrder):
-        body = _flat(j + 1 for j in sol.jobs)  # orders display 1-based
-    elif grammar is OutputGrammar.SCHEDULE and isinstance(sol, MachineSchedules):
-        body = _nested(sol.sequences)
-    else:
-        raise TypeError(
-            f"{kind.value} cannot render a {type(sol).__name__}"
-        )
-    text = f"{grammar.label}: {body}"
+    if not isinstance(sol, SOLUTION_TYPE_BY_KIND[kind]):
+        raise TypeError(f"{kind.value} cannot render a {type(sol).__name__}")
+    (ids,) = vars(sol).values()
+    if isinstance(sol, VertexSet):
+        ids = sorted(ids)
+    elif isinstance(sol, JobOrder):
+        ids = [j + 1 for j in ids]  # orders display 1-based
+    body = _nested(ids) if isinstance(sol, (RouteSet, MachineSchedules)) else _flat(ids)
+    text = f"{GRAMMAR_BY_KIND[kind].label}: {body}"
     if objective is not None:
         text += f", Objective: {format_objective(kind, objective)}"
     return text

@@ -47,10 +47,6 @@ class HeuristicFeatures:
 
     entries: Tuple[Tuple[Tuple[int, float], ...], ...]
 
-    @property
-    def k(self) -> int:
-        return max((len(e) for e in self.entries), default=0)
-
 
 @dataclass(frozen=True)
 class TextAttributedInstance:

@@ -107,10 +107,8 @@ def _failed_report(kind: ProblemKind) -> FeasibilityReport:
 
 
 def route_length(coords, nodes) -> float:
-    """Sum of Euclidean edge lengths along a node sequence (open path).
-
-    Each edge is euclid()'s arithmetic inlined, and edges are summed in
-    path order, so lengths match a loop over euclid() bit for bit."""
+    """Sum of Euclidean edge lengths along a node sequence (open path):
+    math.hypot per edge, summed in path order."""
     total = 0.0
     if not nodes:
         return total
@@ -141,7 +139,12 @@ def score(inst: Instance, sol: Solution) -> Scored:
     """
     if not (isinstance(sol, SOLUTION_TYPE_BY_KIND[inst.kind]) and _shape_ok(sol)):
         return _failed_report(inst.kind), None
-    return _SCORERS[inst.kind](inst.payload, sol)
+    try:
+        return _SCORERS[inst.kind](inst.payload, sol)
+    except (TypeError, ValueError, LookupError):
+        # A collection the scorer cannot index or compare: a set or mapping
+        # in an ordered field, a numpy array as the field or as an id.
+        return _failed_report(inst.kind), None
 
 
 def check(inst: Instance, sol: Solution) -> FeasibilityReport:
@@ -162,7 +165,10 @@ def objective(inst: Instance, sol: Solution) -> ObjectiveValue:
         if not isinstance(sol, expected):
             cause = f"{kind.value} expects {expected.__name__}, got {type(sol).__name__}"
         elif not report.zeta:
-            cause = f"{expected.__name__} ids must be held in collections, got {sol!r:.80}"
+            cause = (
+                f"{expected.__name__} ids must be held in collections that score "
+                f"can read, got {sol!r:.80}"
+            )
         elif kind is not ProblemKind.JSSP:
             cause = "solution has out-of-range, non-integer or missing ids"
         elif report.constraints[0][1]:

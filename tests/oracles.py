@@ -336,7 +336,7 @@ def _solution(kind, obj):
 
 
 def reference_parse(text, kind):
-    """The answer parser before its regex fast path: the LAST label whose
+    """The answer parser on ast.literal_eval alone: the LAST label whose
     bracketed payload ast.literal_eval reads as the kind's shape. An error
     outside literal_eval's own (an unhashable dict key) fails the parse."""
     failed = ParsedSolution(solution=None, stated_objective=None, format_ok=False)

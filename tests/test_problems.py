@@ -1,11 +1,9 @@
 """Instance generation, serialization, and benchmark-format tests."""
 
-import dataclasses
 import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cobench.problems.benchmarks import parse_taillard, parse_tsplib, write_taillard

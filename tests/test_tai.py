@@ -4,7 +4,6 @@ The golden strings in this file pin the exact textual surface: instruction
 wording, neighbor-list formats, and the canonical answer grammar.
 """
 
-import math
 import re
 
 import numpy as np
@@ -27,7 +26,6 @@ from cobench.problems.types import (
 from cobench.tai.encode import encode
 from cobench.tai.features import (
     BLOCK_ROWS,
-    compute_features,
     graph_features,
     jssp_features,
     pfsp_features,
@@ -40,7 +38,7 @@ from cobench.tai.render import (
     format_solution,
     render_prompt,
 )
-from cobench.tai.types import GRAMMAR_BY_KIND, OutputGrammar
+from cobench.tai.types import GRAMMAR_BY_KIND
 from cobench.verify import score
 
 import oracles
@@ -540,21 +538,22 @@ def test_parse_round_trip_through_render(small_instances):
 
 
 # ---------------------------------------------------------------------------
-# The regex fast path against ast.literal_eval
+# The JSON reader against ast.literal_eval
 
 # Canonical payloads at depth 1-3 (empty rows included), with up to two
-# tokens swapped for ones the fast grammar must either read as literal_eval
-# does or leave to it: signs, leading zeros, 18-22 digit ints (either side
-# of the 18-digit bound), an int past the 4300-digit conversion limit,
-# Unicode digits, non-int literals, tuples, comments, trailing commas,
-# unbalanced brackets, and whitespace that only some readers accept
-# (U+00A0, \r, \f).
+# tokens swapped for ones json.loads must either read as literal_eval does,
+# reject, or read as a value no solution accepts: signs, leading zeros,
+# 18-22 digit ints, an int past the 4300-digit conversion limit, Unicode
+# digits, non-int literals, JSON-only literals (true, null, NaN, Infinity,
+# "1", 1E3), tuples, comments, trailing commas, unbalanced brackets, and
+# whitespace that only some readers accept (U+00A0, \r, \f).
 _ODD = {
     "int": st.one_of(
         st.integers(10**17, 10**22).map(str),
         st.sampled_from([
             "-1", "-0", "- 1", "+1", "01", "00", "-01", "9" * 4301,
             "0x1", "1_0", "1.0", "1e3", "True", "None", "'1'", "(1,2)", "()", "{[]: 1}", "",
+            "true", "false", "null", "NaN", "Infinity", "-Infinity", '"1"', "1E3",
         ]),
         # Arabic-Indic, Devanagari and fullwidth digits, alone or after an ASCII one
         st.builds(
@@ -608,6 +607,9 @@ _GRAMMAR_KINDS = (
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(text=st.lists(_SEGMENTS, min_size=1, max_size=4).map("".join))
+@example("Route: [0, true]")
+@example("Set: [null]")
+@example("Order: [1, 1E3]")
 @example("Route: [1, 1\u0663]")
 @example("Order: [1,\xa02]")
 @example("Set: [01, 2]")

@@ -1,4 +1,4 @@
-"""No module under src/cobench imports a name it never uses.
+"""No module under src/cobench, tests or demos imports a name it never uses.
 
 No linter ships with the test environment, so this is a small AST check:
 every name an import binds must be read somewhere in the module, or be
@@ -8,7 +8,8 @@ re-exported through ``__all__``. ``from __future__`` imports are exempt.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cobench"
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = (ROOT / "src" / "cobench", ROOT / "tests", ROOT / "demos")
 
 
 def _unused_imports(tree: ast.Module):
@@ -28,11 +29,11 @@ def _unused_imports(tree: ast.Module):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def test_no_unused_imports_under_src():
+def test_no_unused_imports():
     found = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(p for d in SCANNED for p in d.rglob("*.py")):
         for line, name in _unused_imports(ast.parse(path.read_text())):
-            found.append(f"{path.relative_to(SRC)}:{line}: {name}")
+            found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
 
 

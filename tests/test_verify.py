@@ -461,7 +461,15 @@ def test_check_never_raises_on_junk():
     ]
     # An id field, or a row of one, that is no collection fails the shape gate.
     # One-shot iterators fail it too, though the parent scored some of them.
+    # A collection the scorer cannot index or compare is not scored either.
     bad_shape = [
+        Route(np.array([0, 1, 0])),
+        Route({0, 1}),
+        Route({0: 1, 1: 0}),
+        Route((np.array([0, 1]), np.array([1, 0]))),
+        RouteSet(({0, 1},)),
+        VertexSet(""),
+        JobOrder(np.array([0, 1])),
         Route(None),
         Route(5),
         RouteSet(None),
