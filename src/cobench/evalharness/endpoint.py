@@ -8,21 +8,25 @@ crash loses only the instances still in flight, and a rerun on the same file
 samples only the instances without a row. Metrics are always rederived from
 the raw text, with thinking blocks stripped, so a resumed run and `cobench
 report` cannot drift from a fresh one.
+
+The HTTP sampler posts through the standard library's `urllib.request`, one
+connection per request, so the runtime needs no HTTP package.
 """
 
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import logging
 import os
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
-
-import requests
 
 from ..problems.io import ReferenceSolution
 from ..problems.types import Instance
@@ -63,6 +67,11 @@ def _headers(cfg: EndpointConfig) -> Dict[str, str]:
     return headers
 
 
+# The longest Retry-After delay honoured, in seconds; a longer one is cut
+# to this, so a server cannot park a worker thread for hours.
+MAX_RETRY_AFTER = 600.0
+
+
 def _post_once(cfg: EndpointConfig, prompt: str, n: int) -> List[str]:
     url = cfg.base_url.rstrip("/") + "/chat/completions"
     body = {
@@ -73,10 +82,24 @@ def _post_once(cfg: EndpointConfig, prompt: str, n: int) -> List[str]:
         "max_tokens": cfg.max_tokens,
         "n": n,
     }
-    resp = requests.post(url, json=body, headers=_headers(cfg), timeout=cfg.timeout)
-    resp.raise_for_status()
-    data = resp.json()
+    req = urllib.request.Request(
+        url, data=json.dumps(body).encode(), headers=_headers(cfg), method="POST"
+    )
+    with urllib.request.urlopen(req, timeout=cfg.timeout) as resp:
+        data = json.loads(resp.read())
     return [c["message"]["content"] for c in data["choices"]]
+
+
+def _retry_after(err: Exception) -> float:
+    """The delay-seconds in a 429 or 503 reply's Retry-After header, capped at
+    MAX_RETRY_AFTER. 0 for any other failure, and for a header that is an
+    HTTP-date, junk or absent, which leave the backoff alone."""
+    if not (isinstance(err, urllib.error.HTTPError) and err.code in (429, 503)):
+        return 0.0
+    value = (err.headers.get("Retry-After") or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return 0.0
+    return min(float(value), MAX_RETRY_AFTER)
 
 
 def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
@@ -84,7 +107,9 @@ def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
     topping up one by one if the server returns fewer choices than asked.
 
     A client error (a 4xx status other than 429) fails at once, because the
-    same request would be refused again."""
+    same request would be refused again. A 429 or 503 that carries a
+    Retry-After delay in seconds waits that long when it exceeds the
+    backoff."""
     texts: List[str] = []
     while len(texts) < cfg.n_samples:
         want = cfg.n_samples - len(texts)
@@ -93,16 +118,18 @@ def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
             try:
                 got = _post_once(cfg, prompt, want)
                 break
-            except (requests.RequestException, KeyError, ValueError) as err:
-                last_err = err
-                status = getattr(getattr(err, "response", None), "status_code", 0)
-                if attempt == cfg.retries or (400 <= status < 500 and status != 429):
-                    raise RuntimeError(
-                        f"endpoint request failed after {attempt + 1} attempts: {err}"
-                    ) from err
-                delay = cfg.backoff * (2**attempt)
-                logger.warning("endpoint error (%s); retrying in %.1fs", err, delay)
-                time.sleep(delay)
+            except urllib.error.HTTPError as err:
+                err.close()
+                last_err, status = err, err.code
+            except (OSError, http.client.HTTPException, KeyError, ValueError) as err:
+                last_err, status = err, 0
+            if attempt == cfg.retries or (400 <= status < 500 and status != 429):
+                raise RuntimeError(
+                    f"endpoint request failed after {attempt + 1} attempts: {last_err}"
+                ) from last_err
+            delay = max(cfg.backoff * (2**attempt), _retry_after(last_err))
+            logger.warning("endpoint error (%s); retrying in %.1fs", last_err, delay)
+            time.sleep(delay)
         if not got:
             raise RuntimeError(f"endpoint returned no choices: {last_err}")
         texts.extend(got[:want])

@@ -120,14 +120,20 @@ def route_length(coords, nodes) -> float:
     return total
 
 
+def _is_id_collection(obj) -> bool:
+    # A numpy array is no id collection: its truth value is not its length,
+    # so a scorer's emptiness test would misread it.
+    return isinstance(obj, Collection) and not isinstance(obj, np.ndarray)
+
+
 def _shape_ok(sol: Solution) -> bool:
-    """The one shape gate: the solution's one field is a collection, and so
-    is each of its rows for RouteSet and MachineSchedules. Which ids they
-    hold is the id gate's job."""
+    """The one shape gate: the solution's one field is a collection other
+    than a numpy array, and so is each of its rows for RouteSet and
+    MachineSchedules. Which ids they hold is the id gate's job."""
     (ids,) = vars(sol).values()
-    return isinstance(ids, Collection) and (
+    return _is_id_collection(ids) and (
         not isinstance(sol, (RouteSet, MachineSchedules))
-        or all(isinstance(r, Collection) for r in ids)
+        or all(_is_id_collection(r) for r in ids)
     )
 
 
@@ -143,7 +149,7 @@ def score(inst: Instance, sol: Solution) -> Scored:
         return _SCORERS[inst.kind](inst.payload, sol)
     except (TypeError, ValueError, LookupError):
         # A collection the scorer cannot index or compare: a set or mapping
-        # in an ordered field, a numpy array as the field or as an id.
+        # in an ordered field, or a numpy array as an id.
         return _failed_report(inst.kind), None
 
 

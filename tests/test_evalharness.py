@@ -2,11 +2,13 @@
 the SFT exporter, and a live HTTP round trip against a local echo server."""
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from cobench.evalharness import endpoint
 from cobench.evalharness import (
     Candidate,
     EndpointConfig,
@@ -19,6 +21,7 @@ from cobench.evalharness import (
     export_sft,
     metrics,
     mock_policy,
+    request_samples,
     sft_records,
     size_tier,
     solution_gap,
@@ -458,6 +461,9 @@ class _EchoHandler(BaseHTTPRequestHandler):
     fail_first = False
     always_fail = set()  # prompts that fail on every attempt
     fail_status = 500
+    retry_after = None  # Retry-After header value sent with a failure status
+    fail_body = None   # a 200 reply's body sent in place of a failure status
+    fail_length = None  # the Content-Length sent with fail_body, if not its own
     hits = []          # one entry per POST
     failed_once = set()
 
@@ -471,8 +477,17 @@ class _EchoHandler(BaseHTTPRequestHandler):
         )
         if fail:
             type(self).failed_once.add(prompt)
-            self.send_response(type(self).fail_status)
-            self.end_headers()
+            blob = type(self).fail_body
+            if blob is None:
+                self.send_response(type(self).fail_status)
+                if type(self).retry_after is not None:
+                    self.send_header("Retry-After", type(self).retry_after)
+                self.end_headers()
+            else:
+                self.send_response(200)
+                self.send_header("Content-Length", str(type(self).fail_length or len(blob)))
+                self.end_headers()
+                self.wfile.write(blob)
             return
         n = body.get("n", 1)
         text = type(self).answers[prompt]
@@ -496,8 +511,13 @@ def echo_server():
     _EchoHandler.always_fail = set()
     _EchoHandler.failed_once = set()
     _EchoHandler.fail_status = 500
+    _EchoHandler.retry_after = None
+    _EchoHandler.fail_body = None
+    _EchoHandler.fail_length = None
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/v1"
@@ -629,6 +649,85 @@ def test_failed_records_count_against_metrics(echo_server):
     assert m.num_records == 2
     assert m.feasibility_rate == pytest.approx(0.5)
     assert m.gap_at_k[10] == pytest.approx(0.5)
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """The delays the retry loop asks for, recorded instead of slept."""
+    delays = []
+    monkeypatch.setattr(endpoint.time, "sleep", delays.append)
+    return delays
+
+
+def _fail_first_then_answer(echo_server, **cfg):
+    """request_samples on a prompt whose first request fails and whose
+    second is answered, with the number of requests the server saw."""
+    _EchoHandler.answers["p"] = "answer"
+    _EchoHandler.fail_first = True
+    cfg = EndpointConfig(base_url=echo_server, model_name="echo", **cfg)
+    return request_samples(cfg, "p"), len(_EchoHandler.hits)
+
+
+def test_not_found_fails_after_one_request(echo_server, sleeps):
+    _EchoHandler.answers["p"] = "answer"
+    _EchoHandler.always_fail = {"p"}
+    _EchoHandler.fail_status = 404
+    cfg = EndpointConfig(base_url=echo_server, model_name="echo", retries=3, backoff=0)
+    with pytest.raises(RuntimeError, match="after 1 attempts: HTTP Error 404"):
+        request_samples(cfg, "p")
+    assert len(_EchoHandler.hits) == 1 and sleeps == []
+
+
+def test_refused_connection_is_retried_then_fails(sleeps):
+    with socket.socket() as sock:  # a port that was just free, now closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    cfg = EndpointConfig(
+        base_url=f"http://127.0.0.1:{port}/v1", model_name="echo", retries=2, backoff=0
+    )
+    with pytest.raises(RuntimeError, match="after 3 attempts"):
+        request_samples(cfg, "p")
+    assert sleeps == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "body, length",
+    [
+        (b"not json", None),
+        (b"\xff\xfe", None),  # not text
+        (b'{"error": "overloaded"}', None),  # no "choices"
+        (b'{"choices": [', 100),  # the connection closes before the body ends
+    ],
+    ids=["not-json", "not-text", "no-choices", "cut-short"],
+)
+def test_bad_replies_are_retried(echo_server, sleeps, body, length):
+    _EchoHandler.fail_body, _EchoHandler.fail_length = body, length
+    assert _fail_first_then_answer(echo_server, retries=1, backoff=0) == (["answer"], 2)
+
+
+@pytest.mark.parametrize(
+    "status, header, backoff, delay",
+    [
+        (429, "7", 0, 7.0),
+        (503, " 7 ", 0, 7.0),
+        (429, "1", 5.0, 5.0),  # the longer of header and backoff
+        (500, "7", 0, 0),  # honoured on 429 and 503 only
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, 0.5),  # an HTTP-date
+        (429, "soon", 0.5, 0.5),
+        (429, "1e3", 0.5, 0.5),
+        (429, "-3", 0.5, 0.5),
+        (429, "1" + "0" * 40, 0, endpoint.MAX_RETRY_AFTER),
+    ],
+    ids=[
+        "429-seconds", "503-seconds-padded", "backoff-longer", "500-ignored",
+        "http-date", "word", "float", "negative", "huge-capped",
+    ],
+)
+def test_retry_after_sets_the_delay(echo_server, sleeps, status, header, backoff, delay):
+    # A 429 is retried like a 5xx, not failed at once like other 4xx.
+    _EchoHandler.fail_status, _EchoHandler.retry_after = status, header
+    assert _fail_first_then_answer(echo_server, retries=1, backoff=backoff) == (["answer"], 2)
+    assert sleeps == [delay]
 
 
 def test_endpoint_config_validation():

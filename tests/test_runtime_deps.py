@@ -1,9 +1,10 @@
-"""The package runs on numpy and requests alone.
+"""The package runs on numpy alone.
 
 scipy and networkx stay test-only: the routing neighbour pass and the graph
 generators are in-tree, and importing the package must not pull either in.
 The test oracles need neither, so only the generator differential test skips
-without networkx.
+without networkx. Endpoint requests go through the standard library's
+urllib, so importing the package loads no third-party HTTP client either.
 """
 
 import os
@@ -27,7 +28,8 @@ def _run(code: str, *paths: Path) -> subprocess.CompletedProcess:
 def test_import_leaves_scipy_and_networkx_unloaded():
     proc = _run(
         "import sys, cobench, cobench.cli\n"
-        "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))\n",
+        "print(sorted(m for m in ('scipy', 'networkx', 'requests', 'urllib3')\n"
+        "             if m in sys.modules))\n",
         REPO / "src",
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -48,9 +50,9 @@ def test_oracles_import_without_networkx():
     assert proc.stdout.strip() == "9.0"
 
 
-def test_runtime_dependencies_are_numpy_and_requests():
+def test_runtime_dependencies_are_numpy():
     import tomllib  # Python 3.11+
 
     project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
     names = {dep.split(">")[0].split("=")[0].strip() for dep in project["dependencies"]}
-    assert names == {"numpy", "requests"}
+    assert names == {"numpy"}

@@ -461,9 +461,14 @@ def test_check_never_raises_on_junk():
     ]
     # An id field, or a row of one, that is no collection fails the shape gate.
     # One-shot iterators fail it too, though the parent scored some of them.
+    # A numpy array fails it at every length, one element included.
     # A collection the scorer cannot index or compare is not scored either.
     bad_shape = [
         Route(np.array([0, 1, 0])),
+        Route(np.array([0])),
+        JobOrder(np.array([0])),
+        RouteSet((np.array([0, 1, 0]),)),
+        MachineSchedules((np.array([0, 1]),)),
         Route({0, 1}),
         Route({0: 1, 1: 0}),
         Route((np.array([0, 1]), np.array([1, 0]))),
