@@ -21,7 +21,7 @@ from .evalharness.endpoint import (
     load_rows,
     record_from_row,
 )
-from .evalharness.metrics import EvalRecord, metrics
+from .evalharness.metrics import EvalRecord, build_candidate, metrics
 from .evalharness.mock import MockPolicyConfig, mock_policy
 from .evalharness.sft import export_sft
 from .heuristics import METHODS_BY_KIND, BudgetExceededError, brute_force, solve
@@ -36,7 +36,6 @@ from .problems.io import (
 from .problems.types import Distribution, GenConfig, GraphFamily, Instance, ProblemKind
 from .rewards import RewardConfig, feasibility_reward, optimality_reward
 from .tai.encode import encode
-from .tai.parse import parse, strip_thinking
 from .tai.render import render_prompt
 from .verify import check, score
 
@@ -60,14 +59,19 @@ def _fail(msg: str, code: int = EXIT_DATA) -> int:
     return code
 
 
-def _load_instances(path: Path) -> List[Instance]:
+def _json_files(path: Path, what: str) -> List[Path]:
+    """The file at path, or the sorted *.json files in the directory at path,
+    leaving out manifest.json either way."""
     path = Path(path)
-    if path.is_file():
-        return [load_instance(path)]
-    files = sorted(p for p in path.glob("*.json") if p.name != "manifest.json")
+    files = [path] if path.is_file() else sorted(path.glob("*.json"))
+    files = [p for p in files if p.name != "manifest.json"]
     if not files:
-        raise ValueError(f"no instance files under {path}")
-    return [load_instance(p) for p in files]
+        raise ValueError(f"no {what} files under {path}")
+    return files
+
+
+def _load_instances(path: Path) -> List[Instance]:
+    return [load_instance(p) for p in _json_files(path, "instance")]
 
 
 def _print_report(
@@ -97,17 +101,8 @@ def _print_report(
 
 
 def _load_references(path: Path) -> Dict[str, ReferenceSolution]:
-    path = Path(path)
-    files = [path] if path.is_file() else sorted(path.glob("*.json"))
-    refs: Dict[str, ReferenceSolution] = {}
-    for p in files:
-        if p.name == "manifest.json":
-            continue
-        ref = load_reference(p)
-        refs[ref.instance_id] = ref
-    if not refs:
-        raise ValueError(f"no reference files under {path}")
-    return refs
+    refs = (load_reference(p) for p in _json_files(path, "reference"))
+    return {ref.instance_id: ref for ref in refs}
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +190,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     if args.response:
-        text = Path(args.response).read_text()
-        parsed = parse(strip_thinking(text), inst.kind)
-        if not parsed.format_ok or parsed.solution is None:
+        cand = build_candidate(inst, Path(args.response).read_text())
+        if not cand.format_ok:
             print(json.dumps({"zeta": 0, "feasible": False, "constraints": {}}))
             return EXIT_DATA
-        sol = parsed.solution
+        report, value = cand.report, cand.objective
     else:
         ref = load_reference(args.reference)
         if ref.instance_id != inst.id:
             return _fail(f"reference is for {ref.instance_id}, not {inst.id}")
-        sol = ref.solution
-    report, value = score(inst, sol)
+        report, value = score(inst, ref.solution)
     payload = report.to_dict()
     if report.feasible:
         payload["objective"] = value
@@ -217,15 +210,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_reward(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     text = Path(args.response).read_text()
-    parsed = parse(strip_thinking(text), inst.kind)
     cfg = RewardConfig(alpha=args.alpha)
     reference = args.reference_objective
     if reference is None and args.reference:
         reference = load_reference(args.reference).objective
-    # A parse failure leaves solution None, which scores as a failed format gate.
-    report, value = score(inst, parsed.solution)
-    if not report.feasible:
-        value = None
+    cand = build_candidate(inst, text)
+    report, value = cand.report, cand.objective
     r_f = feasibility_reward(inst.kind, report)
     r_o = 0.0
     if value is not None and reference is not None:

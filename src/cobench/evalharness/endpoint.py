@@ -6,8 +6,8 @@ in that sampler. Each instance's completions are appended to a JSONL file as
 raw text keyed by instance id as soon as they arrive, in instance order, so a
 crash loses only the instances still in flight, and a rerun on the same file
 samples only the instances without a row. Metrics are always rederived from
-the raw text, with thinking blocks stripped, so a resumed run and `cobench
-report` cannot drift from a fresh one.
+the raw text by `build_candidate`, which also strips thinking blocks, so a
+resumed run and `cobench report` cannot drift from a fresh one.
 
 The HTTP sampler posts through the standard library's `urllib.request`, one
 connection per request, so the runtime needs no HTTP package.
@@ -31,7 +31,6 @@ from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
 from ..problems.io import ReferenceSolution
 from ..problems.types import Instance
 from ..tai.encode import encode
-from ..tai.parse import strip_thinking
 from ..tai.render import render_prompt
 from .metrics import EvalRecord, build_record
 
@@ -109,7 +108,8 @@ def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
     A client error (a 4xx status other than 429) fails at once, because the
     same request would be refused again. A 429 or 503 that carries a
     Retry-After delay in seconds waits that long when it exceeds the
-    backoff."""
+    backoff. A 200 reply that is not JSON, or not shaped like a chat
+    completion, is retried like a server error."""
     texts: List[str] = []
     while len(texts) < cfg.n_samples:
         want = cfg.n_samples - len(texts)
@@ -121,7 +121,7 @@ def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
             except urllib.error.HTTPError as err:
                 err.close()
                 last_err, status = err, err.code
-            except (OSError, http.client.HTTPException, KeyError, ValueError) as err:
+            except (OSError, http.client.HTTPException, KeyError, TypeError, ValueError) as err:
                 last_err, status = err, 0
             if attempt == cfg.retries or (400 <= status < 500 and status != 429):
                 raise RuntimeError(
@@ -166,7 +166,7 @@ def _append_row(fh: BinaryIO, row: dict) -> None:
 
 def record_from_row(inst: Instance, row: dict, reference_objective: float) -> EvalRecord:
     """Score one row's raw texts; a row whose sampling failed has none."""
-    texts = [strip_thinking(t) for t in row["raw_texts"] or ()]
+    texts = row["raw_texts"] or ()
     return build_record(inst, texts, reference_objective, row.get("wall_time", 0.0))
 
 

@@ -2,6 +2,7 @@
 
 A Candidate is one sampled completion: its raw text, the parse result, the
 feasibility report, and the recomputed objective (never the stated one).
+`build_candidate` is the one place raw model text becomes a scored answer.
 Selection and gaps always use recomputed objectives.
 """
 
@@ -19,7 +20,7 @@ from ..problems.types import (
     ProblemKind,
     Sense,
 )
-from ..tai.parse import parse
+from ..tai.parse import parse, strip_thinking
 from ..verify import FeasibilityReport, score
 
 GAP_KS = (1, 5, 10)
@@ -27,22 +28,25 @@ GAP_KS = (1, 5, 10)
 
 @dataclass(frozen=True)
 class Candidate:
-    raw_text: str
+    raw_text: Optional[str]
     format_ok: bool
-    report: Optional[FeasibilityReport]
-    objective: Optional[float]  # recomputed; None unless feasible and scoreable
+    report: FeasibilityReport  # a failed format gate when the text did not parse
+    objective: Optional[float]  # recomputed; None unless feasible
 
     @property
     def feasible(self) -> bool:
-        return self.report is not None and self.report.feasible
+        return self.report.feasible
 
 
-def build_candidate(inst: Instance, raw_text: str) -> Candidate:
-    parsed = parse(raw_text, inst.kind)
-    if not parsed.format_ok or parsed.solution is None:
-        return Candidate(raw_text, False, None, None)
+def build_candidate(inst: Instance, raw_text: Optional[str]) -> Candidate:
+    """Score one completion: drop its thinking blocks, parse it, check it and
+    recompute its objective, which is kept only when the answer is feasible.
+
+    A completion that is not a string (a null reply) did not parse. Never raises."""
+    text = strip_thinking(raw_text) if isinstance(raw_text, str) else None
+    parsed = parse(text, inst.kind)
     report, value = score(inst, parsed.solution)
-    return Candidate(raw_text, True, report, value if report.feasible else None)
+    return Candidate(raw_text, parsed.format_ok, report, value if report.feasible else None)
 
 
 def bon_select(candidates: Sequence[Candidate], sense: Sense) -> Optional[int]:
@@ -124,7 +128,7 @@ def _select(
 
 def build_record(
     inst: Instance,
-    raw_texts: Sequence[str],
+    raw_texts: Sequence[Optional[str]],
     reference_objective: float,
     wall_time: float = 0.0,
 ) -> EvalRecord:

@@ -295,6 +295,38 @@ def test_reward_without_reference_scores_feasibility_only(tsp_dir, tmp_path, cap
     assert payload["total_reward"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "answer", ["Route: [0, 1, 0]", "visit all", "tour"], ids=["infeasible", "prose", "tour"]
+)
+def test_verify_and_reward_strip_thinking(tsp_dir, tmp_path, capsys, answer):
+    inst_file = _instance_files(tsp_dir)[0]
+    if answer == "tour":
+        n = load_instance(inst_file).payload.n
+        answer = "Route: [" + ", ".join(str(v) for v in list(range(n)) + [0]) + "]"
+    plain, wrapped = tmp_path / "plain.txt", tmp_path / "wrapped.txt"
+    plain.write_text(answer + "\n")
+    wrapped.write_text("<think>Route: [0, 2, 0]</think>" + answer + "\n")
+    for command in (["verify"], ["reward", "--reference-objective", "30"]):
+        outputs = [
+            run(capsys, *command, "--instance", str(inst_file), "--response", str(resp))
+            for resp in (plain, wrapped)
+        ]
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("answer", ["Route: [0, 1, 0]", "no answer"], ids=["parsed", "unparsed"])
+def test_reward_bad_alpha_exits_two(tsp_dir, tmp_path, capsys, answer):
+    inst_file = _instance_files(tsp_dir)[0]
+    resp = tmp_path / "resp.txt"
+    resp.write_text(answer + "\n")
+    code, out, err = run(
+        capsys, "reward", "--instance", str(inst_file), "--response", str(resp),
+        "--alpha", "0",
+    )
+    assert (code, out) == (2, "")
+    assert "alpha must be positive" in err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

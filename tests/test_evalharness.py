@@ -44,12 +44,11 @@ from conftest import ALL_KINDS, feasible_pair, make_instance, reference_solution
 
 
 def _mk(format_ok, feasible, value):
-    """Hand-rolled candidate around a one-constraint report."""
+    """Hand-rolled candidate around a one-constraint report; an answer that
+    did not parse has a failed format gate."""
     from cobench.verify import FeasibilityReport
 
-    report = None
-    if format_ok and feasible is not None:
-        report = FeasibilityReport(zeta=True, constraints=(("c", feasible),))
+    report = FeasibilityReport(zeta=format_ok, constraints=(("c", bool(feasible)),))
     return Candidate("raw", format_ok, report, value)
 
 
@@ -59,9 +58,21 @@ def _mk(format_ok, feasible, value):
 
 def test_build_candidate_parse_failure():
     inst = make_instance(ProblemKind.TSP, size=8, seed=0)
+    failed_gate = check(inst, None)
+    assert not failed_gate.zeta
     c = build_candidate(inst, "no solution here")
-    assert c == Candidate("no solution here", False, None, None)
+    assert c == Candidate("no solution here", False, failed_gate, None)
     assert not c.feasible
+
+
+@pytest.mark.parametrize(
+    "raw", [None, 5, b"Route: [0, 1, 0]", ["Route: [0, 1, 0]"]],
+    ids=["none", "int", "bytes", "list"],
+)
+def test_build_candidate_non_string_did_not_parse(raw):
+    # A null completion (a refusal or a tool call) scores as an unparsed answer.
+    inst = make_instance(ProblemKind.TSP, size=8, seed=0)
+    assert build_candidate(inst, raw) == Candidate(raw, False, check(inst, None), None)
 
 
 def test_build_candidate_recomputes_objective():
@@ -172,6 +183,21 @@ def test_build_record_none_feasible():
     rec = build_record(inst, ["nope", "still nope"], reference_objective=10.0)
     assert rec.selected_index is None and rec.gap is None
     assert not rec.any_feasible
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stored_rows_score_as_build_record_does(kind):
+    # One text path: a row read back from JSONL is scored exactly as
+    # build_record scores the same texts, thinking blocks included.
+    inst, sol, value = feasible_pair(kind, size=8)
+    answer = format_solution(kind, sol, value)
+    hidden = ["<think>" + answer + "</think>", "<think>" + answer]
+    shown = ["<think>draft</think>" + answer, "<think>a</think>b<think>c</think>" + answer]
+    for texts in (hidden, shown):
+        rec = build_record(inst, texts, value)
+        assert rec == endpoint.record_from_row(inst, {"raw_texts": texts}, value)
+    assert not build_record(inst, hidden, value).any_feasible
+    assert build_record(inst, shown, value).gap == pytest.approx(0.0)
 
 
 def test_prefix_reselects_over_first_n():
@@ -651,6 +677,38 @@ def test_failed_records_count_against_metrics(echo_server):
     assert m.gap_at_k[10] == pytest.approx(0.5)
 
 
+def test_null_completions_count_as_unparsed(echo_server, tmp_path, capsys):
+    # OpenAI-style servers send "content": null for a refusal or a tool call.
+    insts, refs = _bench(ProblemKind.TSP, count=2, size=8)
+    _arm_echo(insts, refs)
+    _EchoHandler.answers[render_prompt(encode(insts[0]))] = None
+    out = tmp_path / "raw.jsonl"
+    cfg = EndpointConfig(base_url=echo_server, model_name="echo", n_samples=2)
+    fresh = evaluate_endpoint(insts, refs, cfg, out_path=out)
+    resumed = evaluate_endpoint(insts, refs, cfg, out_path=out)
+    assert len(_EchoHandler.hits) == 2  # the rerun came from the file
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert rows[0]["raw_texts"] == [None, None]  # stored as the server sent it
+    for m in (metrics(fresh), metrics(resumed)):
+        assert m.format_rate == pytest.approx(0.5)
+        assert m.feasibility_rate == pytest.approx(0.5)
+
+    from cobench.cli import main
+    from cobench.problems.io import save_instance, save_reference
+
+    (tmp_path / "insts").mkdir()
+    (tmp_path / "refs").mkdir()
+    for inst in insts:
+        save_instance(inst, tmp_path / "insts" / f"{inst.id}.json")
+        save_reference(refs[inst.id], tmp_path / "refs" / f"{inst.id}.json")
+    argv = ["report", "--records", str(out), "--instances", str(tmp_path / "insts"),
+            "--references", str(tmp_path / "refs")]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["format_rate"] == pytest.approx(0.5)
+    assert [r["num_parsed"] for r in report["records"]] == [0, 2]
+
+
 @pytest.fixture()
 def sleeps(monkeypatch):
     """The delays the retry loop asks for, recorded instead of slept."""
@@ -697,8 +755,15 @@ def test_refused_connection_is_retried_then_fails(sleeps):
         (b"\xff\xfe", None),  # not text
         (b'{"error": "overloaded"}', None),  # no "choices"
         (b'{"choices": [', 100),  # the connection closes before the body ends
+        (b"[]", None),  # JSON, but no object
+        (b"null", None),
+        (b'{"choices": [1]}', None),
+        (b'{"choices": [{"message": null}]}', None),
     ],
-    ids=["not-json", "not-text", "no-choices", "cut-short"],
+    ids=[
+        "not-json", "not-text", "no-choices", "cut-short",
+        "list", "null", "choice-not-object", "message-null",
+    ],
 )
 def test_bad_replies_are_retried(echo_server, sleeps, body, length):
     _EchoHandler.fail_body, _EchoHandler.fail_length = body, length
