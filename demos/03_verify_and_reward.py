@@ -1,14 +1,16 @@
 """From model text to a scalar reward.
 
 Takes one OP instance and three candidate responses (a perfect echo, a
-feasible-but-worse tour, unparseable prose), then walks parse -> score ->
-reward exactly the way the training loop would, ending with the group
-advantages and the clipped policy surrogate.
+feasible-but-worse tour, unparseable prose), then scores each one with
+build_candidate (parse, check, recomputed objective) and pays its reward
+exactly the way the training loop would, ending with the group advantages
+and the clipped policy surrogate.
 """
 
 import numpy as np
 
-from cobench import GenConfig, ProblemKind, gen_instance, parse, score
+from cobench import GenConfig, ProblemKind, gen_instance
+from cobench.evalharness import build_candidate
 from cobench.heuristics import solve
 from cobench.rewards import (
     RewardConfig,
@@ -32,11 +34,10 @@ prose = "After careful thought I believe the answer is all of them."
 cfg = RewardConfig()
 rewards = []
 for label, text in (("perfect", perfect), ("shorter", worse), ("prose", prose)):
-    parsed = parse(text, inst.kind)
-    # One pass checks and values the answer; no solution fails every gate.
-    report, value = score(inst, parsed.solution)
-    if not report.feasible:
-        value = None
+    # One call parses, checks and values the answer. Text that does not parse
+    # fails every gate, and only a feasible answer keeps its objective.
+    cand = build_candidate(inst, text)
+    report, value = cand.report, cand.objective
     r_f = feasibility_reward(inst.kind, report)
     r = total_reward(inst.kind, report, value, ref.objective.value, cfg)
     rewards.append(r)

@@ -39,10 +39,8 @@ from .scheduling import jssp_dispatch, pfsp_neh, pfsp_palmer
 Solver = Callable[..., Solution]
 
 
-def _aco(inst: Instance, seed: Optional[int] = None, **params) -> Solution:
-    base = AcoConfig.default_for(inst.kind)
-    base = replace(base, seed=0 if seed is None else seed, **params)
-    return aco_solve(inst, base)
+def _aco(inst: Instance, seed: int, **params) -> Solution:
+    return aco_solve(inst, replace(AcoConfig.default_for(inst.kind), seed=seed, **params))
 
 
 _REGISTRY: Dict[Tuple[ProblemKind, str], Solver] = {
@@ -87,7 +85,9 @@ class SolveResult:
 def solve(
     inst: Instance, method: str, seed: Optional[int] = None, **params
 ) -> SolveResult:
-    """Run a named baseline on an instance and score its solution."""
+    """Run a named baseline on an instance and score its solution.
+
+    A seeded method given no seed runs with seed 0."""
     key = (inst.kind, method)
     if key not in _REGISTRY:
         known = ", ".join(METHODS_BY_KIND.get(inst.kind, ()))
@@ -96,7 +96,7 @@ def solve(
         )
     fn = _REGISTRY[key]
     if method in SEEDED_METHODS:
-        sol = fn(inst, seed=seed, **params)
+        sol = fn(inst, seed=0 if seed is None else seed, **params)
     else:
         sol = fn(inst, **params)
     return SolveResult(solution=sol, objective=objective(inst, sol), method=method)

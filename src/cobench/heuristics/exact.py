@@ -265,28 +265,27 @@ def _mis_exact_ids(inst: Instance, budget: BruteForceBudget) -> List[int]:
 
 
 def _pfsp_exact(inst: Instance, budget: BruteForceBudget) -> JobOrder:
-    """Vectorized scan of all job permutations."""
+    """Vectorized scan of all job permutations, one position at a time."""
     p = inst.payload
     jobs = p.num_jobs
     if jobs > budget.pfsp_max_jobs:
         raise BudgetExceededError(inst.kind, jobs, budget.pfsp_max_jobs)
     perms = np.array(list(itertools.permutations(range(jobs))), dtype=np.int64)
     pt = np.asarray(p.ptimes, dtype=float)  # J x M
-    P = perms.shape[0]
-    m = p.num_machines
-    # completion[:, k] for machine i, rolled forward machine by machine
-    completion = np.zeros((P, jobs))
-    for i in range(m):
-        stage = pt[perms[:, 0], i]
-        prev_col = completion[:, 0] + stage
-        new = np.empty((P, jobs))
-        new[:, 0] = prev_col
-        for k in range(1, jobs):
-            prev_col = np.maximum(new[:, k - 1], completion[:, k]) + pt[perms[:, k], i]
-            new[:, k] = prev_col
-        completion = new
-    makespans = completion[:, -1]
-    best = int(np.argmin(makespans))
+    # completion[:, i]: when machine i finishes the jobs placed so far. The
+    # flow-shop step C'_i = max(C'_{i-1}, C_i) + t_i, for a job with times t,
+    # unrolls into C'_i = cum_i + max over k <= i of (C_k - before_k), where
+    # cum is the cumsum of t over the machines and before = cum - t. On
+    # integer times every sum is exact, so each makespan equals the one
+    # verify.pfsp_makespan computes step by step.
+    cum = pt.cumsum(axis=1)
+    before = cum - pt
+    completion = np.zeros((len(perms), p.num_machines))
+    for column in perms.T:
+        completion -= before[column]
+        np.maximum.accumulate(completion, axis=1, out=completion)
+        completion += cum[column]
+    best = int(np.argmin(completion[:, -1]))
     return JobOrder(tuple(int(j) for j in perms[best]))
 
 

@@ -5,13 +5,7 @@ from __future__ import annotations
 from typing import List, Set
 
 from ..problems.types import GraphInstance, Instance, ProblemKind, VertexSet
-
-
-def _require(inst: Instance, *kinds: ProblemKind) -> GraphInstance:
-    if inst.kind not in kinds:
-        names = "/".join(k.value for k in kinds)
-        raise ValueError(f"expected a {names} instance, got {inst.kind.value}")
-    return inst.payload
+from ._kinds import _require
 
 
 def mis_greedy_min_degree(inst: Instance) -> VertexSet:

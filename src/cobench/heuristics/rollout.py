@@ -1,11 +1,12 @@
-"""One masked-rollout kernel for the stochastic routing constructors.
+"""One masked-rollout kernel for the walking routing constructors.
 
-ACO (TSP, OP, CVRP) and the Tsili sampler build solutions the same way: a
-batch of ants leaves depot 0 and, step by step, every ant still under way
-moves to one of its feasible nodes. The problem kinds differ only in which
-nodes are feasible and in what an ant does when none is; the constructors
-differ only in how an ant picks among its feasible nodes. All ants advance
-together, a few whole-array numpy operations per step.
+ACO (TSP, OP, CVRP), the Tsili sampler and the greedy OP walk (one ant)
+build solutions the same way: a batch of ants leaves depot 0 and, step by
+step, every ant still under way moves to one of its feasible nodes. The
+problem kinds differ only in which nodes are feasible and in what an ant
+does when none is; the constructors differ only in how an ant picks among
+its feasible nodes. All ants advance together, a few whole-array numpy
+operations per step.
 """
 
 from __future__ import annotations

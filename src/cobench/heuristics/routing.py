@@ -12,17 +12,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..problems.generate import distance_matrix, nearest_neighbor_tour
-from ..problems.types import Instance, ProblemKind, Route, RouteSet, RoutingInstance
+from ..problems.types import Instance, ProblemKind, Route, RouteSet
+from ._kinds import _require
 from .rollout import rollout, roulette, within_budget
 
 _EPS = 1e-12
 _IMPROVE_TOL = 1e-10
-
-
-def _require(inst: Instance, kind: ProblemKind) -> RoutingInstance:
-    if inst.kind is not kind:
-        raise ValueError(f"expected a {kind.value} instance, got {inst.kind.value}")
-    return inst.payload
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +66,7 @@ def two_opt(d: np.ndarray, tour: Sequence[int]) -> List[int]:
         r[i + 1 : j + 1] = r[i + 1 : j + 1][::-1]
 
 
-def tsp_farthest_insertion(inst: Instance, local_search: bool = True) -> Route:
+def tsp_farthest_insertion(inst: Instance) -> Route:
     """Farthest insertion followed by a 2-opt local search pass."""
     p = _require(inst, ProblemKind.TSP)
     d = distance_matrix(p.coords)
@@ -97,9 +92,7 @@ def tsp_farthest_insertion(inst: Instance, local_search: bool = True) -> Route:
         in_tour[v] = True
         dist_to_tour = np.minimum(dist_to_tour, d[v])
         dist_to_tour[v] = -np.inf
-    if local_search:
-        tour = two_opt(d, tour)
-    return Route(tuple(tour))
+    return Route(tuple(two_opt(d, tour)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,24 +105,13 @@ def op_greedy(inst: Instance) -> Route:
     p = _require(inst, ProblemKind.OP)
     d = distance_matrix(p.coords)
     prizes = np.asarray(p.prizes, dtype=float)
-    n = p.n
-    budget = p.distance_limit
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    route = [0]
-    cur, used = 0, 0.0
-    while True:
-        step = d[cur]
-        feasible = (~visited) & (used + step <= budget + 1e-9)
-        if not feasible.any():
-            break
-        ratio = np.where(feasible, prizes / np.maximum(step, _EPS), -np.inf)
-        nxt = int(np.argmax(ratio))
-        used += float(step[nxt])
-        visited[nxt] = True
-        route.append(nxt)
-        cur = nxt
-    return Route(tuple(route))
+
+    def choose(cur: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+        ratio = np.where(feasible, prizes / np.maximum(d[cur], _EPS), -np.inf)
+        return np.argmax(ratio, axis=1)
+
+    walk = rollout(d, 1, choose, within_budget(d, p.distance_limit)).paths[0]
+    return Route(tuple(int(v) for v in walk if v >= 0))
 
 
 def op_greedy_insertion(inst: Instance) -> Route:

@@ -5,14 +5,9 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from ..problems.types import Instance, JobOrder, MachineSchedules, ProblemKind, SchedulingInstance
+from ..problems.types import Instance, JobOrder, MachineSchedules, ProblemKind
 from ..verify import pfsp_makespan
-
-
-def _require(inst: Instance, kind: ProblemKind) -> SchedulingInstance:
-    if inst.kind is not kind:
-        raise ValueError(f"expected a {kind.value} instance, got {inst.kind.value}")
-    return inst.payload
+from ._kinds import _require
 
 
 def pfsp_palmer(inst: Instance) -> JobOrder:

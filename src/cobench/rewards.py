@@ -39,7 +39,6 @@ class RewardConfig:
     alpha: float = 1.0          # optimality reward scale
     epsilon_clip: float = 0.1   # ratio clip half-width
     beta_kl: float = 0.05       # KL penalty coefficient
-    group_size: int = 8         # generations per instance
     std_floor: float = 1e-8     # below this the group is degenerate
 
     def __post_init__(self) -> None:
@@ -49,8 +48,6 @@ class RewardConfig:
             raise ValueError("epsilon_clip must lie in (0, 1)")
         if self.beta_kl < 0:
             raise ValueError("beta_kl must be nonnegative")
-        if self.group_size < 2:
-            raise ValueError("group_size must be at least 2")
         if self.std_floor <= 0:
             raise ValueError("std_floor must be positive")
 

@@ -213,6 +213,27 @@ def nearest_neighbours(coords, k):
 # Routing heuristics
 
 
+def op_greedy(d, prizes, budget):
+    """The OP greedy walk: from the depot, step to the unvisited node with
+    the best prize/distance ratio that fits in the budget, lower id on ties.
+    `d` is the distance matrix as nested lists."""
+    route, length = [0], 0.0
+    while True:
+        best = None  # (ratio, -node) maximized
+        for v in range(len(d)):
+            step = d[route[-1]][v]
+            if v in route or length + step > budget + 1e-9:
+                continue
+            key = (prizes[v] / max(step, 1e-12), -v)
+            if best is None or key > best[0]:
+                best = (key, v, step)
+        if best is None:
+            return route
+        _, v, step = best
+        route.append(v)
+        length += step
+
+
 def op_greedy_insertion(d, prizes, budget):
     """The OP greedy insertion as a scan of every (node, position) pair per
     step. `d` is the distance matrix as nested lists, so each delta and ratio

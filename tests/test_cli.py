@@ -160,6 +160,21 @@ def test_solve_directory_batch(tsp_dir, tmp_path, capsys):
     assert [p.name for p in ref_files] == [p.name for p in _instance_files(tsp_dir)]
 
 
+def test_solve_tsili_without_seed_is_reproducible(tmp_path, capsys):
+    insts, refs = tmp_path / "insts", tmp_path / "refs"
+    run(capsys, "generate", "--kind", "op", "--count", "3", "--seed", "1",
+        "--size", "40", "--out", str(insts))
+    written = []
+    for _ in range(2):
+        code, _, _ = run(
+            capsys, "solve", "--instance", str(insts), "--method", "tsili", "--out", str(refs)
+        )
+        assert code == 0
+        written.append([p.read_bytes() for p in _instance_files(refs)])
+    assert len(written[0]) == 3
+    assert written[0] == written[1]
+
+
 def test_solve_wrong_method_for_kind(tsp_dir, capsys):
     inst_file = _instance_files(tsp_dir)[0]
     code, _, err = run(capsys, "solve", "--instance", str(inst_file), "--method", "neh")
@@ -222,6 +237,25 @@ def test_verify_infeasible_response_exits_one(tsp_dir, tmp_path, capsys):
     assert code == 2
     payload = json.loads(out)
     assert payload["zeta"] == 1 and payload["feasible"] is False
+
+
+def test_verify_prints_one_shape_for_every_answer(tsp_dir, tmp_path, capsys):
+    inst_file = _instance_files(tsp_dir)[0]
+    payloads = []
+    for answer in ("I cannot solve this.", "Route: [0, 1, 0]"):
+        resp = tmp_path / "resp.txt"
+        resp.write_text(answer + "\n")
+        code, out, _ = run(
+            capsys, "verify", "--instance", str(inst_file), "--response", str(resp)
+        )
+        assert code == 2
+        payloads.append(json.loads(out))
+    unparsed, infeasible = payloads
+    assert list(unparsed) == list(infeasible)
+    assert unparsed["zeta"] is False and unparsed["feasible"] is False
+    assert [name for name, _ in unparsed["constraints"]] == [
+        name for name, _ in infeasible["constraints"]
+    ]
 
 
 def test_verify_reference_id_mismatch(tsp_dir, tmp_path, capsys):

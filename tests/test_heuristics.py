@@ -22,8 +22,12 @@ from cobench.heuristics import (
     SEEDED_METHODS,
     aco_solve,
     brute_force,
+    mis_greedy_min_degree,
+    op_greedy,
     op_greedy_insertion,
+    pfsp_neh,
     solve,
+    tsp_nearest_neighbor,
 )
 from cobench.heuristics.routing import two_opt
 from cobench.problems.generate import distance_matrix
@@ -368,6 +372,28 @@ def test_solve_result_fields():
     assert res.objective.value == objective(inst, res.solution).value
 
 
+def test_solve_runs_seeded_methods_with_seed_zero_by_default():
+    small = {"aco": dict(ants=4, iterations=3), "tsili": dict(samples=64)}
+    for kind, methods in METHODS_BY_KIND.items():
+        for method, seed in itertools.product(SEEDED_METHODS.intersection(methods), (1, 2)):
+            inst = make_instance(kind, size=40, seed=seed)
+            unseeded = solve(inst, method, **small[method])
+            assert unseeded == solve(inst, method, seed=0, **small[method]), (inst.id, method)
+
+
+def test_kind_guard_names_expected_and_given_kind():
+    tsp, mis, pfsp = (
+        make_instance(kind, size=5) for kind in (ProblemKind.TSP, ProblemKind.MIS, ProblemKind.PFSP)
+    )
+    for solver, inst, message in (
+        (tsp_nearest_neighbor, mis, "expected a tsp instance, got mis"),
+        (mis_greedy_min_degree, pfsp, "expected a mis instance, got pfsp"),
+        (pfsp_neh, tsp, "expected a pfsp instance, got tsp"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solver(inst)
+
+
 def test_seeded_methods_registry():
     assert SEEDED_METHODS == {"aco", "tsili"}
     for kind, methods in METHODS_BY_KIND.items():
@@ -379,18 +405,30 @@ def test_seeded_methods_registry():
             assert check(inst, res.solution).feasible
 
 
-def test_op_greedy_insertion_matches_pair_scan():
+def _op_cases():
     rnd = random.Random(4)
     insts = [make_instance(ProblemKind.OP, size=n, seed=n) for n in (2, 10, 40)]
     for n in (3, 8, 15, 25):  # tie-rich: a 5x5 integer grid, prizes 0-2
         coords = [(rnd.randint(0, 4), rnd.randint(0, 4)) for _ in range(n)]
         prizes = [0] + [rnd.randint(0, 2) for _ in range(n - 1)]
         insts.append(_op(coords, prizes, rnd.choice([2, 5, 10, 20])))
-    for inst in insts:
+    return insts
+
+
+def test_op_greedy_insertion_matches_pair_scan():
+    for inst in _op_cases():
         p = inst.payload
         d = distance_matrix(p.coords).tolist()
         expected = oracles.op_greedy_insertion(d, p.prizes, p.distance_limit)
         assert op_greedy_insertion(inst).nodes == tuple(expected)
+
+
+def test_op_greedy_matches_walk_scan():
+    for inst in _op_cases():
+        p = inst.payload
+        d = distance_matrix(p.coords).tolist()
+        expected = oracles.op_greedy(d, p.prizes, p.distance_limit)
+        assert op_greedy(inst).nodes == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +554,17 @@ def test_mvc_exact_is_complement_of_mis():
 
 def test_pfsp_exact_matches_permutation_scan():
     rnd = random.Random(4)
-    for trial in range(3):
+    for top in (40, 40, 40, 3):  # the last trial has many tied makespans
         jobs, machines = 6, 3
-        ptimes = [[rnd.randint(1, 40) for _ in range(machines)] for _ in range(jobs)]
+        ptimes = [[rnd.randint(1, top) for _ in range(machines)] for _ in range(jobs)]
         inst = _pfsp(ptimes)
-        _, val = brute_force(inst)
+        sol, val = brute_force(inst)
+        # min keeps the first best permutation, as the exact search must
         best = min(
-            pfsp_makespan(ptimes, perm) for perm in itertools.permutations(range(jobs))
+            itertools.permutations(range(jobs)), key=lambda perm: pfsp_makespan(ptimes, perm)
         )
-        assert val.value == pytest.approx(best)
+        assert sol.jobs == best
+        assert val.value == pfsp_makespan(ptimes, best)
 
 
 def test_jssp_exact_matches_sequence_scan():

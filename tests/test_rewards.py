@@ -276,12 +276,10 @@ def test_reward_config_validation():
     with pytest.raises(ValueError):
         RewardConfig(beta_kl=-0.01)
     with pytest.raises(ValueError):
-        RewardConfig(group_size=1)
-    with pytest.raises(ValueError):
         RewardConfig(std_floor=0.0)
 
 
 def test_reward_config_defaults():
     cfg = DEFAULT_REWARD_CONFIG
     assert (cfg.alpha, cfg.epsilon_clip, cfg.beta_kl) == (1.0, 0.1, 0.05)
-    assert (cfg.group_size, cfg.std_floor) == (8, 1e-8)
+    assert cfg.std_floor == 1e-8
