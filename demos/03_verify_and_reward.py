@@ -47,7 +47,7 @@ for label, text in (("perfect", perfect), ("shorter", worse), ("prose", prose)):
 
 # One extra sample so the group has spread, then the GRPO-side math.
 group = np.array(rewards + [rewards[0]])
-adv = group_advantages(group, cfg.std_floor)
+adv = group_advantages(group)
 ratios = np.array([1.02, 0.97, 1.30, 1.0])  # pretend policy ratios
 surr = grpo_surrogate(ratios, adv, kl=0.01, cfg=cfg)
 print(f"\ngroup rewards  {np.round(group, 3)}")

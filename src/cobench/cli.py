@@ -24,7 +24,7 @@ from .evalharness.endpoint import (
 from .evalharness.metrics import EvalRecord, build_candidate, metrics
 from .evalharness.mock import MockPolicyConfig, mock_policy
 from .evalharness.sft import export_sft
-from .heuristics import METHODS_BY_KIND, BudgetExceededError, brute_force, solve
+from .heuristics import METHODS_BY_KIND, SEEDED_METHODS, BudgetExceededError, brute_force, solve
 from .problems.generate import gen_batch
 from .problems.io import (
     ReferenceSolution,
@@ -161,6 +161,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     out_dir: Optional[Path] = Path(args.out) if args.out else None
     if out_dir is not None and (len(instances) > 1 or out_dir.is_dir()):
         out_dir.mkdir(parents=True, exist_ok=True)
+    # The seed the solver runs with: a seeded method given none runs with 0.
+    seed = 0 if args.seed is None and args.method in SEEDED_METHODS else args.seed
+    provenance = dict(_provenance(args), seed=seed)
     for inst in instances:
         if args.method not in METHODS_BY_KIND[inst.kind]:
             return _fail(
@@ -168,7 +171,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"(choose from: {', '.join(METHODS_BY_KIND[inst.kind])})",
                 EXIT_USAGE,
             )
-        result = solve(inst, args.method, seed=args.seed)
+        result = solve(inst, args.method, seed=seed)
         ref = ReferenceSolution(
             instance_id=inst.id,
             solution=result.solution,
@@ -183,7 +186,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 if out_dir.is_dir()
                 else out_dir
             )
-            save_reference(ref, target, provenance=_provenance(args))
+            save_reference(ref, target, provenance=provenance)
     return EXIT_OK
 
 

@@ -141,8 +141,10 @@ def load_rows(path: Path) -> Tuple[Dict[str, dict], int]:
     of the file up to the end of its last whole row.
 
     A later row for an id replaces an earlier one. An unparsable final line,
-    left by a write cut short, is skipped; an unparsable line anywhere else
-    raises ValueError."""
+    left by a write cut short, is skipped. An unparsable line anywhere else,
+    or a row that is not an object with a string instance_id, a raw_texts
+    list or null, and a numeric wall_time if any, raises ValueError naming
+    its line."""
     rows: Dict[str, dict] = {}
     end = 0
     lines = path.read_bytes().splitlines(keepends=True)
@@ -150,13 +152,28 @@ def load_rows(path: Path) -> Tuple[Dict[str, dict], int]:
         if line.strip():
             try:
                 row = json.loads(line)
-            except ValueError:
+            except ValueError as err:
                 if i == len(lines) - 1:
                     break
-                raise
+                raise ValueError(f"{path} line {i + 1}: {err}") from None
+            if not _row_ok(row):
+                raise ValueError(
+                    f"{path} line {i + 1}: expected an object with a string "
+                    "instance_id, a raw_texts list or null, and a numeric wall_time if any"
+                )
             rows[row["instance_id"]] = row
         end += len(line)
     return rows, end
+
+
+def _row_ok(row: object) -> bool:
+    return (
+        isinstance(row, dict)
+        and isinstance(row.get("instance_id"), str)
+        and "raw_texts" in row
+        and (row["raw_texts"] is None or isinstance(row["raw_texts"], list))
+        and isinstance(row.get("wall_time", 0.0), (int, float))
+    )
 
 
 def _append_row(fh: BinaryIO, row: dict) -> None:

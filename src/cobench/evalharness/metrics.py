@@ -162,10 +162,10 @@ class MetricsSummary:
         }
 
 
-def _summarize(records: Sequence[EvalRecord], ks: Sequence[int], tiers: bool) -> MetricsSummary:
+def _summarize(records: Sequence[EvalRecord], tiers: bool) -> MetricsSummary:
     n = len(records)
     if n == 0:
-        return MetricsSummary(0, 0.0, 0.0, None, None, {k: 0.0 for k in ks}, {})
+        return MetricsSummary(0, 0.0, 0.0, None, None, {k: 0.0 for k in GAP_KS}, {})
     feas = sum(1 for r in records if r.any_feasible) / n
     total_samples = sum(len(r.candidates) for r in records)
     fmt = (
@@ -180,7 +180,7 @@ def _summarize(records: Sequence[EvalRecord], ks: Sequence[int], tiers: bool) ->
         mu = mean_gap
         gap_std = math.sqrt(sum((g - mu) ** 2 for g in gaps) / len(gaps))
     gap_at_k: Dict[int, float] = {}
-    for k in ks:
+    for k in GAP_KS:
         hit = sum(1 for r in records if r.gap is not None and r.gap * 100.0 < k)
         gap_at_k[k] = hit / n
     by_tier: Dict[str, MetricsSummary] = {}
@@ -188,7 +188,7 @@ def _summarize(records: Sequence[EvalRecord], ks: Sequence[int], tiers: bool) ->
         for tier in ("small", "medium", "large"):
             sub = [r for r in records if r.size_tier == tier]
             if sub:
-                by_tier[tier] = _summarize(sub, ks, tiers=False)
+                by_tier[tier] = _summarize(sub, tiers=False)
     wall = sum(r.wall_time for r in records) / n
     return MetricsSummary(
         num_records=n,
@@ -202,6 +202,7 @@ def _summarize(records: Sequence[EvalRecord], ks: Sequence[int], tiers: bool) ->
     )
 
 
-def metrics(records: Sequence[EvalRecord], ks: Sequence[int] = GAP_KS) -> MetricsSummary:
-    """Aggregate feasibility and gap metrics, overall and per size tier."""
-    return _summarize(records, ks, tiers=True)
+def metrics(records: Sequence[EvalRecord]) -> MetricsSummary:
+    """Aggregate feasibility and gap metrics, overall and per size tier,
+    with Gap@K for each K in GAP_KS."""
+    return _summarize(records, tiers=True)

@@ -7,6 +7,7 @@ strings used by the CLI and the evaluation harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from ..problems.types import Instance, ObjectiveValue, ProblemKind, Solution
@@ -61,9 +62,9 @@ _REGISTRY: Dict[Tuple[ProblemKind, str], Solver] = {
     (ProblemKind.MVC, "degree"): mvc_degree_removal,
     (ProblemKind.PFSP, "palmer"): pfsp_palmer,
     (ProblemKind.PFSP, "neh"): pfsp_neh,
-    (ProblemKind.JSSP, "spt"): lambda inst, **kw: jssp_dispatch(inst, rule="spt", **kw),
-    (ProblemKind.JSSP, "fifo"): lambda inst, **kw: jssp_dispatch(inst, rule="fifo", **kw),
-    (ProblemKind.JSSP, "atc"): lambda inst, **kw: jssp_dispatch(inst, rule="atc", **kw),
+    (ProblemKind.JSSP, "spt"): partial(jssp_dispatch, rule="spt"),
+    (ProblemKind.JSSP, "fifo"): partial(jssp_dispatch, rule="fifo"),
+    (ProblemKind.JSSP, "atc"): partial(jssp_dispatch, rule="atc"),
 }
 
 # Method names per kind, in registry order (the order CLI messages list them).

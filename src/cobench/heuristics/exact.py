@@ -13,6 +13,7 @@ subset's paths into loops and partitions the customers among them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -270,7 +271,11 @@ def _pfsp_exact(inst: Instance, budget: BruteForceBudget) -> JobOrder:
     jobs = p.num_jobs
     if jobs > budget.pfsp_max_jobs:
         raise BudgetExceededError(inst.kind, jobs, budget.pfsp_max_jobs)
-    perms = np.array(list(itertools.permutations(range(jobs))), dtype=np.int64)
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(jobs))),
+        dtype=np.int64,
+        count=math.factorial(jobs) * jobs,
+    ).reshape(-1, jobs)
     pt = np.asarray(p.ptimes, dtype=float)  # J x M
     # completion[:, i]: when machine i finishes the jobs placed so far. The
     # flow-shop step C'_i = max(C'_{i-1}, C_i) + t_i, for a job with times t,

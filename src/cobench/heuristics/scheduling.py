@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..problems.types import Instance, JobOrder, MachineSchedules, ProblemKind
 from ..verify import pfsp_makespan
@@ -42,71 +42,41 @@ def pfsp_neh(inst: Instance) -> JobOrder:
     return JobOrder(tuple(order))
 
 
-def jssp_dispatch(
-    inst: Instance,
-    rule: str = "spt",
-    due_dates: Optional[Sequence[float]] = None,
-    atc_k: float = 2.0,
-) -> MachineSchedules:
+def jssp_dispatch(inst: Instance, rule: str = "spt") -> MachineSchedules:
     """Non-delay dispatching simulation producing per-machine job sequences.
 
-    At each step the globally earliest startable operation's machine is
-    selected, and the rule picks among that machine's ready candidates:
+    At each step the earliest start over every job's next operation picks the
+    machine (ties to the lower machine), and the rule picks among the
+    operations that can start there at that time (ties to the lower job):
     spt  - shortest processing time,
     fifo - earliest arrival at the machine (job ready time),
-    atc  - apparent tardiness cost index (w=1); without due dates (all 0,
-           the default) the exponential term is 1 and atc reduces to spt.
+    atc  - apparent tardiness cost. Instances carry no due dates, so every
+           slack is 0, the index is 1/p, and atc picks what spt picks.
     """
     p = _require(inst, ProblemKind.JSSP)
     if rule not in ("spt", "fifo", "atc"):
         raise ValueError(f"unknown dispatching rule {rule!r}")
     jobs, machines = p.num_jobs, p.num_machines
-    due = list(due_dates) if due_dates is not None else [0.0] * jobs
-    if len(due) != jobs:
-        raise ValueError("need one due date per job")
-
-    t_job = [0.0] * jobs        # completion time of each job's last operation
-    t_mach = [0.0] * machines   # completion time of each machine's last operation
+    t_job = [0] * jobs       # completion time of each job's last operation
+    t_mach = [0] * machines  # completion time of each machine's last operation
     next_op = [0] * jobs
     sequences: List[List[int]] = [[] for _ in range(machines)]
+    key = (
+        (lambda j: (t_job[j], j))
+        if rule == "fifo"
+        else (lambda j: (p.ptimes[j][next_op[j]], j))
+    )
 
     for _ in range(jobs * machines):
-        # earliest possible start over all pending operations
-        best_machine, t_start = None, math.inf
+        ready = []
         for j in range(jobs):
-            i = next_op[j]
-            if i >= machines:
-                continue
-            m = p.machine_order[j][i]
-            est = max(t_job[j], t_mach[m])
-            if est < t_start - 1e-12 or (
-                abs(est - t_start) <= 1e-12 and (best_machine is None or m < best_machine)
-            ):
-                t_start, best_machine = est, m
-        # candidates: pending ops on that machine able to start at t_start
-        pool = []
-        for j in range(jobs):
-            i = next_op[j]
-            if i < machines and p.machine_order[j][i] == best_machine:
-                if max(t_job[j], t_mach[best_machine]) <= t_start + 1e-12:
-                    pool.append(j)
-        if rule == "spt":
-            j = min(pool, key=lambda jj: (p.ptimes[jj][next_op[jj]], jj))
-        elif rule == "fifo":
-            j = min(pool, key=lambda jj: (t_job[jj], jj))
-        else:
-            pbar = sum(p.ptimes[jj][next_op[jj]] for jj in pool) / len(pool)
-            def atc_index(jj: int) -> float:
-                proc = p.ptimes[jj][next_op[jj]]
-                slack = max(due[jj] - proc - t_start, 0.0)
-                return (1.0 / proc) * math.exp(-slack / (atc_k * pbar))
-            j = min(pool, key=lambda jj: (-atc_index(jj), jj))
-        i = next_op[j]
-        start = max(t_job[j], t_mach[best_machine])
-        finish = start + p.ptimes[j][i]
-        t_job[j] = finish
-        t_mach[best_machine] = finish
-        next_op[j] = i + 1
-        sequences[best_machine].append(j)
+            if next_op[j] < machines:
+                m = p.machine_order[j][next_op[j]]
+                ready.append((max(t_job[j], t_mach[m]), m, j))
+        start, machine, _ = min(ready)
+        j = min((j for est, m, j in ready if m == machine and est == start), key=key)
+        t_job[j] = t_mach[machine] = start + p.ptimes[j][next_op[j]]
+        next_op[j] += 1
+        sequences[machine].append(j)
 
     return MachineSchedules(tuple(tuple(s) for s in sequences))

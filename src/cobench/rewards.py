@@ -31,6 +31,9 @@ REWARD_WEIGHTS: Mapping[ProblemKind, Tuple[float, ...]] = {
     ProblemKind.JSSP: (0.2, 0.2, 0.2, 0.4),
 }
 
+# A group whose reward std is below this is degenerate (see group_advantages).
+_STD_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class RewardConfig:
@@ -39,7 +42,6 @@ class RewardConfig:
     alpha: float = 1.0          # optimality reward scale
     epsilon_clip: float = 0.1   # ratio clip half-width
     beta_kl: float = 0.05       # KL penalty coefficient
-    std_floor: float = 1e-8     # below this the group is degenerate
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -48,8 +50,6 @@ class RewardConfig:
             raise ValueError("epsilon_clip must lie in (0, 1)")
         if self.beta_kl < 0:
             raise ValueError("beta_kl must be nonnegative")
-        if self.std_floor <= 0:
-            raise ValueError("std_floor must be positive")
 
 
 DEFAULT_REWARD_CONFIG = RewardConfig()
@@ -124,19 +124,17 @@ def total_reward(
     return r
 
 
-def group_advantages(
-    rewards: Sequence[float], std_floor: float = DEFAULT_REWARD_CONFIG.std_floor
-) -> np.ndarray:
+def group_advantages(rewards: Sequence[float]) -> np.ndarray:
     """Standardize rewards within one group: (r - mean) / population std.
 
-    A (near-)constant group has no learning signal and comes back as zeros
-    instead of dividing by ~0.
+    A (near-)constant group, whose std is below _STD_FLOOR, has no learning
+    signal and comes back as zeros instead of dividing by ~0.
     """
     arr = np.asarray(rewards, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a flat group of at least 2 rewards")
     std = float(arr.std())  # population std (ddof=0)
-    if std < std_floor:
+    if std < _STD_FLOOR:
         return np.zeros_like(arr)
     return (arr - arr.mean()) / std
 

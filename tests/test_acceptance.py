@@ -414,7 +414,7 @@ def test_criterion_5_reward_tables_and_examples(capsys):
         problems.append("zeta gate did not zero the feasibility reward")
     if total_reward(ProblemKind.TSP, bad, 1.0, 1.0, cfg) != 0.0:
         problems.append("zeta gate did not zero the total reward")
-    if group_advantages(np.array([0.7, 0.7, 0.7, 0.7]), cfg.std_floor).any():
+    if group_advantages(np.array([0.7, 0.7, 0.7, 0.7])).any():
         problems.append("degenerate group did not zero advantages")
 
     # Perfect answer on a TSP instance: full feasibility credit plus an
@@ -424,7 +424,7 @@ def test_criterion_5_reward_tables_and_examples(capsys):
     if abs(total - 2.0) > 1e-12:
         problems.append(f"perfect total {total} != 2.0")
 
-    adv = group_advantages(np.array([1.8, 1.0, 0.2, 1.0]), cfg.std_floor)
+    adv = group_advantages(np.array([1.8, 1.0, 0.2, 1.0]))
     want = np.array([1.4142, 0.0, -1.4142, 0.0])
     if not np.allclose(adv, want, atol=1e-4):
         problems.append(f"advantages {adv} != {want}")

@@ -175,6 +175,23 @@ def test_solve_tsili_without_seed_is_reproducible(tmp_path, capsys):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize(
+    "method, seed, recorded",
+    [("tsili", [], 0), ("aco", [], 0), ("tsili", ["--seed", "3"], 3), ("greedy", [], None)],
+)
+def test_solve_provenance_records_the_seed_used(tmp_path, capsys, method, seed, recorded):
+    # A seeded method given no seed runs with 0, and its reference says so.
+    insts, ref_file = tmp_path / "insts", tmp_path / "ref.json"
+    run(capsys, "generate", "--kind", "op", "--count", "1", "--seed", "1",
+        "--size", "12", "--out", str(insts))
+    code, _, _ = run(
+        capsys, "solve", "--instance", str(insts), "--method", method, *seed,
+        "--out", str(ref_file),
+    )
+    assert code == 0
+    assert json.loads(ref_file.read_text())["provenance"]["seed"] == recorded
+
+
 def test_solve_wrong_method_for_kind(tsp_dir, capsys):
     inst_file = _instance_files(tsp_dir)[0]
     code, _, err = run(capsys, "solve", "--instance", str(inst_file), "--method", "neh")
@@ -513,6 +530,37 @@ def test_report_duplicate_ids_resolve_last_wins(bench, tmp_path, capsys):
     code, payload = _report(capsys, raw_file, insts, refs)
     assert code == 0
     assert payload["num_records"] == 3 and payload["feasibility_rate"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "[1]",
+        "null",
+        '{"instance_id": "IID", "raw_texts": 7}',
+        '{"instance_id": "IID"}',
+        '{"instance_id": 3, "raw_texts": null}',
+        '{"instance_id": "IID", "raw_texts": [], "wall_time": "x"}',
+    ],
+    ids=["list", "null", "int-texts", "no-texts", "int-id", "str-wall-time"],
+)
+def test_records_row_of_the_wrong_shape_is_data_error(bench, tmp_path, capsys, row):
+    insts, refs = bench
+    raw_file = tmp_path / "raw.jsonl"
+    run(capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
+        "--mock", "--out", str(raw_file))
+    iid = _instance_files(insts)[0].stem
+    raw_file.write_text(row.replace("IID", iid) + "\n" + raw_file.read_text())
+    for argv in (
+        ["report", "--records", str(raw_file)],
+        ["evaluate", "--mock", "--out", str(raw_file)],
+    ):
+        code, _, err = run(
+            capsys, *argv, "--instances", str(insts), "--references", str(refs)
+        )
+        assert code == 2, argv
+        assert err.startswith("error: ") and "line 1:" in err, argv
+        assert len(err.strip().splitlines()) == 1, argv
 
 
 def test_evaluate_missing_reference_is_usage_error(bench, tmp_path, capsys):

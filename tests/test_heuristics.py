@@ -22,6 +22,7 @@ from cobench.heuristics import (
     SEEDED_METHODS,
     aco_solve,
     brute_force,
+    jssp_dispatch,
     mis_greedy_min_degree,
     op_greedy,
     op_greedy_insertion,
@@ -34,13 +35,14 @@ from cobench.problems.generate import distance_matrix
 from cobench.problems.types import (
     GraphInstance,
     Instance,
+    MachineSchedules,
     ProblemKind,
     Route,
     RoutingInstance,
     SchedulingInstance,
     Sense,
 )
-from cobench.verify import check, objective, pfsp_makespan
+from cobench.verify import check, jssp_start_times, objective, pfsp_makespan
 
 from conftest import ALL_KINDS, ROUTING_KINDS, make_instance
 
@@ -328,13 +330,39 @@ def test_atc_equals_spt_without_due_dates():
         assert solve(inst, "atc").solution == solve(inst, "spt").solution
 
 
-def test_atc_diverges_with_due_dates():
-    # A tight due date on the long job should pull it forward.
-    inst = _jssp([[9, 9], [2, 2], [3, 3]], [(0, 1), (0, 1), (0, 1)])
-    spt = solve(inst, "spt").solution
-    atc = solve(inst, "atc", due_dates=[5.0, 100.0, 100.0]).solution
-    assert spt != atc
-    assert atc.sequences[0][0] == 0  # urgent job dispatched first
+def _non_delay(inst, sol) -> bool:
+    """No machine idles while an operation it runs later is ready: at each
+    position k of a machine's sequence, no operation at k or later could
+    start before the one at k does."""
+    p = inst.payload
+    start = jssp_start_times(p, sol)
+    for m, seq in enumerate(sol.sequences):
+        ops = [(j, p.machine_order[j].index(m)) for j in seq]
+        ready = [start[j, i - 1] + p.ptimes[j][i - 1] if i else 0.0 for j, i in ops]
+        free = 0.0
+        for k, (j, i) in enumerate(ops):
+            if any(max(free, r) < start[j, i] for r in ready[k:]):
+                return False
+            free = start[j, i] + p.ptimes[j][i]
+    return True
+
+
+def test_non_delay_check_rejects_an_idle_machine():
+    # Machine 0 waits until t=5 for job 0 while job 1 is ready there at t=0.
+    inst = _jssp([[5, 1], [1, 1]], [(1, 0), (0, 1)])
+    assert not _non_delay(inst, MachineSchedules(((0, 1), (0, 1))))
+    assert _non_delay(inst, MachineSchedules(((1, 0), (0, 1))))
+
+
+@pytest.mark.parametrize("rule", ["spt", "fifo", "atc"])
+def test_dispatch_schedules_are_non_delay(rule):
+    rng = random.Random(14)
+    for seed in range(20):
+        jobs, machines, tmax = rng.randint(2, 8), rng.randint(2, 8), rng.choice((3, 100))
+        ptimes = [[rng.randint(1, tmax) for _ in range(machines)] for _ in range(jobs)]
+        orders = [rng.sample(range(machines), machines) for _ in range(jobs)]
+        for inst in (_jssp(ptimes, orders), make_instance(ProblemKind.JSSP, size=10, seed=seed)):
+            assert _non_delay(inst, jssp_dispatch(inst, rule)), (rule, seed)
 
 
 def test_scheduling_methods_feasible():
@@ -347,8 +375,6 @@ def test_scheduling_methods_feasible():
 
 
 def test_dispatch_rejects_unknown_rule():
-    from cobench.heuristics import jssp_dispatch
-
     inst = make_instance(ProblemKind.JSSP, size=5, seed=0)
     with pytest.raises(ValueError):
         jssp_dispatch(inst, rule="lpt")

@@ -275,11 +275,8 @@ def test_reward_config_validation():
         RewardConfig(epsilon_clip=1.0)
     with pytest.raises(ValueError):
         RewardConfig(beta_kl=-0.01)
-    with pytest.raises(ValueError):
-        RewardConfig(std_floor=0.0)
 
 
 def test_reward_config_defaults():
     cfg = DEFAULT_REWARD_CONFIG
     assert (cfg.alpha, cfg.epsilon_clip, cfg.beta_kl) == (1.0, 0.1, 0.05)
-    assert cfg.std_floor == 1e-8
