@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -214,6 +215,9 @@ def _cmd_reward(args: argparse.Namespace) -> int:
     reference = args.reference_objective
     if reference is None and args.reference:
         reference = load_reference(args.reference).objective
+    if reference is not None and not math.isfinite(reference):
+        # Rejected whatever the answer, not only where optimality_reward reads it.
+        return _fail(f"reference objective must be finite, got {reference}")
     cand = build_candidate(inst, text)
     report, value = cand.report, cand.objective
     r_f = feasibility_reward(inst.kind, report)

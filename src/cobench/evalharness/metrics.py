@@ -67,9 +67,13 @@ def bon_select(candidates: Sequence[Candidate], sense: Sense) -> Optional[int]:
 
 
 def solution_gap(sense: Sense, value: float, reference: float) -> float:
-    """Relative regret against a reference value; 0 means matching it."""
+    """Relative regret against a reference value; 0 means matching it.
+
+    A zero reference gives no scale: a value at or better than it has gap 0,
+    and a worse one an infinite gap, as optimality_reward pays them."""
     if reference == 0:
-        return 0.0 if value == reference else math.inf
+        better_or_equal = value <= 0 if sense is Sense.MIN else value >= 0
+        return 0.0 if better_or_equal else math.inf
     if sense is Sense.MIN:
         return (value - reference) / abs(reference)
     return (reference - value) / abs(reference)

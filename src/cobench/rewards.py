@@ -89,8 +89,11 @@ def optimality_reward(
     the reference are clamped to 1.05 * alpha with a logged warning, and the
     result never goes below 0. A zero reference (an OP can score 0) gives no
     scale for a gap: matching it earns alpha, beating it earns the clamped
-    ceiling, and falling short earns 0.
+    ceiling, and falling short earns 0. A NaN or infinite value or reference
+    raises ValueError.
     """
+    if not (math.isfinite(value) and math.isfinite(reference)):
+        raise ValueError(f"value and reference must be finite, got {value} and {reference}")
     sense = SENSE_BY_KIND[kind]
     if reference == 0:
         beats = value < 0 if sense is Sense.MIN else value > 0
@@ -128,11 +131,14 @@ def group_advantages(rewards: Sequence[float]) -> np.ndarray:
     """Standardize rewards within one group: (r - mean) / population std.
 
     A (near-)constant group, whose std is below _STD_FLOOR, has no learning
-    signal and comes back as zeros instead of dividing by ~0.
+    signal and comes back as zeros instead of dividing by ~0. A NaN or
+    infinite reward raises ValueError.
     """
     arr = np.asarray(rewards, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a flat group of at least 2 rewards")
+    if not np.isfinite(arr).all():
+        raise ValueError("rewards must be finite")
     std = float(arr.std())  # population std (ddof=0)
     if std < _STD_FLOOR:
         return np.zeros_like(arr)
@@ -148,11 +154,14 @@ def grpo_surrogate(
     """Clipped policy-gradient surrogate with a KL penalty.
 
     mean_i min(r_i * A_i, clip(r_i, 1-eps, 1+eps) * A_i) - beta * kl.
+    Every ratio, advantage and the kl estimate must be finite.
     """
     r = np.asarray(ratios, dtype=float)
     a = np.asarray(advantages, dtype=float)
     if r.shape != a.shape or r.ndim != 1 or r.size == 0:
         raise ValueError("ratios and advantages must be equal-length 1D sequences")
+    if not (np.isfinite(r).all() and np.isfinite(a).all() and math.isfinite(kl)):
+        raise ValueError("ratios, advantages and kl must be finite")
     if np.any(r <= 0):
         raise ValueError("probability ratios must be positive")
     if kl < 0:

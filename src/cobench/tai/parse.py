@@ -6,12 +6,22 @@ takes the LAST well-formed occurrence (models often restate their final
 answer), reads the bracketed payload, and picks up a following
 "Objective: <number>" if present.
 
-A payload is read with json.loads, and with ast.literal_eval only where
-JSON raises ValueError. Either way parse returns the same result for every
-input: the JSON values that can become a solution, ints in one or two list
-levels, are the values literal_eval gives the same payload, and every other
-JSON value (true, null, NaN, floats, strings) fails _as_int_list's exact
-int test.
+At each label the payload is first read in place by one
+json.JSONDecoder.raw_decode from its '['. When that value becomes a
+solution, parse returns it and looks for the stated objective from the
+decoder's end index. Otherwise (the decoder raised, or the value is no
+solution) the label falls back to cutting out the first balanced [...] and
+reading it with json.loads, and with ast.literal_eval only where JSON raises
+ValueError.
+
+The fast read gives the fallback's result for every input. A value that
+becomes a solution is ints in one or two list levels, so its text holds no
+string, and the first balanced ']' after the '[' is exactly where raw_decode
+ends: the fallback would cut out the same text and json.loads would read the
+same value. Within the fallback the two readers agree too: the JSON values
+that can become a solution are the values literal_eval gives the same
+payload, and every other JSON value (true, null, NaN, floats, strings) fails
+_as_int_list's exact int test.
 """
 
 from __future__ import annotations
@@ -50,14 +60,12 @@ _OBJECTIVE_RE = re.compile(
 # Markdown adornment and whitespace tolerated between a label and its '['.
 _LEAD_RE = re.compile(r"[ \t\r\n*_`]*")
 _BRACKET_RE = re.compile(r"[\[\]]")
+_DECODER = json.JSONDecoder()
 
 
-def _scan_bracket(text: str, start: int) -> Optional[Tuple[str, int]]:
+def _scan_bracket(text: str, i: int) -> Optional[Tuple[str, int]]:
     """Return (bracketed substring, end index) for the first balanced
-    [...] beginning at or shortly after `start`."""
-    i = _LEAD_RE.match(text, start).end()
-    if not text.startswith("[", i):
-        return None
+    [...] beginning at text[i], which is '['."""
     depth = 0
     for m in _BRACKET_RE.finditer(text, i):
         if m.group() == "[":
@@ -124,6 +132,29 @@ def _payload_to_solution(kind: ProblemKind, obj) -> Optional[Solution]:
     return MachineSchedules(nested) if nested is not None else None
 
 
+def _read_payload(kind: ProblemKind, text: str, i: int) -> Tuple[Optional[Solution], int]:
+    """The solution whose payload starts at text[i], which is '[', and the
+    index after the payload; (None, i) when there is none. One raw_decode
+    first, then the bracket scan; see the module docstring."""
+    try:
+        obj, end = _DECODER.raw_decode(text, i)
+    except (ValueError, MemoryError, RecursionError):
+        pass
+    else:
+        sol = _payload_to_solution(kind, obj)
+        if sol is not None:
+            return sol, end
+    scanned = _scan_bracket(text, i)
+    if scanned is None:
+        return None, i
+    payload_text, end = scanned
+    try:
+        obj = _literal(payload_text)
+    except (ValueError, SyntaxError, MemoryError, RecursionError):
+        return None, i
+    return _payload_to_solution(kind, obj), end
+
+
 def _stated_objective(text: str, after: int) -> Optional[float]:
     m = _OBJECTIVE_RE.search(text, pos=after)
     return float(m.group(1)) if m else None
@@ -138,15 +169,10 @@ def parse(text, kind: ProblemKind) -> ParsedSolution:
         grammar = GRAMMAR_BY_KIND[kind]
         positions = [m.end() for m in _LABEL_RES[grammar].finditer(text)]
         for pos in reversed(positions):
-            scanned = _scan_bracket(text, pos)
-            if scanned is None:
+            i = _LEAD_RE.match(text, pos).end()
+            if not text.startswith("[", i):
                 continue
-            payload_text, end = scanned
-            try:
-                obj = _literal(payload_text)
-            except (ValueError, SyntaxError, MemoryError, RecursionError):
-                continue
-            sol = _payload_to_solution(kind, obj)
+            sol, end = _read_payload(kind, text, i)
             if sol is None:
                 continue
             return ParsedSolution(

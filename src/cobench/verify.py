@@ -10,6 +10,18 @@ JSSP rows that are not permutations, or a deadlocked schedule). check() and
 objective() are thin views of score(); objective() raises ValueError where
 the value is None.
 
+score() remembers its last call in one module-level slot holding the
+instance, the solution and their (report, value). A call whose instance and
+solution are the same objects (`is`) as the last call's returns the stored
+result, so check() then objective() on one answer, as an RL loop runs them,
+or solve()'s objective() then check(), scores it once. A result is stored
+only when the solution's ids sit in immutable containers: a tuple (a tuple of
+tuples for RouteSet and MachineSchedules) or a frozenset, which is what the
+parser and every heuristic build. A solution whose ids are held in a list is
+scored on every call, so mutating it between calls never returns a stale
+result. The slot is read and written as one tuple each, so threads need no
+lock: a call that races another is at worst a miss.
+
 JSSP answers are decoded semi-actively by Kahn's walk over the operation
 graph, from tables built once per instance and kept on its frozen payload.
 The machine-conflict and precedence constraints are then still verified
@@ -137,20 +149,43 @@ def _shape_ok(sol: Solution) -> bool:
     )
 
 
+def _frozen_ids(sol: Solution) -> bool:
+    """The solution's ids sit in a tuple or frozenset, and each row of a
+    RouteSet or MachineSchedules in a tuple, so its score cannot change."""
+    (ids,) = vars(sol).values()
+    if type(ids) is frozenset:
+        return True
+    return type(ids) is tuple and (
+        not isinstance(sol, (RouteSet, MachineSchedules))
+        or all(type(r) is tuple for r in ids)
+    )
+
+
+# The last stored call: (instance, solution, scored). See the module docstring.
+_last: Tuple[object, object, Optional[Scored]] = (object(), object(), None)
+
+
 def score(inst: Instance, sol: Solution) -> Scored:
     """Feasibility report and objective value of `sol`. Never raises.
 
     The value is None only when the solution cannot be scored; it is never
     None for a solution the report calls feasible.
     """
+    global _last
+    last_inst, last_sol, scored = _last
+    if sol is last_sol and inst is last_inst:
+        return scored
     if not (isinstance(sol, SOLUTION_TYPE_BY_KIND[inst.kind]) and _shape_ok(sol)):
         return _failed_report(inst.kind), None
     try:
-        return _SCORERS[inst.kind](inst.payload, sol)
+        scored = _SCORERS[inst.kind](inst.payload, sol)
     except (TypeError, ValueError, LookupError):
         # A collection the scorer cannot index or compare: a set or mapping
         # in an ordered field, or a numpy array as an id.
         return _failed_report(inst.kind), None
+    if _frozen_ids(sol):
+        _last = (inst, sol, scored)
+    return scored
 
 
 def check(inst: Instance, sol: Solution) -> FeasibilityReport:

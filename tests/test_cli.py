@@ -378,6 +378,54 @@ def test_reward_bad_alpha_exits_two(tsp_dir, tmp_path, capsys, answer):
     assert "alpha must be positive" in err
 
 
+def _echo_reference(tsp_dir, tmp_path, capsys, answer="echo"):
+    """An instance file, its NN reference file and a response: one echoing
+    the reference, or prose that does not parse."""
+    inst_file = _instance_files(tsp_dir)[0]
+    ref_file = tmp_path / "ref.json"
+    run(capsys, "solve", "--instance", str(inst_file), "--method", "nn",
+        "--out", str(ref_file))
+    ref = load_reference(ref_file)
+    from cobench.tai.render import format_solution
+
+    resp = tmp_path / "resp.txt"
+    kind = load_instance(inst_file).kind
+    if answer == "echo":
+        answer = format_solution(kind, ref.solution, ref.objective)
+    resp.write_text(answer + "\n")
+    return inst_file, ref_file, resp
+
+
+@pytest.mark.parametrize("answer", ["echo", "no answer"], ids=["parsed", "unparsed"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_reward_non_finite_reference_objective_exits_two(
+    tsp_dir, tmp_path, capsys, bad, answer
+):
+    inst_file, _, resp = _echo_reference(tsp_dir, tmp_path, capsys, answer)
+    code, out, err = run(
+        capsys, "reward", "--instance", str(inst_file), "--response", str(resp),
+        f"--reference-objective={bad}",  # '=' keeps argparse from reading -inf as a flag
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("answer", ["echo", "no answer"], ids=["parsed", "unparsed"])
+def test_reward_non_finite_reference_file_exits_two(tsp_dir, tmp_path, capsys, answer):
+    inst_file, ref_file, resp = _echo_reference(tsp_dir, tmp_path, capsys, answer)
+    doc = json.loads(ref_file.read_text())
+    doc["objective"] = float("nan")
+    ref_file.write_text(json.dumps(doc))  # writes the bare token NaN
+    code, out, err = run(
+        capsys, "reward", "--instance", str(inst_file), "--response", str(resp),
+        "--reference", str(ref_file),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -132,6 +132,24 @@ def test_solution_gap_formulas():
 def test_solution_gap_zero_reference():
     assert solution_gap(Sense.MIN, 0.0, 0.0) == 0.0
     assert solution_gap(Sense.MIN, 1.0, 0.0) == float("inf")
+    # At or better than a zero reference is no regret, as optimality_reward pays it.
+    assert solution_gap(Sense.MIN, -1.0, 0.0) == 0.0
+    assert solution_gap(Sense.MAX, 5.0, 0.0) == 0.0
+    assert solution_gap(Sense.MAX, 0.0, 0.0) == 0.0
+    assert solution_gap(Sense.MAX, -5.0, 0.0) == float("inf")
+
+
+def test_metrics_beating_a_zero_prize_op_reference_is_finite():
+    # An OP reference can collect no prize; a feasible answer that beats it
+    # must not turn the summary into inf/NaN or the report into Infinity/NaN.
+    inst, sol, value = feasible_pair(ProblemKind.OP, size=12)
+    assert value > 0
+    rec = build_record(inst, [format_solution(inst.kind, sol, value)], 0.0)
+    assert rec.gap == 0.0
+    m = metrics([rec])
+    assert (m.mean_gap, m.gap_std) == (0.0, 0.0)
+    assert m.gap_at_k == {1: 1.0, 5: 1.0, 10: 1.0}
+    json.dumps(m.to_dict(), allow_nan=False)  # must not raise
 
 
 def _routing_inst(n):

@@ -139,6 +139,17 @@ def test_optimality_reward_zero_reference():
     assert optimality_reward(ProblemKind.TSP, 10.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", [ProblemKind.TSP, ProblemKind.OP])
+def test_optimality_reward_rejects_non_finite(kind, bad):
+    # A NaN or infinite reference used to pay a MIN answer the ceiling and
+    # a MAX answer 0.
+    with pytest.raises(ValueError, match="finite"):
+        optimality_reward(kind, 10.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        optimality_reward(kind, bad, 10.0)
+
+
 def test_optimality_reward_alpha_scaling():
     cfg = RewardConfig(alpha=2.0)
     assert optimality_reward(ProblemKind.TSP, 100.0, 100.0, cfg) == pytest.approx(2.0)
@@ -208,6 +219,13 @@ def test_group_advantages_rejects_short_or_nested():
         group_advantages(np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_group_advantages_rejects_non_finite(bad):
+    # NaN slipped through the std floor test and came back as NaN advantages.
+    with pytest.raises(ValueError, match="finite"):
+        group_advantages([1.0, bad, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # Clipped surrogate
 
@@ -259,6 +277,17 @@ def test_surrogate_validation():
         grpo_surrogate([1.0, 1.0], [1.0], 0.0)  # shape mismatch
     with pytest.raises(ValueError):
         grpo_surrogate([], [], 0.0)  # empty
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_surrogate_rejects_non_finite(bad):
+    # NaN passed both the ratio sign test and the kl sign test.
+    with pytest.raises(ValueError, match="finite"):
+        grpo_surrogate([1.0, bad], [1.0, -1.0], 0.0)  # ratio
+    with pytest.raises(ValueError, match="finite"):
+        grpo_surrogate([1.0, 1.0], [bad, -1.0], 0.0)  # advantage
+    with pytest.raises(ValueError, match="finite"):
+        grpo_surrogate([1.0, 1.0], [1.0, -1.0], bad)  # kl
 
 
 # ---------------------------------------------------------------------------

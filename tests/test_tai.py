@@ -615,6 +615,12 @@ _GRAMMAR_KINDS = (
 @example("Set: [01, 2]")
 @example("Schedule: [[0, 1], [" + "9" * 4301 + "]]")
 @example("Route: [0, 1] Route: [" + "1" * 19 + "]")
+# Each way the one-pass read falls back to the bracket scan, or must agree with it.
+@example('Route: [0, 1, 0] then Route: ["]", 1]')
+@example("Route: " + "[" * 100_000)
+@example("Route: [0, 1]]")
+@example("Route: [(0, 1)]")
+@example("Route: [1.0, 2]")
 def test_parse_matches_literal_eval_reference(text):
     for kind in _GRAMMAR_KINDS:
         assert parse(text, kind) == oracles.reference_parse(text, kind), kind

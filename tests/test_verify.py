@@ -4,6 +4,8 @@ independent implementations in oracles.py."""
 import copy
 import pickle
 import random
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -37,7 +39,10 @@ from cobench.verify import (
     score,
 )
 
-from conftest import ALL_KINDS, make_instance
+from cobench import verify
+from cobench.tai.parse import parse
+from cobench.tai.render import format_solution
+from conftest import ALL_KINDS, make_instance, reference_solution
 
 
 def _flags(report):
@@ -581,8 +586,6 @@ def test_score_is_total_and_feasible_means_scoreable(kind, data):
 def test_constraint_names_match_report_order():
     for kind in ALL_KINDS:
         inst = make_instance(kind, seed=1)
-        from conftest import reference_solution
-
         sol, _ = reference_solution(inst)
         report = check(inst, sol)
         assert tuple(n for n, _ in report.constraints) == CONSTRAINT_NAMES[kind]
@@ -655,9 +658,131 @@ def test_check_agrees_with_oracle(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_objective_agrees_with_oracle_on_feasible(kind):
-    from conftest import reference_solution
-
     for seed in range(4):
         inst = make_instance(kind, size={"pfsp": 6, "jssp": 5}.get(kind.value, 10), seed=seed)
         sol, value = reference_solution(inst)
         assert value == pytest.approx(oracles.objective_value(inst, sol))
+
+
+# ---------------------------------------------------------------------------
+# The last-call slot: one scoring per answer, never a stale one
+
+
+def _count_scorer(monkeypatch, kind):
+    """Wrap the kind's scorer in verify._SCORERS; return the list of calls."""
+    calls = []
+    inner = verify._SCORERS[kind]
+
+    def counting(p, sol):
+        calls.append(sol)
+        return inner(p, sol)
+
+    monkeypatch.setitem(verify._SCORERS, kind, counting)
+    return calls
+
+
+def _mid_instance(kind):
+    return make_instance(kind, size={"pfsp": 6, "jssp": 5}.get(kind.value, 10))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_check_then_objective_scores_a_parsed_answer_once(kind, monkeypatch):
+    inst = _mid_instance(kind)
+    ref, value = reference_solution(inst)
+    calls = _count_scorer(monkeypatch, kind)
+    sol = parse(format_solution(kind, ref, value), kind).solution
+    assert check(inst, sol).feasible
+    assert objective(inst, sol).value == pytest.approx(value)
+    assert len(calls) == 1
+    # solve()'s order, objective then check, on a fresh parse.
+    sol = parse(format_solution(kind, ref, value), kind).solution
+    objective(inst, sol)
+    check(inst, sol)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_heuristic_solution_is_scored_once_by_solve_then_check(kind, monkeypatch):
+    from cobench.heuristics import METHODS_BY_KIND, solve
+
+    inst = _mid_instance(kind)
+    for method in METHODS_BY_KIND[kind]:
+        calls = _count_scorer(monkeypatch, kind)
+        result = solve(inst, method)
+        assert check(inst, result.solution).feasible, method
+        assert len(calls) == 1, method
+
+
+def test_list_solutions_mutated_between_calls_are_scored_afresh(monkeypatch):
+    inst = make_instance(ProblemKind.TSP, size=6)
+    calls = _count_scorer(monkeypatch, ProblemKind.TSP)
+    nodes = [0, 1, 2, 3, 4, 5, 0]
+    sol = Route(nodes)
+    assert check(inst, sol).feasible
+    first = objective(inst, sol).value
+    nodes[2] = 1  # a repeat: no longer a tour, and another length
+    assert not check(inst, sol).feasible
+    assert objective(inst, sol).value != first
+    assert len(calls) == 4
+
+    # A tuple of list rows is no frozen RouteSet either.
+    inst = make_instance(ProblemKind.CVRP, size=8)
+    ref, _ = reference_solution(inst)
+    rows = [list(r) for r in ref.routes]
+    sol = RouteSet(tuple(rows))
+    calls = _count_scorer(monkeypatch, ProblemKind.CVRP)
+    assert check(inst, sol).feasible
+    rows[0].insert(1, rows[-1][1])  # one customer served twice
+    assert not check(inst, sol).feasible
+    assert len(calls) == 2
+
+
+def test_equal_but_distinct_instance_or_solution_is_scored_afresh(monkeypatch):
+    inst = make_instance(ProblemKind.JSSP, size=4)
+    calls = _count_scorer(monkeypatch, ProblemKind.JSSP)
+    seqs = tuple(tuple(range(4)) for _ in range(4))
+    sol = MachineSchedules(seqs)
+    first = score(inst, sol)
+    assert score(inst, sol) is first  # the same objects: the stored result
+    assert len(calls) == 1
+    twin = MachineSchedules(tuple(tuple(row) for row in seqs))
+    assert twin == sol and twin is not sol
+    assert score(inst, twin) == first
+    assert len(calls) == 2
+    inst_twin = replace(inst)
+    assert inst_twin == inst and inst_twin is not inst
+    assert score(inst_twin, twin) == first
+    assert len(calls) == 3
+
+
+def test_threads_interleaving_score_calls_get_the_serial_results():
+    cases = []
+    for kind in ALL_KINDS:
+        inst = _mid_instance(kind)
+        ref, _ = reference_solution(inst)
+        cases.append((inst, ref))
+        cases.append((inst, _random_candidate(random.Random(kind.value), inst)))
+    expected = [score(inst, sol) for inst, sol in cases]
+    bad = []
+
+    def worker(offset):
+        for step in range(60):
+            i = (offset + step) % len(cases)
+            inst, sol = cases[i]
+            report = check(inst, sol)
+            got = score(inst, sol)
+            if report != expected[i][0] or got != expected[i]:
+                bad.append((offset, i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
