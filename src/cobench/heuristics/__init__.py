@@ -13,12 +13,7 @@ from typing import Callable, Dict, Optional, Tuple
 from ..problems.types import Instance, ObjectiveValue, ProblemKind, Solution
 from ..verify import objective
 from .aco import AcoConfig, aco_solve
-from .exact import (
-    DEFAULT_BUDGET,
-    BruteForceBudget,
-    BudgetExceededError,
-    brute_force,
-)
+from .exact import MAX_EXACT_SIZE, BudgetExceededError, brute_force
 from .graphs import (
     mis_degree_add,
     mis_greedy_min_degree,
@@ -105,9 +100,8 @@ def solve(
 
 __all__ = [
     "AcoConfig",
-    "BruteForceBudget",
     "BudgetExceededError",
-    "DEFAULT_BUDGET",
+    "MAX_EXACT_SIZE",
     "METHODS_BY_KIND",
     "SEEDED_METHODS",
     "SolveResult",

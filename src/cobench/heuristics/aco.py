@@ -2,16 +2,17 @@
 
 All three kinds build their ants' solutions with the shared masked-rollout
 kernel (rollout.py); a kind only supplies its heuristic desirability eta, its
-feasibility mask and what a stuck ant does. Each iteration computes the
-choice-info matrix tau**alpha * eta**beta once, and every step gathers one
-row of it per ant (Dorigo & Stuetzle, Ant Colony Optimization, 2004, ch. 3).
-Pheromones start at 1.0, evaporate by rho per iteration, and only the
-best-so-far solution deposits (elitist update).
+feasibility mask and what a stuck ant does. The exponents are the textbook
+alpha = 1 and beta = 2 (Dorigo & Stuetzle, Ant Colony Optimization, 2004,
+ch. 3), so each iteration computes the choice-info matrix tau * eta**2 once,
+and every step gathers one row of it per ant. Pheromones start at 1.0,
+evaporate by RHO per iteration, and only the best-so-far solution deposits
+(elitist update).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from ..problems.types import ROUTING_KINDS, Instance, ProblemKind, Route, RouteS
 from .rollout import rollout, roulette, within_budget
 
 _EPS = 1e-12
+RHO = 0.1  # fraction of pheromone lost per iteration
 
 
 @dataclass(frozen=True)
@@ -30,18 +32,11 @@ class AcoConfig:
 
     ants: int = 50
     iterations: int = 100
-    alpha: float = 1.0        # pheromone exponent
-    beta: float = 2.0         # heuristic desirability exponent
-    evaporation: float = 0.1  # rho, fraction of pheromone lost per iteration
-    seed: Optional[int] = None
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.ants < 1 or self.iterations < 1:
             raise ValueError("ants and iterations must be >= 1")
-        if not (0.0 < self.evaporation < 1.0):
-            raise ValueError("evaporation must lie strictly between 0 and 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
 
     @staticmethod
     def default_for(kind: ProblemKind) -> "AcoConfig":
@@ -53,7 +48,7 @@ class AcoConfig:
 def aco_solve(inst: Instance, cfg: Optional[AcoConfig] = None) -> Solution:
     """Best solution an elitist ant colony finds on a TSP, OP or CVRP instance."""
     if cfg is None:
-        cfg = replace(AcoConfig.default_for(inst.kind), seed=0)
+        cfg = AcoConfig.default_for(inst.kind)
     kind = inst.kind
     if kind not in ROUTING_KINDS:
         raise ValueError(f"no ACO construction for {kind.value}")
@@ -79,7 +74,7 @@ def aco_solve(inst: Instance, cfg: Optional[AcoConfig] = None) -> Solution:
         # a stuck ant heads to the depot, either to reload or to close its final loop
         rules = dict(feasible=fits, gain=demands, reload=True, max_steps=2 * p.n + 2)
     np.fill_diagonal(eta, 0.0)
-    eta_b = eta ** cfg.beta
+    eta_b = eta * eta
     rng = np.random.default_rng(cfg.seed)
     tau = np.ones_like(d)
     no_prize = np.zeros(cfg.ants)
@@ -88,7 +83,7 @@ def aco_solve(inst: Instance, cfg: Optional[AcoConfig] = None) -> Solution:
     for _ in range(cfg.iterations):
         # choice info, once per iteration; kept finite so that masking by a
         # product never turns an overflowed weight into NaN
-        ci = np.nan_to_num(tau ** cfg.alpha * eta_b, copy=False)
+        ci = np.nan_to_num(tau * eta_b, copy=False)
         walks = rollout(d, cfg.ants, lambda cur, mask: roulette(ci[cur] * mask, mask, rng), **rules)
         paths, length, prize = walks.paths, walks.length, no_prize
         if kind is ProblemKind.TSP:
@@ -104,7 +99,7 @@ def aco_solve(inst: Instance, cfg: Optional[AcoConfig] = None) -> Solution:
         ):
             best_prize, best_len = float(prize[i]), float(length[i])
             best = paths[i][paths[i] >= 0]
-        tau *= 1.0 - cfg.evaporation
+        tau *= 1.0 - RHO
         # elitist update; every edge gets the same amount, so the order of
         # the additions cannot change the sums
         amount = best_prize / total_prize if kind is ProblemKind.OP else 1.0 / max(best_len, _EPS)

@@ -1,8 +1,9 @@
 """Exact solvers for small instances, with hard size budgets.
 
 Every solver either returns a provably optimal solution or raises
-BudgetExceededError: there is no silent fallback to a heuristic. The budgets
-bound worst-case work, not typical runtime.
+BudgetExceededError: there is no silent fallback to a heuristic. The size
+budgets in MAX_EXACT_SIZE bound worst-case work, not typical runtime, and
+brute_force checks them once before it dispatches.
 
 One Held-Karp table of shortest depot-rooted paths over node subsets serves
 all three routing kinds: TSP closes the full set's paths at the depot, OP
@@ -14,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -47,40 +47,53 @@ class BudgetExceededError(Exception):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class BruteForceBudget:
-    tsp_max_nodes: int = 11
-    op_max_nodes: int = 10
-    cvrp_max_customers: int = 8
-    graph_max_nodes: int = 24
-    pfsp_max_jobs: int = 8
-    jssp_max_jobs: int = 3
-    jssp_max_machines: int = 3
+# The largest instance each kind searches: nodes for TSP, OP, MIS and MVC,
+# customers for CVRP, jobs for PFSP, and the larger of jobs and machines for
+# JSSP.
+MAX_EXACT_SIZE: Mapping[ProblemKind, int] = {
+    ProblemKind.TSP: 11,
+    ProblemKind.OP: 10,
+    ProblemKind.CVRP: 8,
+    ProblemKind.MIS: 24,
+    ProblemKind.MVC: 24,
+    ProblemKind.PFSP: 8,
+    ProblemKind.JSSP: 3,
+}
 
 
-DEFAULT_BUDGET = BruteForceBudget()
+def _exact_size(inst: Instance) -> int:
+    """The instance's size in the units of MAX_EXACT_SIZE."""
+    p = inst.payload
+    if inst.kind is ProblemKind.CVRP:
+        return p.n - 1
+    if inst.kind is ProblemKind.PFSP:
+        return p.num_jobs
+    if inst.kind is ProblemKind.JSSP:
+        return max(p.num_jobs, p.num_machines)
+    return p.n
 
 
-def brute_force(
-    inst: Instance, budget: BruteForceBudget = DEFAULT_BUDGET
-) -> Tuple[Solution, ObjectiveValue]:
+def brute_force(inst: Instance) -> Tuple[Solution, ObjectiveValue]:
     """Optimal solution and objective, or BudgetExceededError."""
     kind = inst.kind
+    size, limit = _exact_size(inst), MAX_EXACT_SIZE[kind]
+    if size > limit:
+        raise BudgetExceededError(kind, size, limit)
     if kind is ProblemKind.TSP:
-        sol = _tsp_exact(inst, budget)
+        sol = _tsp_exact(inst)
     elif kind is ProblemKind.OP:
-        sol = _op_exact(inst, budget)
+        sol = _op_exact(inst)
     elif kind is ProblemKind.CVRP:
-        sol = _cvrp_exact(inst, budget)
+        sol = _cvrp_exact(inst)
     elif kind is ProblemKind.MIS:
-        sol = VertexSet(frozenset(_mis_exact_ids(inst, budget)))
+        sol = VertexSet(frozenset(_mis_exact_ids(inst)))
     elif kind is ProblemKind.MVC:
-        mis = _mis_exact_ids(inst, budget)
+        mis = _mis_exact_ids(inst)
         sol = VertexSet(frozenset(range(inst.payload.num_nodes)) - frozenset(mis))
     elif kind is ProblemKind.PFSP:
-        sol = _pfsp_exact(inst, budget)
+        sol = _pfsp_exact(inst)
     else:
-        sol = _jssp_exact(inst, budget)
+        sol = _jssp_exact(inst)
     return sol, objective(inst, sol)
 
 
@@ -146,24 +159,20 @@ def _subset_sums(weights) -> np.ndarray:
     return sums
 
 
-def _tsp_exact(inst: Instance, budget: BruteForceBudget) -> Route:
+def _tsp_exact(inst: Instance) -> Route:
     """Held-Karp over subsets of the non-depot nodes."""
     n = inst.payload.n
-    if n > budget.tsp_max_nodes:
-        raise BudgetExceededError(inst.kind, n, budget.tsp_max_nodes)
     d = distance_matrix(inst.payload.coords)
     dp, parent = _held_karp(d, n - 1)
     return Route(_loop(d, dp, parent, (1 << (n - 1)) - 1))
 
 
-def _op_exact(inst: Instance, budget: BruteForceBudget) -> Route:
+def _op_exact(inst: Instance) -> Route:
     """The open depot path of the Held-Karp state with the largest prize
     within the length budget; ties go to the shorter path, then to the
     first state in mask-major order."""
     p = inst.payload
     n = p.n
-    if n > budget.op_max_nodes:
-        raise BudgetExceededError(inst.kind, n, budget.op_max_nodes)
     d = distance_matrix(p.coords)
     dp, parent = _held_karp(d, n - 1)
     fits = dp <= p.distance_limit + 1e-9
@@ -175,14 +184,12 @@ def _op_exact(inst: Instance, budget: BruteForceBudget) -> Route:
     return Route(tuple([0] + _path(parent, mask, j)))
 
 
-def _cvrp_exact(inst: Instance, budget: BruteForceBudget) -> RouteSet:
+def _cvrp_exact(inst: Instance) -> RouteSet:
     """Optimal loop cost per customer subset (Held-Karp paths closed at the
     depot), then an optimal partition of all customers into feasible loops."""
     p = inst.payload
     n = p.n
     customers = n - 1
-    if customers > budget.cvrp_max_customers:
-        raise BudgetExceededError(inst.kind, customers, budget.cvrp_max_customers)
     d = distance_matrix(p.coords)
     size = 1 << customers
     dp, parent = _held_karp(d, customers)
@@ -220,12 +227,10 @@ def _cvrp_exact(inst: Instance, budget: BruteForceBudget) -> RouteSet:
 # Graphs
 
 
-def _mis_exact_ids(inst: Instance, budget: BruteForceBudget) -> List[int]:
+def _mis_exact_ids(inst: Instance) -> List[int]:
     """Branch and bound over bitmasks: maximum independent set vertex list."""
     p = inst.payload
     n = p.num_nodes
-    if n > budget.graph_max_nodes:
-        raise BudgetExceededError(inst.kind, n, budget.graph_max_nodes)
     adj = [0] * n
     for u, v in p.edges:
         adj[u] |= 1 << v
@@ -265,12 +270,10 @@ def _mis_exact_ids(inst: Instance, budget: BruteForceBudget) -> List[int]:
 # Scheduling
 
 
-def _pfsp_exact(inst: Instance, budget: BruteForceBudget) -> JobOrder:
+def _pfsp_exact(inst: Instance) -> JobOrder:
     """Vectorized scan of all job permutations, one position at a time."""
     p = inst.payload
     jobs = p.num_jobs
-    if jobs > budget.pfsp_max_jobs:
-        raise BudgetExceededError(inst.kind, jobs, budget.pfsp_max_jobs)
     perms = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(jobs))),
         dtype=np.int64,
@@ -294,14 +297,10 @@ def _pfsp_exact(inst: Instance, budget: BruteForceBudget) -> JobOrder:
     return JobOrder(tuple(int(j) for j in perms[best]))
 
 
-def _jssp_exact(inst: Instance, budget: BruteForceBudget) -> MachineSchedules:
+def _jssp_exact(inst: Instance) -> MachineSchedules:
     """Enumerate every combination of per-machine job sequences."""
     p = inst.payload
     jobs, machines = p.num_jobs, p.num_machines
-    if jobs > budget.jssp_max_jobs or machines > budget.jssp_max_machines:
-        raise BudgetExceededError(
-            inst.kind, max(jobs, machines), max(budget.jssp_max_jobs, budget.jssp_max_machines)
-        )
     perms = list(itertools.permutations(range(jobs)))
     best_sol: Optional[MachineSchedules] = None
     best_mk = float("inf")

@@ -1,13 +1,13 @@
 """Constructive and local-search heuristics for TSP, OP, and CVRP.
 
 All tie-breaks go to the lowest node id, so every deterministic method here
-is reproducible; the stochastic Tsili sampler takes an explicit seed.
+is reproducible; the stochastic Tsili sampler draws from its seed, 0 by default.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def op_greedy_insertion(inst: Instance) -> Route:
     return Route(tuple(route))
 
 
-def op_tsili(inst: Instance, samples: int = 1280, seed: Optional[int] = None) -> Route:
+def op_tsili(inst: Instance, samples: int = 1280, seed: int = 0) -> Route:
     """Stochastic rollout sampler: each rollout walks from the depot choosing
     among the 4 nearest budget-feasible nodes with probability proportional to
     (prize/distance)^4. Returns the best-prize rollout (shorter length on

@@ -7,7 +7,6 @@ estimates; this module turns them into scalars.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
@@ -16,8 +15,6 @@ import numpy as np
 
 from .problems.types import ProblemKind, Sense, SENSE_BY_KIND
 from .verify import FeasibilityReport
-
-logger = logging.getLogger(__name__)
 
 # Per-kind weights: index 0 pays the format gate (zeta), the rest pay each
 # constraint in its canonical order. Each vector sums to 1.
@@ -86,7 +83,7 @@ def optimality_reward(
 
     Minimization kinds score alpha / (1 + gap) with gap = (value - ref)/|ref|;
     maximization kinds (OP, MIS) score alpha * value / ref. Values beating
-    the reference are clamped to 1.05 * alpha with a logged warning, and the
+    the reference are clamped to 1.05 * alpha, which logs nothing, and the
     result never goes below 0. A zero reference (an OP can score 0) gives no
     scale for a gap: matching it earns alpha, beating it earns the clamped
     ceiling, and falling short earns 0. A NaN or infinite value or reference
@@ -104,12 +101,7 @@ def optimality_reward(
     else:
         raw = cfg.alpha * value / reference
     ceiling = cfg.alpha * 1.05
-    if raw > ceiling:
-        logger.warning(
-            "optimality reward %.6f beats the reference; clamping to %.6f", raw, ceiling
-        )
-        raw = ceiling
-    return max(0.0, raw)
+    return max(0.0, min(raw, ceiling))
 
 
 def total_reward(

@@ -6,22 +6,18 @@ takes the LAST well-formed occurrence (models often restate their final
 answer), reads the bracketed payload, and picks up a following
 "Objective: <number>" if present.
 
-At each label the payload is first read in place by one
-json.JSONDecoder.raw_decode from its '['. When that value becomes a
-solution, parse returns it and looks for the stated objective from the
-decoder's end index. Otherwise (the decoder raised, or the value is no
-solution) the label falls back to cutting out the first balanced [...] and
-reading it with json.loads, and with ast.literal_eval only where JSON raises
-ValueError.
+At each label the payload is read in place by one
+json.JSONDecoder.raw_decode from its '['. Only when that raises (a Python
+tuple, a trailing comma, a single-quoted string) does the label cut out the
+first balanced [...] and read it with ast.literal_eval. A label whose
+payload gives no solution, or no literal at all, passes to the label before
+it.
 
-The fast read gives the fallback's result for every input. A value that
-becomes a solution is ints in one or two list levels, so its text holds no
-string, and the first balanced ']' after the '[' is exactly where raw_decode
-ends: the fallback would cut out the same text and json.loads would read the
-same value. Within the fallback the two readers agree too: the JSON values
-that can become a solution are the values literal_eval gives the same
-payload, and every other JSON value (true, null, NaN, floats, strings) fails
-_as_int_list's exact int test.
+Where raw_decode reads a value, the literal read could give no other
+solution: a solution is ints in one or two list levels, whose text holds no
+string, so the cut would end where raw_decode ends and literal_eval would
+read the same ints; a value holding a string could only be cut short inside
+that string, which no literal reads.
 """
 
 from __future__ import annotations
@@ -77,15 +73,6 @@ def _scan_bracket(text: str, i: int) -> Optional[Tuple[str, int]]:
     return None
 
 
-def _literal(payload: str):
-    """`payload` read as JSON, else as a Python literal; see the module
-    docstring for why the two agree."""
-    try:
-        return json.loads(payload)
-    except ValueError:
-        return ast.literal_eval(payload)
-
-
 def _as_int_list(obj) -> Optional[Tuple[int, ...]]:
     if not isinstance(obj, (list, tuple)) or not obj:
         return None
@@ -133,25 +120,21 @@ def _payload_to_solution(kind: ProblemKind, obj) -> Optional[Solution]:
 
 
 def _read_payload(kind: ProblemKind, text: str, i: int) -> Tuple[Optional[Solution], int]:
-    """The solution whose payload starts at text[i], which is '[', and the
-    index after the payload; (None, i) when there is none. One raw_decode
-    first, then the bracket scan; see the module docstring."""
+    """The solution whose payload starts at text[i], which is '[', or None,
+    and the index after the payload. One raw_decode, and the bracket scan
+    only where that raises; see the module docstring."""
     try:
         obj, end = _DECODER.raw_decode(text, i)
     except (ValueError, MemoryError, RecursionError):
-        pass
-    else:
-        sol = _payload_to_solution(kind, obj)
-        if sol is not None:
-            return sol, end
-    scanned = _scan_bracket(text, i)
-    if scanned is None:
-        return None, i
-    payload_text, end = scanned
-    try:
-        obj = _literal(payload_text)
-    except (ValueError, SyntaxError, MemoryError, RecursionError):
-        return None, i
+        scanned = _scan_bracket(text, i)
+        if scanned is None:
+            return None, i
+        payload_text, end = scanned
+        try:
+            obj = ast.literal_eval(payload_text)
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+            # TypeError: an unhashable key or set member, as in {[1]: 2}
+            return None, i
     return _payload_to_solution(kind, obj), end
 
 

@@ -358,8 +358,9 @@ def _solution(kind, obj):
 
 def reference_parse(text, kind):
     """The answer parser on ast.literal_eval alone: the LAST label whose
-    bracketed payload ast.literal_eval reads as the kind's shape. An error
-    outside literal_eval's own (an unhashable dict key) fails the parse."""
+    bracketed payload ast.literal_eval reads as the kind's shape. A payload
+    literal_eval cannot read (an unhashable dict key included) passes to the
+    label before it."""
     failed = ParsedSolution(solution=None, stated_objective=None, format_ok=False)
     if not isinstance(text, str) or not text:
         return failed
@@ -373,7 +374,7 @@ def reference_parse(text, kind):
                 continue
             try:
                 sol = _solution(kind, ast.literal_eval(scanned[0]))
-            except (ValueError, SyntaxError, MemoryError, RecursionError):
+            except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
                 continue
             if sol is None:
                 continue

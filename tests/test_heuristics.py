@@ -8,15 +8,15 @@ behavior, and dominance by the exact optimum.
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
 from cobench.heuristics import (
-    DEFAULT_BUDGET,
+    MAX_EXACT_SIZE,
     AcoConfig,
-    BruteForceBudget,
     BudgetExceededError,
     METHODS_BY_KIND,
     SEEDED_METHODS,
@@ -26,6 +26,7 @@ from cobench.heuristics import (
     mis_greedy_min_degree,
     op_greedy,
     op_greedy_insertion,
+    op_tsili,
     pfsp_neh,
     solve,
     tsp_nearest_neighbor,
@@ -231,27 +232,45 @@ def test_aco_config_defaults():
     assert AcoConfig.default_for(ProblemKind.OP) == AcoConfig(ants=50, iterations=100)
     with pytest.raises(ValueError):
         AcoConfig(ants=0)
-    with pytest.raises(ValueError):
-        AcoConfig(evaporation=1.5)
 
 
-@pytest.mark.parametrize("kind", ROUTING_KINDS)
+def test_seeded_solvers_default_to_seed_zero():
+    inst = make_instance(ProblemKind.OP, size=40, seed=3)
+    unseeded = AcoConfig(ants=5, iterations=3)
+    seeded = AcoConfig(ants=5, iterations=3, seed=0)
+    assert aco_solve(inst, unseeded) == aco_solve(inst, unseeded) == aco_solve(inst, seeded)
+    assert op_tsili(inst, samples=32) == op_tsili(inst, samples=32)
+    assert op_tsili(inst, samples=32) == op_tsili(inst, samples=32, seed=0)
+
+
+def _degenerate(kind, case):
+    inst = make_instance(kind, size=15, seed=1)
+    p = inst.payload
+    if case == "overflow":  # a prize near 1e300 over a finite distance
+        return replace(inst, payload=replace(p, prizes=(0, 10**300) + p.prizes[2:]))
+    # Coordinates near 1e200 put every distance at inf. OP's length limit
+    # goes to inf too, so that its ants can still move.
+    coords = tuple((x * 1e200, y * 1e200) for x, y in p.coords)
+    limit = math.inf if kind is ProblemKind.OP else None
+    return replace(inst, payload=replace(p, coords=coords, distance_limit=limit))
+
+
+# With beta = 2, TSP and CVRP desirability is at most (1 / 1e-12)**2 = 1e24,
+# so only an OP prize can overflow it.
 @pytest.mark.parametrize(
-    "coord_range,beta,underflow",
-    [
-        ((10**5, 10**6), 200.0, True),  # every eta**beta underflows to 0.0
-        ((1, 3), 1000.0, False),  # coincident and unit-distance nodes overflow
-    ],
+    "case,kind",
+    [("zero", kind) for kind in ROUTING_KINDS] + [("overflow", ProblemKind.OP)],
 )
-def test_aco_survives_degenerate_desirability(kind, coord_range, beta, underflow):
-    inst = make_instance(kind, size=15, seed=1, coord_range=coord_range)
+def test_aco_survives_degenerate_desirability(case, kind):
+    inst = _degenerate(kind, case)
     p = inst.payload
     top = np.asarray(p.prizes, dtype=float) if kind is ProblemKind.OP else 1.0
     off_diagonal = ~np.eye(p.n, dtype=bool)
     with np.errstate(over="ignore"):
-        eta_b = (top / np.maximum(distance_matrix(p.coords), 1e-12))[off_diagonal] ** beta
-        sol = aco_solve(inst, AcoConfig(ants=6, iterations=5, beta=beta, seed=0))
-    if underflow:
+        eta = (top / np.maximum(distance_matrix(p.coords), 1e-12))[off_diagonal]
+        eta_b = eta * eta
+        sol = aco_solve(inst, AcoConfig(ants=6, iterations=5))
+    if case == "zero":
         assert (eta_b == 0.0).all()
     else:
         assert np.isinf(eta_b).any()
@@ -642,27 +661,18 @@ def test_brute_force_dominates_heuristics(kind):
 
 def test_budget_refusals():
     cases = [
-        (ProblemKind.TSP, 12, DEFAULT_BUDGET.tsp_max_nodes),
-        (ProblemKind.OP, 11, DEFAULT_BUDGET.op_max_nodes),
-        (ProblemKind.CVRP, 10, DEFAULT_BUDGET.cvrp_max_customers),
-        (ProblemKind.MIS, 25, DEFAULT_BUDGET.graph_max_nodes),
-        (ProblemKind.MVC, 25, DEFAULT_BUDGET.graph_max_nodes),
-        (ProblemKind.PFSP, 9, DEFAULT_BUDGET.pfsp_max_jobs),
-        (ProblemKind.JSSP, 4, DEFAULT_BUDGET.jssp_max_jobs),
+        (ProblemKind.TSP, 12),
+        (ProblemKind.OP, 11),
+        (ProblemKind.CVRP, 10),
+        (ProblemKind.MIS, 25),
+        (ProblemKind.MVC, 25),
+        (ProblemKind.PFSP, 9),
+        (ProblemKind.JSSP, 4),
     ]
-    for kind, size, limit in cases:
+    for kind, size in cases:
         inst = make_instance(kind, size=size, seed=0)
         with pytest.raises(BudgetExceededError) as exc:
             brute_force(inst)
         assert exc.value.kind is kind
-        assert exc.value.limit == limit
+        assert exc.value.limit == MAX_EXACT_SIZE[kind]
         assert "exceeds the exact-search budget" in str(exc.value)
-
-
-def test_budget_is_configurable():
-    inst = make_instance(ProblemKind.TSP, size=12, seed=0)
-    relaxed = BruteForceBudget(tsp_max_nodes=12)
-    sol, val = brute_force(inst, relaxed)
-    assert check(inst, sol).feasible
-    heur = solve(inst, "fi").objective.value
-    assert val.value <= heur + 1e-9

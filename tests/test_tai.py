@@ -473,6 +473,15 @@ def test_parse_falls_back_when_last_occurrence_malformed():
     assert parsed.solution == Route((0, 1, 2, 0))
 
 
+def test_parse_falls_back_past_an_unhashable_literal():
+    # literal_eval raises TypeError on an unhashable key or set member; the
+    # label before it still gives the answer.
+    parsed = parse("Route: [0, 1, 0] then Route: [{[1]: 2}]", ProblemKind.TSP)
+    assert parsed.solution == Route((0, 1, 0))
+    parsed = parse("Set: [1, 2] Set: [{[0]}]", ProblemKind.MIS)
+    assert parsed.solution == VertexSet(frozenset({1, 2}))
+
+
 def test_parse_label_aliases():
     assert parse("Routes: [0, 1, 0]", ProblemKind.TSP).format_ok
     assert parse("Route: [0, 1, 0]", ProblemKind.CVRP).solution == RouteSet(((0, 1, 0),))
