@@ -42,7 +42,7 @@ def pfsp_neh(inst: Instance) -> JobOrder:
     return JobOrder(tuple(order))
 
 
-def jssp_dispatch(inst: Instance, rule: str = "spt") -> MachineSchedules:
+def jssp_dispatch(inst: Instance, rule: str) -> MachineSchedules:
     """Non-delay dispatching simulation producing per-machine job sequences.
 
     At each step the earliest start over every job's next operation picks the

@@ -206,7 +206,8 @@ def _gen_graph(cfg: GenConfig, rng: np.random.Generator, n: int):
         meta = {"family": "er", "p": f"{p:.6f}"}
     else:
         lo, hi = cfg.ba_attach_range
-        m = int(rng.integers(lo, hi + 1))
+        # _ba_edges needs m < n; the default range binds only below 5 nodes.
+        m = min(int(rng.integers(lo, hi + 1)), n - 1)
         edges = _ba_edges(n, m, graph_seed)
         meta = {"family": "ba", "m": str(m)}
     return GraphInstance(num_nodes=n, edges=tuple(sorted(edges))), meta

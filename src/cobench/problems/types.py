@@ -132,7 +132,7 @@ class SchedulingInstance:
         for row in self.ptimes:
             if len(row) != m:
                 raise ValueError("ragged ptimes matrix")
-            if any(t <= 0 for t in row):
+            if not all(t > 0 for t in row):  # also rejects NaN
                 raise ValueError("processing times must be positive")
         if self.machine_order is not None:
             if len(self.machine_order) != len(self.ptimes):

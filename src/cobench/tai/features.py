@@ -27,7 +27,7 @@ BLOCK_ROWS = 256
 DEFAULT_K = 2
 
 
-def routing_features(payload: RoutingInstance, k: int = DEFAULT_K) -> HeuristicFeatures:
+def routing_features(payload: RoutingInstance, k: int) -> HeuristicFeatures:
     """k nearest neighbors per node, ascending distance, ties to lower id."""
     pts = np.asarray(payload.coords, dtype=float)
     n = len(pts)
@@ -50,7 +50,7 @@ def routing_features(payload: RoutingInstance, k: int = DEFAULT_K) -> HeuristicF
     return HeuristicFeatures(tuple(out))
 
 
-def graph_features(payload: GraphInstance, k: int = DEFAULT_K) -> HeuristicFeatures:
+def graph_features(payload: GraphInstance, k: int) -> HeuristicFeatures:
     """Top-k neighbors per node by largest degree, ties to lower id."""
     adj = payload.adjacency()
     deg = [len(a) for a in adj]
@@ -61,24 +61,23 @@ def graph_features(payload: GraphInstance, k: int = DEFAULT_K) -> HeuristicFeatu
     return HeuristicFeatures(tuple(out))
 
 
-def pfsp_features(payload: SchedulingInstance, k: int = DEFAULT_K) -> HeuristicFeatures:
+def _k_lowest(rows, k: int) -> HeuristicFeatures:
+    """Per row: the k (index, value) pairs with the lowest values, ascending,
+    ties to the lower index (sorted is stable)."""
+    return HeuristicFeatures(tuple(
+        tuple((i, float(row[i])) for i in sorted(range(len(row)), key=row.__getitem__)[:k])
+        for row in rows
+    ))
+
+
+def pfsp_features(payload: SchedulingInstance, k: int) -> HeuristicFeatures:
     """Per machine: the k jobs with the lowest processing time."""
-    jobs, machines = payload.num_jobs, payload.num_machines
-    out = []
-    for m in range(machines):
-        ranked = sorted(range(jobs), key=lambda j: (payload.ptimes[j][m], j))[:k]
-        out.append(tuple((j, float(payload.ptimes[j][m])) for j in ranked))
-    return HeuristicFeatures(tuple(out))
+    return _k_lowest(tuple(zip(*payload.ptimes)), k)
 
 
-def jssp_features(payload: SchedulingInstance, k: int = DEFAULT_K) -> HeuristicFeatures:
+def jssp_features(payload: SchedulingInstance, k: int) -> HeuristicFeatures:
     """Per job: the k operation indices with the lowest duration."""
-    out = []
-    for j in range(payload.num_jobs):
-        row = payload.ptimes[j]
-        ranked = sorted(range(len(row)), key=lambda i: (row[i], i))[:k]
-        out.append(tuple((i, float(row[i])) for i in ranked))
-    return HeuristicFeatures(tuple(out))
+    return _k_lowest(payload.ptimes, k)
 
 
 def compute_features(inst: Instance, k: int = DEFAULT_K) -> HeuristicFeatures:

@@ -24,8 +24,9 @@ lock: a call that races another is at worst a miss.
 
 JSSP answers are decoded semi-actively by Kahn's walk over the operation
 graph, from tables built once per instance and kept on its frozen payload.
-The machine-conflict and precedence constraints are then still verified
-outright, as whole-array comparisons against the decoded start times.
+The walk starts every operation at the latest finish of its job and machine
+predecessors, so a schedule it decodes has no machine conflict and keeps
+job precedence; those two constraints fail exactly when it deadlocks.
 """
 
 from __future__ import annotations
@@ -375,19 +376,23 @@ def _jssp_tables(p: SchedulingInstance) -> _JsspTables:
     return tables
 
 
-def _machine_nodes(t: _JsspTables, sequences, machines: int) -> np.ndarray:
-    """nodes[m, k]: the node of the k-th job in machine m's sequence."""
-    seqs = np.asarray(sequences, dtype=np.intp)
-    return t.op_flat[seqs * machines + np.arange(machines)[:, None]]
+def jssp_start_times(p: SchedulingInstance, sol: MachineSchedules) -> Optional[np.ndarray]:
+    """Semi-active decode: the earliest start of every operation, as a
+    (jobs, machines) array indexed [j, i] by job and operation index,
+    respecting job precedence and the per-machine job sequences. `sol`
+    must hold one permutation of the jobs per machine, as score() checks
+    first; for anything else the result is undefined.
 
-
-def _earliest(t: _JsspTables, nodes: np.ndarray, machines: int) -> Optional[np.ndarray]:
-    """Flat earliest starts by Kahn's walk, or None on a cycle, which leaves
-    some in-degree above zero.
-
-    Each node has at most two successors: the job's next operation (node + 1,
-    unless it is the job's last) and the next operation on its machine
-    (msucc, -1 if none)."""
+    Returns None when the combined order is cyclic (deadlock): Kahn's walk
+    then stops with some in-degree above zero. Each node has at most two
+    successors: the job's next operation (node + 1, unless it is the job's
+    last) and the next operation on its machine (msucc, -1 if none).
+    """
+    t = _jssp_tables(p)
+    machines = p.num_machines
+    # nodes[m, k]: the node of the k-th job in machine m's sequence.
+    seqs = np.asarray(sol.sequences, dtype=np.intp)
+    nodes = t.op_flat[seqs * machines + np.arange(machines)[:, None]]
     total = len(t.duration)
     msucc = np.full(total, -1, dtype=np.intp)
     msucc[nodes[:, :-1]] = nodes[:, 1:]
@@ -417,22 +422,8 @@ def _earliest(t: _JsspTables, nodes: np.ndarray, machines: int) -> Optional[np.n
             if not d:
                 ready.append(nxt)
     if any(indeg):
-        return None  # cycle between job precedence and machine sequences
-    return np.array(earliest)
-
-
-def jssp_start_times(p: SchedulingInstance, sol: MachineSchedules) -> Optional[np.ndarray]:
-    """Semi-active decode: the earliest start of every operation, as a
-    (jobs, machines) array indexed [j, i] by job and operation index,
-    respecting job precedence and the per-machine job sequences. `sol`
-    must hold one permutation of the jobs per machine, as score() checks
-    first; for anything else the result is undefined.
-
-    Returns None when the combined order is cyclic (deadlock).
-    """
-    t = _jssp_tables(p)
-    start = _earliest(t, _machine_nodes(t, sol.sequences, p.num_machines), p.num_machines)
-    return None if start is None else start.reshape(p.num_jobs, p.num_machines)
+        return None
+    return np.array(earliest).reshape(p.num_jobs, machines)
 
 
 def jssp_makespan(p: SchedulingInstance, start: np.ndarray) -> float:
@@ -451,28 +442,16 @@ def _all_permutations(rows, n: int) -> bool:
 
 
 def _score_jssp(p: SchedulingInstance, sol: MachineSchedules) -> Scored:
-    jobs, machines = p.num_jobs, p.num_machines
     seqs = sol.sequences
-    if not (len(seqs) == machines and _all_permutations(seqs, jobs)):
+    if not (len(seqs) == p.num_machines and _all_permutations(seqs, p.num_jobs)):
         # Without a full, valid sequence set the decode is undefined.
         return _report(ProblemKind.JSSP, False, False, False), None
-    t = _jssp_tables(p)
-    nodes = _machine_nodes(t, seqs, machines)
-    flat = _earliest(t, nodes, machines)
-    if flat is None:
+    start = jssp_start_times(p, sol)
+    if start is None:
         return _report(ProblemKind.JSSP, True, False, False), None
-    # The semi-active decode already enforces both; verify outright anyway,
-    # vectorised. On each machine row, every start must reach the latest
-    # finish before it; in each job, every start must reach the previous
-    # operation's finish.
-    start_m = flat[nodes]
-    finish_m = start_m + t.ptimes.ravel()[nodes]
-    latest = np.maximum.accumulate(finish_m, axis=1)
-    no_conflict = not (start_m[:, 1:] < latest[:, :-1] - TOLERANCE).any()
-    start, pt = flat.reshape(jobs, machines), t.ptimes
-    precedence = (start[:, 1:] >= start[:, :-1] + pt[:, :-1] - TOLERANCE).all()
-    report = _report(ProblemKind.JSSP, True, no_conflict, precedence)
-    return report, jssp_makespan(p, start)
+    # The decode starts each operation at or after the finish of both its
+    # predecessors, so no conflict or precedence violation can remain.
+    return _report(ProblemKind.JSSP, True, True, True), jssp_makespan(p, start)
 
 
 _SCORERS = {

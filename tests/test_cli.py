@@ -84,15 +84,17 @@ def test_generate_rejects_unknown_kind(tmp_path, capsys):
     assert code == 1
 
 
-def test_generate_ba_with_m_not_below_n_is_data_error(tmp_path, capsys):
-    # Seed 0 draws m = 3, which a BA graph on 3 nodes cannot attach.
-    code, _, err = run(
+def test_generate_ba_on_three_nodes_caps_attachment(tmp_path, capsys):
+    # Seed 0 draws m = 3, which a BA graph on 3 nodes caps at 2.
+    out = tmp_path / "d"
+    code, _, _ = run(
         capsys, "generate", "--kind", "mis", "--size", "3", "--graph-family", "ba",
-        "--out", str(tmp_path / "d"),
+        "--out", str(out),
     )
-    assert code == 2
-    assert err.splitlines() == [err.strip()]
-    assert "m = 3, n = 3" in err
+    assert code == 0
+    (inst,) = [load_instance(p) for p in _instance_files(out)]
+    assert inst.meta["m"] == "2"
+    assert inst.payload.edges == ((0, 1), (0, 2))
 
 
 # ---------------------------------------------------------------------------

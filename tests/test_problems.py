@@ -237,6 +237,17 @@ def test_ba_graph_meta():
     assert len(inst.payload.edges) == m * (30 - m)
 
 
+@pytest.mark.parametrize("kind", [ProblemKind.MIS, ProblemKind.MVC])
+def test_tiny_graphs_generate(kind):
+    # The drawn BA attachment (1 to 4) is capped at n - 1.
+    for n in (2, 3, 4):
+        for seed in range(200):
+            inst = gen_instance(kind, GenConfig(size_range=(n, n), seed=seed))
+            if inst.meta["family"] == "ba":
+                m = int(inst.meta["m"])
+                assert 1 <= m < n and len(inst.payload.edges) == m * (n - m)
+
+
 def _nx_edges(g):
     return sorted((min(u, v), max(u, v)) for u, v in g.edges())
 
@@ -370,6 +381,8 @@ def test_payload_validation_errors():
         SchedulingInstance(ptimes=((1, 2), (3,)))
     with pytest.raises(ValueError):
         SchedulingInstance(ptimes=((1, 0),))
+    with pytest.raises(ValueError):
+        SchedulingInstance(ptimes=((1, math.nan),))
     with pytest.raises(ValueError):
         Instance(kind=ProblemKind.OP, payload=RoutingInstance(coords=((0.0, 0.0), (1.0, 1.0))), id="x")
     with pytest.raises(TypeError):

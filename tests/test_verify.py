@@ -384,8 +384,21 @@ def test_jssp_decode_matches_event_sim():
         start = jssp_start_times(payload, sol)
         if sim is None:
             assert start is None
+            assert _flags(check(inst, sol)) == (True, False, False)
             deadlocks += 1
         else:
+            # Scoring trusts the decode for both constraints; check them here
+            # from the start times alone.
+            finish = start + np.asarray(ptimes)
+            assert (start[:, 1:] >= finish[:, :-1]).all()  # each job in order
+            for m in range(machines):
+                on_m = sorted(
+                    (start[j, i], finish[j, i])
+                    for j in range(jobs)
+                    for i in range(machines)
+                    if orders[j][i] == m
+                )
+                assert all(f <= s for (_, f), (s, _) in zip(on_m, on_m[1:]))
             makespan = max(
                 start[(j, i)] + ptimes[j][i]
                 for j in range(jobs)
