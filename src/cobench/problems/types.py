@@ -7,8 +7,10 @@ instances as immutable and hashable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Mapping, Optional, Tuple, Union
 
 
@@ -52,6 +54,8 @@ class RoutingInstance:
 
     coords are 2D points; node 0 is the depot for OP/CVRP. OP carries prizes
     and a route-length budget, CVRP carries demands and a vehicle capacity.
+    Coordinates, prizes and demands must be finite, and the capacity and
+    distance limit positive; an infinite distance limit means no budget.
     """
 
     coords: Tuple[Tuple[float, float], ...]
@@ -64,13 +68,20 @@ class RoutingInstance:
     def __post_init__(self) -> None:
         if len(self.coords) < 2:
             raise ValueError("routing instance needs at least 2 nodes")
-        if self.prizes is not None and len(self.prizes) != len(self.coords):
-            raise ValueError("prizes length must match coords")
-        if self.demands is not None and len(self.demands) != len(self.coords):
-            raise ValueError("demands length must match coords")
-        if self.capacity is not None and self.capacity <= 0:
+        if not all(map(math.isfinite, chain.from_iterable(self.coords))):
+            raise ValueError("coordinates must be finite")
+        for name in ("prizes", "demands"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if len(values) != len(self.coords):
+                raise ValueError(f"{name} length must match coords")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite")
+        # `not x > 0` also rejects NaN.
+        if self.capacity is not None and not self.capacity > 0:
             raise ValueError("capacity must be positive")
-        if self.distance_limit is not None and self.distance_limit <= 0:
+        if self.distance_limit is not None and not self.distance_limit > 0:
             raise ValueError("distance limit must be positive")
 
     @property

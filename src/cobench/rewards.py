@@ -3,13 +3,24 @@
 Everything here is a pure function of its arguments: no RNG, no I/O, no
 hidden state. Training loops supply rewards, probability ratios, and KL
 estimates; this module turns them into scalars.
+
+group_advantages and grpo_surrogate run once per group of a handful of
+rollouts, where numpy's per-call overhead costs more than the arithmetic,
+so they compute on plain Python floats. They give numpy's results bit for
+bit: each elementwise step is the same IEEE operation, and every sum goes
+through _sum, which adds in the order of numpy's float64 pairwise
+reduction (a plain running sum under 8 values, eight lanes up to 128, and
+halves above that), and ends on numpy's 0.0 start, so an all -0.0 sum reads
+0.0 as np.sum's does. Input that is not a list or tuple of floats is read
+by np.asarray(values, dtype=float) as before, so what converts and what
+raises does not change.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,15 +70,15 @@ def feasibility_reward(kind: ProblemKind, report: FeasibilityReport) -> float:
     satisfied constraint adds its weight on top of the gate's weight.
     """
     weights = REWARD_WEIGHTS[kind]
-    flags = report.constraint_flags()
-    if len(flags) != len(weights) - 1:
+    constraints = report.constraints
+    if len(constraints) != len(weights) - 1:
         raise ValueError(
-            f"{kind.value} expects {len(weights) - 1} constraints, got {len(flags)}"
+            f"{kind.value} expects {len(weights) - 1} constraints, got {len(constraints)}"
         )
     if not report.zeta:
         return 0.0
     total = weights[0]
-    for w, ok in zip(weights[1:], flags):
+    for w, (_, ok) in zip(weights[1:], constraints):
         if ok:
             total += w
     return total
@@ -119,6 +130,48 @@ def total_reward(
     return r
 
 
+def _floats(values) -> Optional[List[float]]:
+    """`values` as a list of Python floats, converted as
+    np.asarray(values, dtype=float) converts them, or None unless flat."""
+    if type(values) in (list, tuple) and set(map(type, values)) == {float}:
+        return list(values)
+    arr = np.asarray(values, dtype=float)
+    return arr.tolist() if arr.ndim == 1 else None
+
+
+def _sum(values: List[float]) -> float:
+    """Sum of `values` in the order of numpy's float64 add.reduce, so the
+    float equals np.sum's bit for bit: a running sum from 0.0 under 8
+    values; from 8 to 128, eight lanes combined pairwise and then the tail
+    in order; above 128, the sums of two halves split at a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    # numpy adds the lanes' result to its 0.0 start, which makes -0.0 read 0.0.
+    total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    for v in values[end:]:
+        total += v
+    return total
+
+
 def group_advantages(rewards: Sequence[float]) -> np.ndarray:
     """Standardize rewards within one group: (r - mean) / population std.
 
@@ -126,15 +179,18 @@ def group_advantages(rewards: Sequence[float]) -> np.ndarray:
     signal and comes back as zeros instead of dividing by ~0. A NaN or
     infinite reward raises ValueError.
     """
-    arr = np.asarray(rewards, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    vals = _floats(rewards)
+    if vals is None or len(vals) < 2:
         raise ValueError("need a flat group of at least 2 rewards")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, vals)):
         raise ValueError("rewards must be finite")
-    std = float(arr.std())  # population std (ddof=0)
+    n = len(vals)
+    mean = _sum(vals) / n
+    devs = [r - mean for r in vals]
+    std = math.sqrt(_sum([d * d for d in devs]) / n)  # population std (ddof=0)
     if std < _STD_FLOOR:
-        return np.zeros_like(arr)
-    return (arr - arr.mean()) / std
+        return np.zeros(n)
+    return np.array([d / std for d in devs])
 
 
 def grpo_surrogate(
@@ -148,16 +204,22 @@ def grpo_surrogate(
     mean_i min(r_i * A_i, clip(r_i, 1-eps, 1+eps) * A_i) - beta * kl.
     Every ratio, advantage and the kl estimate must be finite.
     """
-    r = np.asarray(ratios, dtype=float)
-    a = np.asarray(advantages, dtype=float)
-    if r.shape != a.shape or r.ndim != 1 or r.size == 0:
+    r = _floats(ratios)
+    a = _floats(advantages)
+    if r is None or a is None or len(r) != len(a) or not r:
         raise ValueError("ratios and advantages must be equal-length 1D sequences")
-    if not (np.isfinite(r).all() and np.isfinite(a).all() and math.isfinite(kl)):
+    if not (all(map(math.isfinite, r)) and all(map(math.isfinite, a)) and math.isfinite(kl)):
         raise ValueError("ratios, advantages and kl must be finite")
-    if np.any(r <= 0):
+    if min(r) <= 0:
         raise ValueError("probability ratios must be positive")
     if kl < 0:
         raise ValueError("kl estimate must be nonnegative")
-    clipped = np.clip(r, 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip)
-    term = np.minimum(r * a, clipped * a)
-    return float(term.mean() - cfg.beta_kl * kl)
+    lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
+    terms = []
+    for ri, ai in zip(r, a):
+        unclipped = ri * ai
+        clipped = (lo if ri < lo else hi if ri > hi else ri) * ai
+        # Both products carry the sign of ai, so they are never zeros of
+        # opposite sign, where np.minimum and Python's min would differ.
+        terms.append(unclipped if unclipped < clipped else clipped)
+    return float(_sum(terms) / len(terms) - cfg.beta_kl * kl)

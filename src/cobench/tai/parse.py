@@ -18,6 +18,14 @@ solution: a solution is ints in one or two list levels, whose text holds no
 string, so the cut would end where raw_decode ends and literal_eval would
 read the same ints; a value holding a string could only be cut short inside
 that string, which no literal reads.
+
+Labels match in any case. An ASCII text is lowered once and scanned with a
+case-sensitive lower-case pattern, whose literal prefix lets re skip ahead
+to each candidate instead of trying every position; lowering an ASCII text
+keeps every index, so the label ends are the ones the any-case pattern
+finds. Text with a non-ASCII character keeps the IGNORECASE pattern,
+because re's case folding also matches characters that lower() does not
+map to ASCII letters: "ſet:" (long s) is a Set label.
 """
 
 from __future__ import annotations
@@ -41,13 +49,14 @@ from .types import GRAMMAR_BY_KIND, OutputGrammar, ParsedSolution
 # Both route grammars accept both labels: instruction text says "Route" but
 # some outputs (and the nested grammar) use "Routes".
 _ROUTE_GRAMMARS = (OutputGrammar.ROUTE, OutputGrammar.ROUTES)
-_LABEL_RES = {
-    grammar: re.compile(
-        ("Routes?" if grammar in _ROUTE_GRAMMARS else grammar.label) + r"\s*\**\s*[:=]",
-        re.IGNORECASE,
-    )
+_LABELS = {
+    grammar: "Routes?" if grammar in _ROUTE_GRAMMARS else grammar.label
     for grammar in OutputGrammar
 }
+_LABEL_END = r"\s*\**\s*[:=]"
+_LABEL_RES = {g: re.compile(label + _LABEL_END, re.IGNORECASE) for g, label in _LABELS.items()}
+# Matched against text.lower() for ASCII text; see the module docstring.
+_LOWER_LABEL_RES = {g: re.compile(label.lower() + _LABEL_END) for g, label in _LABELS.items()}
 
 _OBJECTIVE_RE = re.compile(
     r"objective\s*\**\s*[:=]\s*\**\s*(-?\d+(?:\.\d+)?)", re.IGNORECASE
@@ -77,7 +86,7 @@ def _as_int_list(obj) -> Optional[Tuple[int, ...]]:
     if not isinstance(obj, (list, tuple)) or not obj:
         return None
     # Neither reader makes an int subclass but bool, which the exact test rejects.
-    return tuple(obj) if all(type(v) is int for v in obj) else None
+    return tuple(obj) if set(map(type, obj)) == {int} else None
 
 
 def _as_nested_int_lists(obj) -> Optional[Tuple[Tuple[int, ...], ...]]:
@@ -150,7 +159,11 @@ def parse(text, kind: ProblemKind) -> ParsedSolution:
         return failed
     try:
         grammar = GRAMMAR_BY_KIND[kind]
-        positions = [m.end() for m in _LABEL_RES[grammar].finditer(text)]
+        if text.isascii():
+            labels = _LOWER_LABEL_RES[grammar].finditer(text.lower())
+        else:
+            labels = _LABEL_RES[grammar].finditer(text)
+        positions = [m.end() for m in labels]
         for pos in reversed(positions):
             i = _LEAD_RE.match(text, pos).end()
             if not text.startswith("[", i):

@@ -16,11 +16,20 @@ solution are the same objects (`is`) as the last call's returns the stored
 result, so check() then objective() on one answer, as an RL loop runs them,
 or solve()'s objective() then check(), scores it once. A result is stored
 only when the solution's ids sit in immutable containers: a tuple (a tuple of
-tuples for RouteSet and MachineSchedules) or a frozenset, which is what the
-parser and every heuristic build. A solution whose ids are held in a list is
-scored on every call, so mutating it between calls never returns a stale
-result. The slot is read and written as one tuple each, so threads need no
-lock: a call that races another is at worst a miss.
+tuples for RouteSet and MachineSchedules) or, for the flat types, a
+frozenset, which is what the parser and every heuristic build. A solution
+whose ids are held in a list is scored on every call, so mutating it
+between calls never returns a stale result. The slot is read and written
+as one tuple each, so threads need no lock: a call that races another is at
+worst a miss.
+
+Reports are frozen, so score() hands out shared ones: every (kind,
+constraint flags) report, and each kind's failed report, is built once at
+import. Only an OP or CVRP report that carries its margin is built per call.
+A solution whose ids sit in those immutable containers also skips the shape
+gate's ABC Collection tests, which it would pass. Route lengths add
+math.dist per edge in path order; math.dist runs the norm math.hypot runs
+on the coordinate differences, so each edge is the same float.
 
 JSSP answers are decoded semi-actively by Kahn's walk over the operation
 graph, from tables built once per instance and kept on its frozen payload.
@@ -35,7 +44,7 @@ import math
 import numbers
 from collections.abc import Collection
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -105,31 +114,37 @@ class FeasibilityReport:
 Scored = Tuple[FeasibilityReport, Optional[float]]
 
 
-def _report(kind: ProblemKind, *flags, margins=()) -> FeasibilityReport:
-    names = CONSTRAINT_NAMES[kind]
-    return FeasibilityReport(
-        zeta=True,
-        constraints=tuple((n, bool(ok)) for n, ok in zip(names, flags)),
-        margins=margins,
-    )
+# Every report that carries no margin, built once: [kind][flags] for a
+# passed format gate, and the failed gate's report per kind.
+_REPORTS: Mapping[ProblemKind, Mapping[Tuple[bool, ...], FeasibilityReport]] = {
+    kind: {
+        flags: FeasibilityReport(zeta=True, constraints=tuple(zip(names, flags)))
+        for flags in product((False, True), repeat=len(names))
+    }
+    for kind, names in CONSTRAINT_NAMES.items()
+}
+_FAILED_REPORTS: Mapping[ProblemKind, FeasibilityReport] = {
+    kind: FeasibilityReport(zeta=False, constraints=tuple((n, False) for n in names))
+    for kind, names in CONSTRAINT_NAMES.items()
+}
 
 
-def _failed_report(kind: ProblemKind) -> FeasibilityReport:
-    names = CONSTRAINT_NAMES[kind]
-    return FeasibilityReport(zeta=False, constraints=tuple((n, False) for n in names))
+def _report(kind: ProblemKind, *flags: bool, margins=()) -> FeasibilityReport:
+    """The shared report for these bool flags, or a new one with `margins`."""
+    shared = _REPORTS[kind][flags]
+    if not margins:
+        return shared
+    return FeasibilityReport(zeta=True, constraints=shared.constraints, margins=margins)
 
 
 def route_length(coords, nodes) -> float:
     """Sum of Euclidean edge lengths along a node sequence (open path):
-    math.hypot per edge, summed in path order."""
+    math.dist per edge, added in path order. For float coordinates, and
+    ints below 2**53, each edge is the float math.hypot gives."""
+    points = [coords[v] for v in nodes]
     total = 0.0
-    if not nodes:
-        return total
-    x0, y0 = coords[nodes[0]]
-    for b in nodes[1:]:
-        x1, y1 = coords[b]
-        total += math.hypot(x0 - x1, y0 - y1)
-        x0, y0 = x1, y1
+    for edge in map(math.dist, points, points[1:]):
+        total += edge
     return total
 
 
@@ -151,15 +166,14 @@ def _shape_ok(sol: Solution) -> bool:
 
 
 def _frozen_ids(sol: Solution) -> bool:
-    """The solution's ids sit in a tuple or frozenset, and each row of a
-    RouteSet or MachineSchedules in a tuple, so its score cannot change."""
+    """The solution's ids sit in a tuple, with each row of a RouteSet or
+    MachineSchedules in a tuple too, or, for the flat types, in a
+    frozenset. Its score cannot change, and _shape_ok would pass it."""
     (ids,) = vars(sol).values()
+    nested = isinstance(sol, (RouteSet, MachineSchedules))
     if type(ids) is frozenset:
-        return True
-    return type(ids) is tuple and (
-        not isinstance(sol, (RouteSet, MachineSchedules))
-        or all(type(r) is tuple for r in ids)
-    )
+        return not nested
+    return type(ids) is tuple and (not nested or set(map(type, ids)) <= {tuple})
 
 
 # The last stored call: (instance, solution, scored). See the module docstring.
@@ -176,15 +190,19 @@ def score(inst: Instance, sol: Solution) -> Scored:
     last_inst, last_sol, scored = _last
     if sol is last_sol and inst is last_inst:
         return scored
-    if not (isinstance(sol, SOLUTION_TYPE_BY_KIND[inst.kind]) and _shape_ok(sol)):
-        return _failed_report(inst.kind), None
+    kind = inst.kind
+    if not isinstance(sol, SOLUTION_TYPE_BY_KIND[kind]):
+        return _FAILED_REPORTS[kind], None
+    frozen = _frozen_ids(sol)
+    if not (frozen or _shape_ok(sol)):
+        return _FAILED_REPORTS[kind], None
     try:
-        scored = _SCORERS[inst.kind](inst.payload, sol)
+        scored = _SCORERS[kind](inst.payload, sol)
     except (TypeError, ValueError, LookupError):
         # A collection the scorer cannot index or compare: a set or mapping
         # in an ordered field, or a numpy array as an id.
-        return _failed_report(inst.kind), None
-    if _frozen_ids(sol):
+        return _FAILED_REPORTS[kind], None
+    if frozen:
         _last = (inst, sol, scored)
     return scored
 
@@ -242,7 +260,7 @@ def _ids_ok(ids, n: int) -> bool:
 def _score_tsp(p: RoutingInstance, sol: Route) -> Scored:
     nodes = sol.nodes
     ids_ok = _ids_ok(nodes, p.n)
-    closed = len(nodes) >= 2 and nodes[0] == nodes[-1]
+    closed = len(nodes) >= 2 and bool(nodes[0] == nodes[-1])
     body = nodes[:-1] if closed else nodes
     # With every id in range, n distinct ids are exactly the n nodes.
     visits_once = ids_ok and len(body) == p.n and len(set(body)) == p.n
@@ -252,7 +270,7 @@ def _score_tsp(p: RoutingInstance, sol: Route) -> Scored:
 
 def _score_op(p: RoutingInstance, sol: Route) -> Scored:
     nodes = sol.nodes
-    starts = bool(nodes) and nodes[0] == p.depot_index
+    starts = bool(nodes) and bool(nodes[0] == p.depot_index)
     if not (nodes and _ids_ok(nodes, p.n)):
         # An empty route revisits nothing; bad ids leave the visits undefined.
         return _report(ProblemKind.OP, starts, not nodes, False), None

@@ -4,6 +4,8 @@ Everything here is deliberately written without the package's own helpers:
 pure Python data structures, math.dist instead of numpy, pointer-based event
 simulation instead of graph decodes, exact Fraction arithmetic for the policy
 math. Agreement between these and the package is the point of the tests.
+The group arithmetic also has its numpy formulation here, which the
+package's plain-Python floats must equal bit for bit.
 """
 
 import ast
@@ -11,6 +13,8 @@ import math
 import re
 import statistics
 from fractions import Fraction
+
+import numpy as np
 
 from cobench.problems.types import (
     JobOrder,
@@ -276,6 +280,21 @@ def grpo_surrogate_exact(ratios, advantages, kl, eps="0.1", beta="0.05"):
         clipped = min(max(r, 1 - eps), 1 + eps)
         terms.append(min(r * a, clipped * a))
     return sum(terms) / len(terms) - beta * Fraction(kl)
+
+
+def group_advantages_numpy(rewards):
+    arr = np.asarray(rewards, dtype=float)
+    std = float(arr.std())
+    if std < 1e-8:
+        return np.zeros_like(arr)
+    return (arr - arr.mean()) / std
+
+
+def grpo_surrogate_numpy(ratios, advantages, kl, eps=0.1, beta=0.05):
+    r = np.asarray(ratios, dtype=float)
+    a = np.asarray(advantages, dtype=float)
+    term = np.minimum(r * a, np.clip(r, 1.0 - eps, 1.0 + eps) * a)
+    return float(term.mean() - beta * kl)
 
 
 def group_advantages_ref(rewards):

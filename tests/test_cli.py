@@ -222,6 +222,24 @@ def test_verify_feasible_reference(tsp_dir, tmp_path, capsys):
     assert names == ["visits_each_node_once", "returns_to_start"]
 
 
+@pytest.mark.parametrize("field", ["coords", "distance_limit"])
+def test_verify_non_finite_instance_is_data_error(tsp_dir, tmp_path, capsys, field):
+    doc = json.loads(_instance_files(tsp_dir)[0].read_text())
+    if field == "coords":
+        doc["payload"]["coords"][1][0] = float("nan")
+    else:
+        doc["payload"]["distance_limit"] = float("nan")
+    inst_file = tmp_path / "nan.json"
+    inst_file.write_text(json.dumps(doc))  # json writes NaN
+    answer = tmp_path / "answer.txt"
+    answer.write_text("Route: [0, 1, 2, 0]")
+    code, out, err = run(capsys, "verify", "--instance", str(inst_file), "--response", str(answer))
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 def test_verify_response_text(tsp_dir, tmp_path, capsys):
     inst_file = _instance_files(tsp_dir)[0]
     inst = load_instance(inst_file)

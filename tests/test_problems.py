@@ -389,6 +389,32 @@ def test_payload_validation_errors():
         Instance(kind=ProblemKind.PFSP, payload=RoutingInstance(coords=((0.0, 0.0), (1.0, 1.0))), id="x")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("coords", ((0.0, 0.0), (math.nan, 1.0), (2.0, 2.0))),
+        ("coords", ((0.0, 0.0), (1.0, math.inf), (2.0, 2.0))),
+        ("coords", ((0.0, -math.inf), (1.0, 1.0), (2.0, 2.0))),
+        ("prizes", (0, math.nan, 1)),
+        ("prizes", (0, 1, math.inf)),
+        ("demands", (0, math.nan, 1)),
+        ("demands", (0, -math.inf, 1)),
+        ("capacity", math.nan),
+        ("distance_limit", math.nan),
+    ],
+)
+def test_routing_instance_rejects_non_finite_values(field, value):
+    kwargs = {"coords": ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), field: value}
+    with pytest.raises(ValueError, match="finite|positive"):
+        RoutingInstance(**kwargs)
+
+
+def test_routing_instance_allows_an_infinite_distance_limit():
+    # No budget at all: the OP then collects every prize.
+    p = RoutingInstance(coords=((0.0, 0.0), (1.0, 1.0)), prizes=(0, 1), distance_limit=math.inf)
+    assert p.distance_limit == math.inf
+
+
 def test_genconfig_validation():
     with pytest.raises(ValueError):
         GenConfig(size_range=(1, 5))

@@ -10,6 +10,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cobench.problems.types import ProblemKind
@@ -24,6 +26,7 @@ from cobench.rewards import (
     total_reward,
 )
 from cobench.verify import FeasibilityReport, CONSTRAINT_NAMES
+from cobench import rewards as rewards_module
 
 
 def _report(kind, zeta, *flags):
@@ -215,10 +218,17 @@ def test_group_advantages_zero_mean_unit_std():
 
 
 def test_group_advantages_rejects_short_or_nested():
-    with pytest.raises(ValueError):
-        group_advantages([1.0])
-    with pytest.raises(ValueError):
-        group_advantages(np.ones((2, 2)))
+    for bad in (
+        [1.0],
+        np.array([1.0]),
+        [],
+        np.ones((2, 2)),
+        [[1.0, 2.0], [3.0, 4.0]],
+        [[1.0], [2.0, 3.0]],
+        np.float64(1.0),
+    ):
+        with pytest.raises(ValueError):
+            group_advantages(bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -226,6 +236,120 @@ def test_group_advantages_rejects_non_finite(bad):
     # NaN slipped through the std floor test and came back as NaN advantages.
     with pytest.raises(ValueError, match="finite"):
         group_advantages([1.0, bad, 0.5])
+
+
+# Rewards as a scorer pays them (grid points, so groups tie and go
+# degenerate), signed zeros, subnormals and wide floats.
+_REWARD = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.2, 1.0, 2.05, 5e-324, -5e-324]),
+    st.integers(-8, 8).map(lambda k: k / 4),
+    st.floats(-1e6, 1e6),
+)
+_EDGE_SIZES = [2, 7, 8, 9, 16, 127, 128, 129, 300]
+
+
+def _fill(n, rnd, drawn, how):
+    """n rewards: the drawn values repeated, or a seeded grid or wide fill
+    with the drawn values placed at random, which keeps long groups cheap."""
+    if how == "repeat":
+        return (drawn * n)[:n]
+    if how == "grid":
+        values = [rnd.randrange(-8, 9) / 4 for _ in range(n)]
+    else:
+        values = [rnd.uniform(-1, 1) * 10 ** rnd.randint(-6, 6) for _ in range(n)]
+    for v in drawn:
+        values[rnd.randrange(n)] = v
+    return values
+
+
+def _group(n):
+    return st.builds(
+        _fill,
+        st.just(n),
+        st.randoms(use_true_random=False),
+        st.lists(_REWARD, min_size=1, max_size=8),
+        st.sampled_from(["repeat", "grid", "wide"]),
+    )
+
+
+def _same_floats(got, want):
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 127, 128, 129, 200, 300, 1000])
+def test_sum_matches_numpy_pairwise_order(n):
+    rnd = random.Random(n)
+    for _ in range(20):
+        values = [rnd.uniform(-1, 1) * 10 ** rnd.randint(-8, 8) for _ in range(n)]
+        _same_floats(rewards_module._sum(values), float(np.sum(values)))
+    _same_floats(rewards_module._sum([-0.0] * n), float(np.sum([-0.0] * n)))
+
+
+@pytest.mark.parametrize("n", _EDGE_SIZES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_group_advantages_equal_numpy_bit_for_bit(n, data):
+    rewards = data.draw(_group(n))
+    want = oracles.group_advantages_numpy(rewards).tolist()
+    for arg in (rewards, tuple(rewards), np.array(rewards)):
+        got = group_advantages(arg)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        _same_floats(got.tolist(), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rewards=st.integers(2, 300).flatmap(_group))
+def test_group_advantages_equal_numpy_any_size(rewards):
+    _same_floats(group_advantages(rewards).tolist(), oracles.group_advantages_numpy(rewards).tolist())
+
+
+_RATIO = st.one_of(st.sampled_from([0.9, 1.1, 1.0, 5e-324]), st.floats(1e-6, 10.0))
+
+
+def _place(n, rnd, drawn):
+    """n ratios around 1 with the drawn ones placed at random."""
+    values = [rnd.uniform(0.5, 1.5) for _ in range(n)]
+    for v in drawn:
+        values[rnd.randrange(n)] = v
+    return values
+
+
+def _ratios(n):
+    return st.builds(
+        _place, st.just(n), st.randoms(use_true_random=False), st.lists(_RATIO, max_size=8)
+    )
+_KL = st.one_of(st.sampled_from([0, 0.0, -0.0]), st.floats(0.0, 10.0))
+
+
+@pytest.mark.parametrize("n", [1] + _EDGE_SIZES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_surrogate_equals_numpy_bit_for_bit(n, data):
+    ratios = data.draw(_ratios(n))
+    advantages = data.draw(_group(n))
+    kl = data.draw(_KL)
+    cfg = RewardConfig(epsilon_clip=data.draw(st.sampled_from([0.1, 0.2, 0.5])))
+    want = oracles.grpo_surrogate_numpy(ratios, advantages, kl, cfg.epsilon_clip, cfg.beta_kl)
+    for adv in (advantages, np.array(advantages)):
+        got = grpo_surrogate(tuple(ratios), adv, kl, cfg)
+        assert type(got) is float
+        _same_floats(got, want)
+
+
+def test_surrogate_keeps_numpy_signed_zeros():
+    # Zero advantages of either sign, and zero KL terms of either sign and
+    # type: the mean of eight -0.0 terms is numpy's 0.0, of three -0.0.
+    for ratios, advantages, kl in [
+        ([1.0] * 8, [-0.0] * 8, 0.0),
+        ([1.0] * 8, [-0.0] * 8, -0.0),
+        ([0.5, 2.0], [-0.0, 0.0], 0),
+        ([1.0] * 3, [-0.0] * 3, 0.0),
+    ]:
+        _same_floats(
+            grpo_surrogate(ratios, advantages, kl),
+            oracles.grpo_surrogate_numpy(ratios, advantages, kl),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +403,10 @@ def test_surrogate_validation():
         grpo_surrogate([1.0, 1.0], [1.0], 0.0)  # shape mismatch
     with pytest.raises(ValueError):
         grpo_surrogate([], [], 0.0)  # empty
+    with pytest.raises(ValueError):
+        grpo_surrogate([[1.0, 1.0]], [[1.0, 1.0]], 0.0)  # nested
+    with pytest.raises(ValueError):
+        grpo_surrogate(np.ones((2, 2)), np.ones((2, 2)), 0.0)  # 2-D
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

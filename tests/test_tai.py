@@ -4,6 +4,7 @@ The golden strings in this file pin the exact textual surface: instruction
 wording, neighbor-list formats, and the canonical answer grammar.
 """
 
+import importlib
 import re
 
 import numpy as np
@@ -485,6 +486,38 @@ def test_parse_falls_back_past_an_unhashable_literal():
 def test_parse_label_aliases():
     assert parse("Routes: [0, 1, 0]", ProblemKind.TSP).format_ok
     assert parse("Route: [0, 1, 0]", ProblemKind.CVRP).solution == RouteSet(((0, 1, 0),))
+
+
+# The label words in mixed case, the characters that may end a label, and
+# ASCII characters re counts as whitespace that str.split() also splits on.
+_LABEL_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["Route", "ROUTES", "rOuTe", "Set", "sET", "Order", "ORDER", "Schedule"]),
+        st.sampled_from([" ", "  ", "\t\n", "*", "**", " * ", ":", "=", " :", "\x1c"]),
+        st.text(alphabet="RrOoUuTtEeSsKk:=*_`[] \t\n\r\x0b\x0c\x1c\x1f0", max_size=4),
+        st.text(alphabet=st.characters(max_codepoint=127), max_size=4),
+    ),
+    max_size=8,
+).map("".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=_LABEL_TEXT)
+@example("Schedule : ROUTES**=\x1cset*:")
+@example("Route \t* :Set  =ORDER**\n\n:")
+def test_lowered_label_scan_finds_the_ignorecase_label_ends(text):
+    assert text.isascii()
+    parse_module = importlib.import_module("cobench.tai.parse")
+    for grammar, any_case in parse_module._LABEL_RES.items():
+        lowered = parse_module._LOWER_LABEL_RES[grammar].finditer(text.lower())
+        assert [m.end() for m in lowered] == [m.end() for m in any_case.finditer(text)]
+
+
+def test_non_ascii_text_keeps_case_folded_labels():
+    # re folds the long s to "s", which lower() does not do.
+    assert parse("\u017fet: [1, 2]", ProblemKind.MIS).solution == VertexSet(frozenset({1, 2}))
+    assert parse("\u00e9tape 2, Route: [0, 1, 0]", ProblemKind.TSP).solution == Route((0, 1, 0))
+    assert parse("SCHEDULE: [[0]] \u2014 done", ProblemKind.JSSP).solution == MachineSchedules(((0,),))
 
 
 def test_parse_markdown_tolerance():

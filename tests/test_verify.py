@@ -2,11 +2,14 @@
 independent implementations in oracles.py."""
 
 import copy
+import itertools
+import math
 import pickle
 import random
 import sys
 import threading
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cobench.problems.benchmarks import parse_tsplib
 from cobench.problems.generate import gen_instance
 from cobench.problems.io import instance_to_json
 from cobench.problems.types import (
+    CLUSTERED,
+    GM2,
+    UNIFORM,
     GenConfig,
     GraphInstance,
     Instance,
@@ -32,6 +39,7 @@ from cobench.problems.types import (
 )
 from cobench.verify import (
     CONSTRAINT_NAMES,
+    FeasibilityReport,
     check,
     jssp_start_times,
     objective,
@@ -468,54 +476,141 @@ def test_wrong_solution_type_fails_zeta(kind):
         objective(inst, wrong)
 
 
+_JUNK = [
+    Route(()),
+    Route((-1, 0, 99)),
+    RouteSet(((),) * 3),
+    VertexSet.of([10**9]),
+    JobOrder((7, 7, 7)),
+    MachineSchedules(((),)),
+]
+# An id field, or a row of one, that is no collection fails the shape gate.
+# One-shot iterators fail it too, though the parent scored some of them.
+# A numpy array fails it at every length, one element included.
+# A collection the scorer cannot index or compare is not scored either.
+_BAD_SHAPE = [
+    Route(np.array([0, 1, 0])),
+    Route(np.array([0])),
+    JobOrder(np.array([0])),
+    RouteSet((np.array([0, 1, 0]),)),
+    MachineSchedules((np.array([0, 1]),)),
+    Route({0, 1}),
+    Route({0: 1, 1: 0}),
+    Route((np.array([0, 1]), np.array([1, 0]))),
+    RouteSet(({0, 1},)),
+    VertexSet(""),
+    JobOrder(np.array([0, 1])),
+    Route(None),
+    Route(5),
+    RouteSet(None),
+    RouteSet((0, 1, 0)),
+    RouteSet(iter(((0, 1, 0),))),
+    VertexSet(None),
+    JobOrder(None),
+    JobOrder(5),
+    MachineSchedules(None),
+    MachineSchedules((0, 1)),
+    MachineSchedules(((0, 1), 5)),
+]
+
+
 def test_check_never_raises_on_junk():
-    junk = [
-        Route(()),
-        Route((-1, 0, 99)),
-        RouteSet(((),) * 3),
-        VertexSet.of([10**9]),
-        JobOrder((7, 7, 7)),
-        MachineSchedules(((),)),
-    ]
-    # An id field, or a row of one, that is no collection fails the shape gate.
-    # One-shot iterators fail it too, though the parent scored some of them.
-    # A numpy array fails it at every length, one element included.
-    # A collection the scorer cannot index or compare is not scored either.
-    bad_shape = [
-        Route(np.array([0, 1, 0])),
-        Route(np.array([0])),
-        JobOrder(np.array([0])),
-        RouteSet((np.array([0, 1, 0]),)),
-        MachineSchedules((np.array([0, 1]),)),
-        Route({0, 1}),
-        Route({0: 1, 1: 0}),
-        Route((np.array([0, 1]), np.array([1, 0]))),
-        RouteSet(({0, 1},)),
-        VertexSet(""),
-        JobOrder(np.array([0, 1])),
-        Route(None),
-        Route(5),
-        RouteSet(None),
-        RouteSet((0, 1, 0)),
-        RouteSet(iter(((0, 1, 0),))),
-        VertexSet(None),
-        JobOrder(None),
-        JobOrder(5),
-        MachineSchedules(None),
-        MachineSchedules((0, 1)),
-        MachineSchedules(((0, 1), 5)),
-    ]
     for kind in ALL_KINDS:
         inst = make_instance(kind, seed=3)
-        for sol in junk + bad_shape:
+        for sol in _JUNK + _BAD_SHAPE:
             report = check(inst, sol)  # must not raise
             assert report.feasible in (False,) or report.zeta
-        for sol in bad_shape:
+        for sol in _BAD_SHAPE:
             report, value = score(inst, sol)
             assert not report.zeta and not any(report.constraint_flags()) and value is None
             own_type = isinstance(sol, SOLUTION_TYPE_BY_KIND[kind])
             with pytest.raises(ValueError, match="must be held in collections" if own_type else "expects"):
                 objective(inst, sol)
+
+
+def test_frozen_fast_path_only_takes_what_the_shape_gate_passes():
+    # score() skips _shape_ok where _frozen_ids holds, so the two must agree.
+    frozen_looking = [
+        Route(frozenset({0, 1})),
+        JobOrder(frozenset({0})),
+        VertexSet(frozenset()),
+        RouteSet(frozenset({(0, 1, 0)})),
+        RouteSet(frozenset({0, 1})),
+        MachineSchedules(frozenset({(0, 1)})),
+        MachineSchedules(((0, 1), [1, 0])),
+        RouteSet(((0, 1, 0), np.array([0, 2, 0]))),
+    ]
+    well_formed = [reference_solution(make_instance(kind, size=6, seed=1))[0] for kind in ALL_KINDS]
+    for sol in _JUNK + _BAD_SHAPE + frozen_looking + well_formed:
+        if verify._frozen_ids(sol):
+            assert verify._shape_ok(sol), sol
+    assert all(verify._frozen_ids(sol) for sol in well_formed)
+
+
+def test_shared_reports_equal_fresh_ones():
+    margins = (("distance_limit", -0.5),)
+    for kind, names in CONSTRAINT_NAMES.items():
+        failed = FeasibilityReport(zeta=False, constraints=tuple((n, False) for n in names))
+        assert verify._FAILED_REPORTS[kind] == failed
+        assert len(verify._REPORTS[kind]) == 2 ** len(names)
+        for flags in itertools.product((False, True), repeat=len(names)):
+            fresh = FeasibilityReport(zeta=True, constraints=tuple(zip(names, flags)))
+            assert verify._report(kind, *flags) == fresh
+            # numpy bools find the same report.
+            assert verify._report(kind, *map(np.bool_, flags)) == fresh
+            with_margins = verify._report(kind, *flags, margins=margins)
+            assert with_margins == replace(fresh, margins=margins)
+            assert all(type(ok) is bool for _, ok in with_margins.constraints)
+
+
+def test_ids_whose_equality_is_an_array_keep_their_flags():
+    # One-element arrays as ids compare as arrays; a flag takes their truth
+    # value, as it did when every report was built fresh with bool().
+    tsp = make_instance(ProblemKind.TSP, seed=3)
+    report, value = score(tsp, Route((np.array([0]), np.array([0]))))
+    assert report.zeta and _flags(report) == (False, True) and value is None
+    op = make_instance(ProblemKind.OP, seed=3)
+    report, value = score(op, Route((np.array([0]),)))
+    assert report.zeta and _flags(report) == (True, False, False) and value is None
+
+
+def _hypot_length(coords, nodes):
+    """route_length as it was: math.hypot per edge, summed in path order."""
+    total = 0.0
+    if not nodes:
+        return total
+    x0, y0 = coords[nodes[0]]
+    for b in nodes[1:]:
+        x1, y1 = coords[b]
+        total += math.hypot(x0 - x1, y0 - y1)
+        x0, y0 = x1, y1
+    return total
+
+
+def test_route_length_equals_the_hypot_loop_on_instances():
+    rnd = random.Random(4)
+    coord_sets = [
+        make_instance(kind, size=size, seed=seed, distribution=dist).payload.coords
+        for kind in (ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP)
+        for size in (5, 50, 200)
+        for seed in range(3)
+        for dist in (UNIFORM, GM2, CLUSTERED)
+    ]
+    coord_sets.append(parse_tsplib(Path(__file__).parent / "data" / "berlin52.tsp").payload.coords)
+    for coords in coord_sets:
+        for length in (0, 1, 2, len(coords), len(coords) + 1):
+            nodes = [rnd.randrange(len(coords)) for _ in range(length)]
+            assert repr(verify.route_length(coords, nodes)) == repr(_hypot_length(coords, nodes))
+
+
+_COORD = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=12))
+def test_route_length_equals_the_hypot_loop_on_random_floats(points):
+    nodes = list(range(len(points))) + [0]
+    assert repr(verify.route_length(points, nodes)) == repr(_hypot_length(points, nodes))
 
 
 # Ids a model could emit: in range, just out of range, huge, negative,
