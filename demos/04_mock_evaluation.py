@@ -16,9 +16,9 @@ from cobench import GenConfig, ProblemKind, gen_instance
 from cobench.evalharness import (
     MockPolicyConfig,
     evaluate,
+    export_sft,
     metrics,
     mock_policy,
-    sft_records,
 )
 from cobench.heuristics import solve
 from cobench.problems.io import ReferenceSolution
@@ -72,8 +72,7 @@ for n in (1, 2, 4, 8):
 # The same instances and references make a supervised dataset.
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "sft.jsonl"
-    rows = sft_records(instances, refs)
-    out.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    first = json.loads(out.read_text().splitlines()[0])
-    print(f"\nSFT export: {len(rows)} rows; first record keys {sorted(first)}")
+    count = export_sft(instances, refs, out)
+    first = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
+    print(f"\nSFT export: {count} rows; first record keys {sorted(first)}")
     print(f"output field: {first['output'][:70]}...")

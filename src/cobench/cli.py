@@ -35,7 +35,7 @@ from .problems.io import (
     save_reference,
 )
 from .problems.types import Distribution, GenConfig, GraphFamily, Instance, ProblemKind
-from .rewards import RewardConfig, feasibility_reward, optimality_reward
+from .rewards import RewardConfig, feasibility_reward, optimality_reward, total_reward
 from .tai.encode import encode
 from .tai.render import render_prompt
 from .verify import check, score
@@ -80,22 +80,9 @@ def _print_report(
 ) -> None:
     """Print the metrics JSON with per-record detail lines, and write it to
     out when given."""
-    detail = [
-        {
-            "instance_id": r.instance_id,
-            "kind": r.kind.value,
-            "size_tier": r.size_tier,
-            "num_candidates": len(r.candidates),
-            "num_parsed": sum(1 for c in r.candidates if c.format_ok),
-            "feasible": r.any_feasible,
-            "selected_index": r.selected_index,
-            "gap": r.gap,
-            "wall_time": r.wall_time,
-        }
-        for r in records
-    ]
-    payload = dict(metrics(records).to_dict(), records=detail, provenance=_provenance(args))
-    text = json.dumps(payload, indent=2)
+    payload = dict(metrics(records).to_dict(), records=[r.to_dict() for r in records])
+    payload["provenance"] = _provenance(args)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     print(text)
@@ -221,21 +208,15 @@ def _cmd_reward(args: argparse.Namespace) -> int:
     cand = build_candidate(inst, text)
     report, value = cand.report, cand.objective
     r_f = feasibility_reward(inst.kind, report)
-    r_o = 0.0
-    if value is not None and reference is not None:
-        r_o = optimality_reward(inst.kind, value, reference, cfg)
-    print(
-        json.dumps(
-            {
-                "zeta": int(report.zeta),
-                "constraints": dict(report.constraints),
-                "feasibility_reward": r_f,
-                "optimality_reward": r_o,
-                "total_reward": r_f + r_o,
-                "objective": value,
-            }
-        )
-    )
+    r_o, total = 0.0, r_f
+    if reference is not None:
+        total = total_reward(inst.kind, report, value, reference, cfg)
+        if value is not None:
+            r_o = optimality_reward(inst.kind, value, reference, cfg)
+    print(json.dumps(dict(
+        report.to_dict(), objective=value, feasibility_reward=r_f,
+        optimality_reward=r_o, total_reward=total,
+    )))
     return EXIT_OK
 
 

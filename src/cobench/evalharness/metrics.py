@@ -1,15 +1,18 @@
 """Best-of-N selection and aggregate metrics for endpoint evaluations.
 
-A Candidate is one sampled completion: its raw text, the parse result, the
-feasibility report, and the recomputed objective (never the stated one).
-`build_candidate` is the one place raw model text becomes a scored answer.
-Selection and gaps always use recomputed objectives.
+A Candidate is one sampled completion: its raw text, the feasibility report,
+and the recomputed objective (never the stated one). `build_candidate` is the
+one place raw model text becomes a scored answer. A record stores only what
+was sampled; its Best-of-N selection and gap are derived from the candidates,
+always by recomputed objectives. The `to_dict` methods write every report
+JSON, with a non-finite float as null, so the report is strict JSON.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..problems.types import (
@@ -29,9 +32,12 @@ GAP_KS = (1, 5, 10)
 @dataclass(frozen=True)
 class Candidate:
     raw_text: Optional[str]
-    format_ok: bool
     report: FeasibilityReport  # a failed format gate when the text did not parse
     objective: Optional[float]  # recomputed; None unless feasible
+
+    @property
+    def format_ok(self) -> bool:
+        return self.report.zeta
 
     @property
     def feasible(self) -> bool:
@@ -46,7 +52,7 @@ def build_candidate(inst: Instance, raw_text: Optional[str]) -> Candidate:
     text = strip_thinking(raw_text) if isinstance(raw_text, str) else None
     parsed = parse(text, inst.kind)
     report, value = score(inst, parsed.solution)
-    return Candidate(raw_text, parsed.format_ok, report, value if report.feasible else None)
+    return Candidate(raw_text, report, value if report.feasible else None)
 
 
 def bon_select(candidates: Sequence[Candidate], sense: Sense) -> Optional[int]:
@@ -98,9 +104,19 @@ class EvalRecord:
     size_tier: str
     candidates: Tuple[Candidate, ...]
     reference_objective: float
-    selected_index: Optional[int]
-    gap: Optional[float]  # gap of the selected candidate; None if none feasible
     wall_time: float = 0.0
+
+    @cached_property
+    def selected_index(self) -> Optional[int]:
+        return bon_select(self.candidates, SENSE_BY_KIND[self.kind])
+
+    @cached_property
+    def gap(self) -> Optional[float]:
+        """Gap of the selected candidate; None if none is feasible."""
+        i, sense = self.selected_index, SENSE_BY_KIND[self.kind]
+        return None if i is None else solution_gap(
+            sense, self.candidates[i].objective, self.reference_objective
+        )
 
     @property
     def any_feasible(self) -> bool:
@@ -111,23 +127,21 @@ class EvalRecord:
 
         Candidates stay in sampling order, so prefixes are exactly what a
         smaller-N Best-of-N run would have seen."""
-        return _select(
-            self.instance_id, self.kind, self.size_tier, self.candidates[:n],
-            self.reference_objective, self.wall_time,
-        )
+        return replace(self, candidates=self.candidates[:n])
 
-
-def _select(
-    instance_id: str, kind: ProblemKind, tier: str, cands: Tuple[Candidate, ...],
-    reference: float, wall_time: float,
-) -> EvalRecord:
-    """The record for these candidates: Best-of-N selection and its gap."""
-    sense = SENSE_BY_KIND[kind]
-    idx = bon_select(cands, sense)
-    gap = None
-    if idx is not None:
-        gap = solution_gap(sense, cands[idx].objective, reference)
-    return EvalRecord(instance_id, kind, tier, cands, reference, idx, gap, wall_time)
+    def to_dict(self) -> dict:
+        """The record's row in a report."""
+        return _jsonable({
+            "instance_id": self.instance_id,
+            "kind": self.kind.value,
+            "size_tier": self.size_tier,
+            "num_candidates": len(self.candidates),
+            "num_parsed": sum(1 for c in self.candidates if c.format_ok),
+            "feasible": self.any_feasible,
+            "selected_index": self.selected_index,
+            "gap": self.gap,
+            "wall_time": self.wall_time,
+        })
 
 
 def build_record(
@@ -137,7 +151,7 @@ def build_record(
     wall_time: float = 0.0,
 ) -> EvalRecord:
     cands = tuple(build_candidate(inst, t) for t in raw_texts)
-    return _select(inst.id, inst.kind, size_tier(inst), cands, reference_objective, wall_time)
+    return EvalRecord(inst.id, inst.kind, size_tier(inst), cands, reference_objective, wall_time)
 
 
 @dataclass(frozen=True)
@@ -154,16 +168,17 @@ class MetricsSummary:
     mean_wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "num_records": self.num_records,
-            "feasibility_rate": self.feasibility_rate,
-            "format_rate": self.format_rate,
-            "mean_gap": self.mean_gap,
-            "gap_std": self.gap_std,
-            "gap_at_k": {str(k): v for k, v in self.gap_at_k.items()},
-            "by_tier": {t: s.to_dict() for t, s in self.by_tier.items()},
-            "mean_wall_time": self.mean_wall_time,
-        }
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
+def _jsonable(value):
+    """value as strict JSON: string keys, summaries as dicts, and None for a
+    non-finite float."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, MetricsSummary):
+        return value.to_dict()
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _summarize(records: Sequence[EvalRecord], tiers: bool) -> MetricsSummary:

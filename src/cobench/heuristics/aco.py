@@ -13,7 +13,7 @@ evaporate by RHO per iteration, and only the best-so-far solution deposits
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -45,10 +45,8 @@ class AcoConfig:
         return AcoConfig(ants=50, iterations=100)
 
 
-def aco_solve(inst: Instance, cfg: Optional[AcoConfig] = None) -> Solution:
+def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
     """Best solution an elitist ant colony finds on a TSP, OP or CVRP instance."""
-    if cfg is None:
-        cfg = AcoConfig.default_for(inst.kind)
     kind = inst.kind
     if kind not in ROUTING_KINDS:
         raise ValueError(f"no ACO construction for {kind.value}")

@@ -31,6 +31,8 @@ from .types import (
 # Fixed number of centroids for the out-of-distribution "clustered" layout.
 CLUSTER_CENTROIDS = 7
 CLUSTER_SIGMA = 0.1  # in units of the coordinate span
+# An OP route budget is u times the nearest-neighbor tour length, u ~ U[lo, hi].
+OP_BUDGET_FRACTION_RANGE = (0.5, 0.7)
 
 
 def distance_matrix(coords) -> np.ndarray:
@@ -108,13 +110,13 @@ def nearest_neighbor_tour(d: np.ndarray, start: int = 0) -> List[int]:
     return tour
 
 
-def nearest_neighbor_tour_length(coords, start: int = 0) -> float:
-    """Length of the greedy nearest-neighbor closed tour from `start`.
+def nearest_neighbor_tour_length(coords) -> float:
+    """Length of the greedy nearest-neighbor closed tour from node 0.
 
     Ties go to the lower node id. Used to scale the OP route budget.
     """
     d = distance_matrix(coords)
-    tour = nearest_neighbor_tour(d, start) + [start]
+    tour = nearest_neighbor_tour(d, 0) + [0]
     total = 0.0
     for a, b in zip(tour, tour[1:]):
         total += float(d[a, b])
@@ -148,9 +150,8 @@ def _gen_routing(kind: ProblemKind, cfg: GenConfig, rng: np.random.Generator, n:
         lo, hi = cfg.prize_range
         prizes = rng.integers(lo, hi + 1, size=n)
         prizes[0] = 0  # depot carries no prize
-        u_lo, u_hi = cfg.budget_fraction_range
-        u = float(rng.uniform(u_lo, u_hi))
-        limit = u * nearest_neighbor_tour_length(coords_arr, start=0)
+        u = float(rng.uniform(*OP_BUDGET_FRACTION_RANGE))
+        limit = u * nearest_neighbor_tour_length(coords_arr)
         meta["budget_fraction"] = f"{u:.6f}"
         return (
             RoutingInstance(

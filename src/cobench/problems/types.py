@@ -344,7 +344,6 @@ class GenConfig:
     demand_range: Tuple[int, int] = (1, 10)
     ptime_range: Tuple[int, int] = (1, 100)
     coord_range: Tuple[int, int] = (1, 1000)
-    budget_fraction_range: Tuple[float, float] = (0.5, 0.7)  # OP u ~ U[lo, hi]
 
     def __post_init__(self) -> None:
         if self.size_range is not None:
@@ -355,9 +354,6 @@ class GenConfig:
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
                 raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
-        lo, hi = self.budget_fraction_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("budget_fraction_range must be positive")
 
     def sizes_for(self, kind: ProblemKind) -> Tuple[int, int]:
         if self.size_range is not None:

@@ -398,6 +398,53 @@ def test_reward_bad_alpha_exits_two(tsp_dir, tmp_path, capsys, answer):
     assert "alpha must be positive" in err
 
 
+@pytest.mark.parametrize("kind,method,infeasible", [
+    ("tsp", "nn", "Route: [0, 1, 0]"),
+    ("cvrp", "sweep", "Routes: [[0, 1, 0]]"),
+])
+def test_reward_prints_the_report_verify_prints(tmp_path, capsys, kind, method, infeasible):
+    # One report format: reward prints verify's report fields, then adds the
+    # objective and the rewards, whose total is total_reward's.
+    from cobench.evalharness import build_candidate
+    from cobench.rewards import feasibility_reward, total_reward
+    from cobench.tai.render import format_solution
+
+    insts = tmp_path / "insts"
+    run(capsys, "generate", "--kind", kind, "--count", "1", "--size", "8", "--out", str(insts))
+    inst_file = _instance_files(insts)[0]
+    ref_file = tmp_path / "ref.json"
+    run(capsys, "solve", "--instance", str(inst_file), "--method", method,
+        "--out", str(ref_file))
+    inst, ref = load_instance(inst_file), load_reference(ref_file)
+    echo = format_solution(inst.kind, ref.solution, ref.objective)
+    report_keys = ["zeta", "constraints", "margins", "feasible"]
+    reward_keys = ["objective", "feasibility_reward", "optimality_reward", "total_reward"]
+    states = []
+    for answer in (echo, infeasible, "no answer"):
+        resp = tmp_path / "resp.txt"
+        resp.write_text(answer + "\n")
+        _, out, _ = run(capsys, "verify", "--instance", str(inst_file), "--response", str(resp))
+        shown = json.loads(out)
+        cand = build_candidate(inst, answer)
+        states.append((shown["zeta"], shown["feasible"]))
+        for reference in (None, ref.objective):
+            extra = [] if reference is None else ["--reference", str(ref_file)]
+            code, out, _ = run(
+                capsys, "reward", "--instance", str(inst_file), "--response", str(resp), *extra
+            )
+            paid = json.loads(out)
+            assert code == 0 and list(paid) == report_keys + reward_keys
+            assert {k: paid[k] for k in report_keys} == {k: shown[k] for k in report_keys}
+            assert paid["objective"] == shown.get("objective") == cand.objective
+            r_f = feasibility_reward(inst.kind, cand.report)
+            total = r_f if reference is None else total_reward(
+                inst.kind, cand.report, cand.objective, reference
+            )
+            assert (paid["feasibility_reward"], paid["total_reward"]) == (r_f, total)
+            assert (paid["optimality_reward"] > 0) == (reference is not None and cand.feasible)
+    assert states == [(True, True), (True, False), (False, False)]
+
+
 def _echo_reference(tsp_dir, tmp_path, capsys, answer="echo"):
     """An instance file, its NN reference file and a response: one echoing
     the reference, or prose that does not parse."""
@@ -517,6 +564,43 @@ def test_evaluate_mock_perfect_echo(bench, tmp_path, capsys):
     assert all(r["feasible"] for r in payload["records"])
     assert json.loads(out)["feasibility_rate"] == 1.0
     assert len(raw_file.read_text().splitlines()) == 3
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_evaluate_report_is_strict_json_against_zero_references(tmp_path, capsys):
+    # Greedy MVC on two-node graphs finds covers of size 0, so a worse answer
+    # has an infinite gap; the report writes null where it has no finite value.
+    insts, refs = tmp_path / "insts", tmp_path / "refs"
+    run(capsys, "generate", "--kind", "mvc", "--count", "4", "--size", "2",
+        "--graph-family", "er", "--seed", "0", "--out", str(insts))
+    code, out, _ = run(capsys, "solve", "--instance", str(insts), "--method", "greedy",
+                       "--out", str(refs))
+    assert code == 0 and out.count("objective 0 ") == 3
+    report_file = tmp_path / "r.json"
+    code, out, _ = run(
+        capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
+        "--mock", "--mock-perturbation", "1", "--n-samples", "1",
+        "--report", str(report_file),
+    )
+    assert code == 0
+    payload = _strict_json(report_file.read_text())
+    assert _strict_json(out) == payload
+    assert payload["mean_gap"] is None and payload["gap_std"] is None
+    gaps = [r["gap"] for r in payload["records"]]
+    assert None in gaps and all(g is None or g >= 0 for g in gaps)
+    assert all(r["feasible"] for r in payload["records"])
+    raw = tmp_path / "raw.jsonl"
+    run(capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
+        "--mock", "--mock-perturbation", "1", "--n-samples", "1", "--out", str(raw))
+    code, out, _ = run(capsys, "report", "--records", str(raw), "--instances", str(insts),
+                       "--references", str(refs))
+    assert code == 0 and _strict_json(out)["mean_gap"] is None
 
 
 def test_report_recomputes_identical_metrics(bench, tmp_path, capsys):

@@ -12,6 +12,7 @@ from cobench.evalharness import endpoint
 from cobench.evalharness import (
     Candidate,
     EndpointConfig,
+    EvalRecord,
     MockPolicyConfig,
     bon_select,
     build_candidate,
@@ -49,7 +50,7 @@ def _mk(format_ok, feasible, value):
     from cobench.verify import FeasibilityReport
 
     report = FeasibilityReport(zeta=format_ok, constraints=(("c", bool(feasible)),))
-    return Candidate("raw", format_ok, report, value)
+    return Candidate("raw", report, value)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +62,8 @@ def test_build_candidate_parse_failure():
     failed_gate = check(inst, None)
     assert not failed_gate.zeta
     c = build_candidate(inst, "no solution here")
-    assert c == Candidate("no solution here", False, failed_gate, None)
+    assert c == Candidate("no solution here", failed_gate, None)
+    assert not c.format_ok
     assert not c.feasible
 
 
@@ -72,7 +74,8 @@ def test_build_candidate_parse_failure():
 def test_build_candidate_non_string_did_not_parse(raw):
     # A null completion (a refusal or a tool call) scores as an unparsed answer.
     inst = make_instance(ProblemKind.TSP, size=8, seed=0)
-    assert build_candidate(inst, raw) == Candidate(raw, False, check(inst, None), None)
+    c = build_candidate(inst, raw)
+    assert c == Candidate(raw, check(inst, None), None) and not c.format_ok
 
 
 def test_build_candidate_recomputes_objective():
@@ -90,6 +93,38 @@ def test_build_candidate_infeasible_has_no_objective():
     assert c.format_ok
     assert c.report is not None and not c.feasible
     assert c.objective is None
+
+
+# Junk answer payloads in every grammar: empty, out-of-range, repeated and
+# ragged ids, wrong nesting, non-integers and malformed brackets.
+_JUNK_PAYLOADS = (
+    "[]", "[-1, 0, 99]", "[[], [], []]", "[1000000000]", "[7, 7, 7]", "[[]]",
+    "[0, 1, 0]", "[[0, 1], 5]", "[0.5, 1]", "[true]", "['a']", "{1, 2}",
+    "(0, 1)", "[0, 1", "[0]]][[", "[[0, 1, 0],]", "[None]", "[[0], [0]]",
+)
+_JUNK_TEXTS = (
+    [f"{label}: {payload}" for label in ("Route", "Routes", "Set", "Order", "Schedule")
+     for payload in _JUNK_PAYLOADS]
+    + ["", "Objective: 5", "[1,2,3]", "Route:", "I cannot solve this.", None]
+)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_format_gate_is_the_parse_gate(kind):
+    # A candidate's format gate is its report's zeta; it must say what
+    # parse says, for junk and for every kind of mock answer.
+    inst, sol, _ = feasible_pair(kind, size=6)
+    mocks = [
+        mock_policy(inst, sol, MockPolicyConfig(
+            format_fail_prob=0.2, infeasible_prob=0.4, perturbation=0.8, seed=seed), draw)
+        for seed in range(3) for draw in range(8)
+    ]
+    parsed_any = set()
+    for text in _JUNK_TEXTS + mocks:
+        got = build_candidate(inst, text).format_ok
+        assert got == parse(text, kind).format_ok, (kind, text)
+        parsed_any.add(got)
+    assert parsed_any == {False, True}
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +263,40 @@ def test_prefix_reselects_over_first_n():
     assert rec.prefix(10) == rec  # n past the end changes nothing
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_prefix_equals_a_record_built_from_the_first_n_texts(kind):
+    inst, sol, value = feasible_pair(kind, size=6)
+    cfg = MockPolicyConfig(format_fail_prob=0.3, infeasible_prob=0.3, perturbation=0.9, seed=2)
+    texts = [mock_policy(inst, sol, cfg, draw) for draw in range(8)]
+    rec = build_record(inst, texts, value, wall_time=0.25)
+    for n in range(len(texts) + 2):
+        fresh = build_record(inst, texts[:n], value, wall_time=0.25)
+        prefix = rec.prefix(n)
+        assert prefix == fresh
+        assert (prefix.selected_index, prefix.gap) == (fresh.selected_index, fresh.gap)
+        assert prefix.to_dict() == fresh.to_dict()
+
+
+def test_record_selection_is_derived_from_its_candidates():
+    # A record stores what was sampled; selection and gap follow from it.
+    cands = (_mk(True, True, 120.0), _mk(False, None, None), _mk(True, True, 110.0))
+    rec = EvalRecord("x", ProblemKind.TSP, "small", cands, 100.0)
+    assert rec.selected_index == 2 and rec.gap == pytest.approx(0.1)
+    assert rec.to_dict() == {
+        "instance_id": "x",
+        "kind": "tsp",
+        "size_tier": "small",
+        "num_candidates": 3,
+        "num_parsed": 2,
+        "feasible": True,
+        "selected_index": 2,
+        "gap": rec.gap,
+        "wall_time": 0.0,
+    }
+    assert rec.prefix(1).gap == pytest.approx(0.2)
+    assert rec.prefix(0).selected_index is None and not rec.prefix(0).any_feasible
+
+
 def test_prefix_never_improves_on_longer_runs():
     # Adding candidates never worsens the selected objective.
     inst, sol, value = feasible_pair(ProblemKind.TSP, size=10)
@@ -276,17 +345,18 @@ def test_metrics_rates_and_tiers():
 
 
 def _gap_record(gap):
-    from cobench.evalharness import EvalRecord
-
-    return EvalRecord(
+    """A TSP record against a reference of 100 whose one candidate has this
+    gap, or is infeasible when gap is None."""
+    cand = _mk(True, False, None) if gap is None else _mk(True, True, 100.0 * (1.0 + gap))
+    rec = EvalRecord(
         instance_id="x",
         kind=ProblemKind.TSP,
         size_tier="small",
-        candidates=(_mk(True, True, 1.0),),
-        reference_objective=1.0,
-        selected_index=0 if gap is not None else None,
-        gap=gap,
+        candidates=(cand,),
+        reference_objective=100.0,
     )
+    assert rec.gap == (None if gap is None else pytest.approx(gap))
+    return rec
 
 
 def test_gap_at_k_counting_example():
@@ -309,6 +379,33 @@ def test_gap_at_k_monotone_in_k():
     m = metrics(records)
     assert m.gap_at_k[1] <= m.gap_at_k[5] <= m.gap_at_k[10]
     assert all(0.0 <= v <= 1.0 for v in m.gap_at_k.values())
+
+
+def test_report_dicts_write_non_finite_as_null():
+    # A worse answer against a zero reference has an infinite gap; the
+    # library keeps it, and the report writes it as null.
+    inst, sol, value = feasible_pair(ProblemKind.TSP, size=8)
+    text = format_solution(inst.kind, sol, value)
+    recs = [build_record(inst, [text], 0.0), build_record(inst, [text], value)]
+    assert recs[0].gap == float("inf")
+    m = metrics(recs)
+    assert m.mean_gap == float("inf") and m.gap_std != m.gap_std  # NaN
+    d = m.to_dict()
+    json.dumps(d, allow_nan=False)  # must not raise
+    assert (d["mean_gap"], d["gap_std"]) == (None, None)
+    assert d["by_tier"]["small"]["mean_gap"] is None
+    assert d["gap_at_k"] == {"1": 0.5, "5": 0.5, "10": 0.5}
+    rows = [r.to_dict() for r in recs]
+    json.dumps(rows, allow_nan=False)
+    assert [r["gap"] for r in rows] == [None, 0.0]
+
+
+def test_summary_to_dict_keeps_the_field_order():
+    d = metrics([]).to_dict()
+    assert list(d) == [
+        "num_records", "feasibility_rate", "format_rate", "mean_gap", "gap_std",
+        "gap_at_k", "by_tier", "mean_wall_time",
+    ]
 
 
 def test_metrics_to_dict_json_safe():

@@ -167,7 +167,7 @@ def test_op_limit_matches_meta_fraction():
     p = inst.payload
     u = float(inst.meta["budget_fraction"])
     assert 0.5 <= u <= 0.7
-    l_nn = nearest_neighbor_tour_length(p.coords, start=0)
+    l_nn = nearest_neighbor_tour_length(p.coords)
     assert p.distance_limit == pytest.approx(u * l_nn, rel=1e-6)
     assert p.prizes[0] == 0
     assert all(1 <= z <= 10 for z in p.prizes[1:])
