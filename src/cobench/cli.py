@@ -191,7 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = report.to_dict()
     if report.feasible:
         payload["objective"] = value
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return EXIT_OK if report.feasible else EXIT_DATA
 
 
@@ -216,16 +216,13 @@ def _cmd_reward(args: argparse.Namespace) -> int:
     print(json.dumps(dict(
         report.to_dict(), objective=value, feasibility_reward=r_f,
         optimality_reward=r_o, total_reward=total,
-    )))
+    ), allow_nan=False))
     return EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    try:
-        sol, obj = brute_force(inst)
-    except BudgetExceededError as err:
-        return _fail(str(err), EXIT_DATA)
+    sol, obj = brute_force(inst)
     ref = ReferenceSolution(
         instance_id=inst.id,
         solution=sol,
@@ -284,10 +281,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_dataset(args: argparse.Namespace) -> int:
     instances = _load_instances(Path(args.instances))
     references = _load_references(Path(args.references))
-    try:
-        count = export_sft(instances, references, Path(args.out))
-    except ValueError as err:
-        return _fail(str(err), EXIT_DATA)
+    count = export_sft(instances, references, Path(args.out))
     print(f"wrote {count} training records to {args.out}")
     return EXIT_OK
 

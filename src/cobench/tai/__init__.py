@@ -1,5 +1,4 @@
 from .encode import encode
-from .features import compute_features
 from .parse import parse, strip_thinking
 from .render import (
     PROMPT_TEMPLATE,
@@ -9,7 +8,6 @@ from .render import (
 )
 from .types import (
     GRAMMAR_BY_KIND,
-    HeuristicFeatures,
     OutputGrammar,
     ParsedSolution,
     TextAttributedInstance,
@@ -17,12 +15,10 @@ from .types import (
 
 __all__ = [
     "GRAMMAR_BY_KIND",
-    "HeuristicFeatures",
     "OutputGrammar",
     "PROMPT_TEMPLATE",
     "ParsedSolution",
     "TextAttributedInstance",
-    "compute_features",
     "encode",
     "format_objective",
     "format_solution",

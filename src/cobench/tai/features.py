@@ -1,24 +1,19 @@
 """Heuristic feature extraction for TAI inputs.
 
-All selections use exact values with deterministic tie-breaks (lower id wins).
+Each hint function returns one tuple per entity (node, machine or job) of
+up to k (id, value) pairs. All selections use exact values with
+deterministic tie-breaks (lower id wins).
 Routing neighbours come from one exact pass over blocks of rows of the
 distance matrix, so memory stays bounded on TSPLIB-sized inputs.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
-from ..problems.types import (
-    GRAPH_KINDS,
-    ROUTING_KINDS,
-    GraphInstance,
-    Instance,
-    ProblemKind,
-    RoutingInstance,
-    SchedulingInstance,
-)
-from .types import HeuristicFeatures
+from ..problems.types import GraphInstance, RoutingInstance, SchedulingInstance
 
 # Rows per block of the routing neighbour pass; a block holds BLOCK_ROWS * n
 # distances.
@@ -26,8 +21,10 @@ BLOCK_ROWS = 256
 
 DEFAULT_K = 2
 
+Hints = Tuple[Tuple[Tuple[int, float], ...], ...]
 
-def routing_features(payload: RoutingInstance, k: int) -> HeuristicFeatures:
+
+def routing_features(payload: RoutingInstance, k: int) -> Hints:
     """k nearest neighbors per node, ascending distance, ties to lower id."""
     pts = np.asarray(payload.coords, dtype=float)
     n = len(pts)
@@ -47,10 +44,10 @@ def routing_features(payload: RoutingInstance, k: int) -> HeuristicFeatures:
         order = np.lexsort((cols, dist, rows))
         take = order[np.searchsorted(rows, np.arange(hi - lo))[:, None] + np.arange(kk)]
         out += [tuple(zip(i, x)) for i, x in zip(cols[take].tolist(), dist[take].tolist())]
-    return HeuristicFeatures(tuple(out))
+    return tuple(out)
 
 
-def graph_features(payload: GraphInstance, k: int) -> HeuristicFeatures:
+def graph_features(payload: GraphInstance, k: int) -> Hints:
     """Top-k neighbors per node by largest degree, ties to lower id."""
     adj = payload.adjacency()
     deg = [len(a) for a in adj]
@@ -58,33 +55,24 @@ def graph_features(payload: GraphInstance, k: int) -> HeuristicFeatures:
     for i in range(payload.num_nodes):
         ranked = sorted(adj[i], key=lambda j: (-deg[j], j))[:k]
         out.append(tuple((j, float(deg[j])) for j in ranked))
-    return HeuristicFeatures(tuple(out))
+    return tuple(out)
 
 
-def _k_lowest(rows, k: int) -> HeuristicFeatures:
+def _k_lowest(rows, k: int) -> Hints:
     """Per row: the k (index, value) pairs with the lowest values, ascending,
     ties to the lower index (sorted is stable)."""
-    return HeuristicFeatures(tuple(
+    return tuple(
         tuple((i, float(row[i])) for i in sorted(range(len(row)), key=row.__getitem__)[:k])
         for row in rows
-    ))
+    )
 
 
-def pfsp_features(payload: SchedulingInstance, k: int) -> HeuristicFeatures:
+def pfsp_features(payload: SchedulingInstance, k: int) -> Hints:
     """Per machine: the k jobs with the lowest processing time."""
     return _k_lowest(tuple(zip(*payload.ptimes)), k)
 
 
-def jssp_features(payload: SchedulingInstance, k: int) -> HeuristicFeatures:
+def jssp_features(payload: SchedulingInstance, k: int) -> Hints:
     """Per job: the k operation indices with the lowest duration."""
     return _k_lowest(payload.ptimes, k)
 
-
-def compute_features(inst: Instance, k: int = DEFAULT_K) -> HeuristicFeatures:
-    if inst.kind in ROUTING_KINDS:
-        return routing_features(inst.payload, k)
-    if inst.kind in GRAPH_KINDS:
-        return graph_features(inst.payload, k)
-    if inst.kind is ProblemKind.PFSP:
-        return pfsp_features(inst.payload, k)
-    return jssp_features(inst.payload, k)

@@ -50,7 +50,7 @@ from .types import GRAMMAR_BY_KIND, OutputGrammar, ParsedSolution
 # some outputs (and the nested grammar) use "Routes".
 _ROUTE_GRAMMARS = (OutputGrammar.ROUTE, OutputGrammar.ROUTES)
 _LABELS = {
-    grammar: "Routes?" if grammar in _ROUTE_GRAMMARS else grammar.label
+    grammar: "Routes?" if grammar in _ROUTE_GRAMMARS else grammar.value
     for grammar in OutputGrammar
 }
 _LABEL_END = r"\s*\**\s*[:=]"
@@ -154,7 +154,7 @@ def _stated_objective(text: str, after: int) -> Optional[float]:
 
 def parse(text, kind: ProblemKind) -> ParsedSolution:
     """Parse a model output for `kind`. Total function, never raises."""
-    failed = ParsedSolution(solution=None, stated_objective=None, format_ok=False)
+    failed = ParsedSolution(solution=None, stated_objective=None)
     if not isinstance(text, str) or not text:
         return failed
     try:
@@ -171,11 +171,7 @@ def parse(text, kind: ProblemKind) -> ParsedSolution:
             sol, end = _read_payload(kind, text, i)
             if sol is None:
                 continue
-            return ParsedSolution(
-                solution=sol,
-                stated_objective=_stated_objective(text, end),
-                format_ok=True,
-            )
+            return ParsedSolution(solution=sol, stated_objective=_stated_objective(text, end))
         return failed
     except Exception:
         # Parsing is a gate, not a failure mode: anything unexpected is zeta=0.

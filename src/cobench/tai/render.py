@@ -57,7 +57,7 @@ def format_solution(kind: ProblemKind, sol: Solution, objective: Optional[float]
     elif isinstance(sol, JobOrder):
         ids = [j + 1 for j in ids]  # orders display 1-based
     body = _nested(ids) if isinstance(sol, (RouteSet, MachineSchedules)) else _flat(ids)
-    text = f"{GRAMMAR_BY_KIND[kind].label}: {body}"
+    text = f"{GRAMMAR_BY_KIND[kind].value}: {body}"
     if objective is not None:
         text += f", Objective: {format_objective(kind, objective)}"
     return text

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 from ..problems.types import ProblemKind, Solution
 
@@ -17,10 +17,6 @@ class OutputGrammar(str, Enum):
     SET = "Set"            # flat vertex list
     ORDER = "Order"        # flat job list, displayed 1-based
     SCHEDULE = "Schedule"  # nested per-machine job lists
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 GRAMMAR_BY_KIND: Mapping[ProblemKind, OutputGrammar] = {
@@ -35,38 +31,32 @@ GRAMMAR_BY_KIND: Mapping[ProblemKind, OutputGrammar] = {
 
 
 @dataclass(frozen=True)
-class HeuristicFeatures:
-    """Per-entity hint lists embedded in the TAI input.
-
-    entries[e] holds up to k (id, value) pairs for entity e:
-    routing -> nearest neighbors with distances (ascending),
-    graphs -> neighbors with the largest degrees (descending),
-    PFSP -> per machine, the jobs with the lowest processing times,
-    JSSP -> per job, the operation indices with the lowest durations.
-    """
-
-    entries: Tuple[Tuple[Tuple[int, float], ...], ...]
-
-
-@dataclass(frozen=True)
 class TextAttributedInstance:
-    """The textual form of an instance: instruction + input + answer grammar."""
+    """The textual form of an instance: instruction + input, answering in
+    its kind's grammar."""
 
     kind: ProblemKind
     instruction: str
     input: str
-    expected_output_grammar: OutputGrammar
+
+    @property
+    def expected_output_grammar(self) -> OutputGrammar:
+        return GRAMMAR_BY_KIND[self.kind]
 
 
 @dataclass(frozen=True)
 class ParsedSolution:
     """Result of parsing a model's output text.
 
-    format_ok is the zeta gate: the text contained a well-formed answer of the
+    solution is None unless the text contained a well-formed answer of the
     expected grammar. stated_objective is whatever objective the text claimed
     (None if absent); scoring always recomputes the real objective.
     """
 
     solution: Optional[Solution]
     stated_objective: Optional[float]
-    format_ok: bool
+
+    @property
+    def format_ok(self) -> bool:
+        """The zeta gate: a solution was read."""
+        return self.solution is not None

@@ -103,10 +103,12 @@ class FeasibilityReport:
         return tuple(ok for _, ok in self.constraints)
 
     def to_dict(self) -> dict:
+        """The report as strict JSON: a non-finite margin (an OP without a
+        budget) is None."""
         return {
             "zeta": self.zeta,
             "constraints": [[name, ok] for name, ok in self.constraints],
-            "margins": [[name, value] for name, value in self.margins],
+            "margins": [[name, v if math.isfinite(v) else None] for name, v in self.margins],
             "feasible": self.feasible,
         }
 

@@ -380,7 +380,7 @@ def reference_parse(text, kind):
     bracketed payload ast.literal_eval reads as the kind's shape. A payload
     literal_eval cannot read (an unhashable dict key included) passes to the
     label before it."""
-    failed = ParsedSolution(solution=None, stated_objective=None, format_ok=False)
+    failed = ParsedSolution(solution=None, stated_objective=None)
     if not isinstance(text, str) or not text:
         return failed
     label = re.compile(
@@ -403,7 +403,6 @@ def reference_parse(text, kind):
             return ParsedSolution(
                 solution=sol,
                 stated_objective=float(stated.group(1)) if stated else None,
-                format_ok=True,
             )
     except Exception:
         pass

@@ -5,13 +5,15 @@ Every subcommand gets at least one happy path, and each documented exit code
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from cobench import __version__
 from cobench.cli import main
-from cobench.problems.io import load_instance, load_reference
+from cobench.problems.io import load_instance, load_reference, save_instance
+from cobench.problems.types import Instance, ProblemKind, RoutingInstance
 
 
 def run(capsys, *argv):
@@ -238,6 +240,26 @@ def test_verify_non_finite_instance_is_data_error(tsp_dir, tmp_path, capsys, fie
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("limit", [math.inf, 100.0])
+def test_verify_and_reward_print_strict_json_margins(tmp_path, capsys, limit):
+    # An infinite distance limit (no budget) is legal; its margin prints as null.
+    payload = RoutingInstance(
+        coords=((0.0, 0.0), (3.0, 4.0), (0.0, 1.0)), prizes=(0, 5, 7), distance_limit=limit
+    )
+    inst_file = save_instance(Instance(ProblemKind.OP, payload, id="op-inf"), tmp_path / "op.json")
+    resp = tmp_path / "resp.txt"
+    resp.write_text("Route: [0, 1, 2, 0]\n")
+    margin = None if limit == math.inf else limit - (5.0 + math.sqrt(18.0) + 1.0)
+    for command in ("verify", "reward"):
+        code, out, err = run(
+            capsys, command, "--instance", str(inst_file), "--response", str(resp)
+        )
+        assert (code, err) == (0, "")
+        shown = _strict_json(out)
+        assert shown["feasible"] is True
+        assert shown["margins"] == [["distance_limit", pytest.approx(margin)]]
 
 
 def test_verify_response_text(tsp_dir, tmp_path, capsys):

@@ -297,7 +297,7 @@ def test_routing_features_tie_breaks_to_lower_id():
     # Nodes 1 and 2 are both at distance 1 from node 0.
     payload = RoutingInstance(coords=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (5.0, 5.0)))
     feats = routing_features(payload, k=2)
-    assert feats.entries[0] == ((1, 1.0), (2, 1.0))
+    assert feats[0] == ((1, 1.0), (2, 1.0))
 
 
 def _grid(side):
@@ -319,26 +319,26 @@ def test_routing_features_match_math_dist_oracle(coords):
     # The 17x17 grid and BLOCK_ROWS + 1 random points span two row blocks.
     payload = RoutingInstance(coords=coords)
     for k in (1, 2, 3, 5):
-        assert routing_features(payload, k).entries == oracles.nearest_neighbours(coords, k)
+        assert routing_features(payload, k) == oracles.nearest_neighbours(coords, k)
 
 
 def test_k_larger_than_n_truncates():
     payload = RoutingInstance(coords=((0.0, 0.0), (1.0, 0.0)))
     feats = routing_features(payload, k=5)
-    assert feats.entries == (((1, 1.0),), ((0, 1.0),))
+    assert feats == (((1, 1.0),), ((0, 1.0),))
 
 
 def test_graph_features_rank_by_degree_then_id():
     feats = graph_features(MIS_EXAMPLE, k=2)
     # Node 9 neighbors {0, 1, 5, 6} with degrees {1, 4, 2, 3}: top-2 are 1, 6.
-    assert feats.entries[9] == ((1, 4.0), (6, 3.0))
-    assert feats.entries[7] == ()  # isolated node
+    assert feats[9] == ((1, 4.0), (6, 3.0))
+    assert feats[7] == ()  # isolated node
 
 
 def test_pfsp_features_lowest_times():
     feats = pfsp_features(PFSP_EXAMPLE, k=2)
-    assert feats.entries[0] == ((5, 14.0), (1, 22.0))
-    assert feats.entries[3] == ((4, 4.0), (2, 6.0))
+    assert feats[0] == ((5, 14.0), (1, 22.0))
+    assert feats[3] == ((4, 4.0), (2, 6.0))
 
 
 def test_jssp_features_lowest_durations():
@@ -347,7 +347,7 @@ def test_jssp_features_lowest_durations():
         machine_order=((2, 4, 0, 3, 1, 5),),
     )
     feats = jssp_features(payload, k=2)
-    assert feats.entries[0] == ((3, 7.0), (5, 30.0))
+    assert feats[0] == ((3, 7.0), (5, 30.0))
 
 
 # ---------------------------------------------------------------------------
