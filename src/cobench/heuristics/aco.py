@@ -8,6 +8,14 @@ ch. 3), so each iteration computes the choice-info matrix tau * eta**2 once,
 and every step gathers one row of it per ant. Pheromones start at 1.0,
 evaporate by RHO per iteration, and only the best-so-far solution deposits
 (elitist update).
+
+A TSP ant chooses from a candidate list (Dorigo & Stuetzle 2004, sec.
+3.4.1, ACOTSP's nn_ants): each node's CANDIDATES nearest other nodes,
+distance ties to the lower id. The ant draws among the unvisited nodes of
+its current node's list with the same roulette rule; an ant whose list is
+used up takes the unvisited node of largest choice info, ties to the lower
+id (ACOTSP's choose_best_next). Up to CANDIDATES + 1 nodes a list holds
+every other node, so the draw is the plain roulette over the whole row.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ import numpy as np
 
 from ..problems.generate import distance_matrix
 from ..problems.types import ROUTING_KINDS, Instance, ProblemKind, Route, RouteSet, Solution
-from .rollout import rollout, roulette, within_budget
+from .rollout import Chooser, rollout, roulette, spin, uniforms, within_budget
 
 _EPS = 1e-12
 RHO = 0.1  # fraction of pheromone lost per iteration
+CANDIDATES = 20  # length of a TSP node's candidate list (ACOTSP's nn_ants)
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,8 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
     np.fill_diagonal(eta, 0.0)
     eta_b = eta * eta
     rng = np.random.default_rng(cfg.seed)
+    if kind is ProblemKind.TSP:
+        near = candidate_lists(d, CANDIDATES)
     tau = np.ones_like(d)
     no_prize = np.zeros(cfg.ants)
     best_prize, best_len = -np.inf, np.inf  # the first iteration always improves
@@ -82,7 +93,12 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
         # choice info, once per iteration; kept finite so that masking by a
         # product never turns an overflowed weight into NaN
         ci = np.nan_to_num(tau * eta_b, copy=False)
-        walks = rollout(d, cfg.ants, lambda cur, mask: roulette(ci[cur] * mask, mask, rng), **rules)
+        choose = (
+            candidate_chooser(ci, near, cfg.ants, rng)
+            if kind is ProblemKind.TSP
+            else lambda cur, mask: roulette(ci[cur] * mask, mask, rng)
+        )
+        walks = rollout(d, cfg.ants, choose, **rules)
         paths, length, prize = walks.paths, walks.length, no_prize
         if kind is ProblemKind.TSP:
             paths = np.pad(paths, ((0, 0), (0, 1)))  # close every tour at the depot
@@ -105,6 +121,58 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
 
     nodes = tuple(int(v) for v in best)
     return _seq_to_routes(nodes) if kind is ProblemKind.CVRP else Route(nodes)
+
+
+def candidate_lists(d: np.ndarray, size: int) -> np.ndarray:
+    """Each node's `size` nearest other nodes, distance ties to the lower id,
+    in ascending id order: an (n, min(size, n - 1)) array."""
+    far = d.copy()
+    np.fill_diagonal(far, np.inf)
+    return np.sort(np.argsort(far, axis=1, kind="stable")[:, : min(size, len(d) - 1)], axis=1)
+
+
+def candidate_chooser(ci: np.ndarray, near: np.ndarray, ants: int, rng: np.random.Generator) -> Chooser:
+    """ACO-TSP's step for one iteration of `ants` ants walking all n - 1 steps.
+
+    An ant draws among the unvisited nodes of its candidate list `near[cur]`
+    with `roulette`'s rule and one uniform; an ant with none left takes its
+    unvisited node of largest choice info `ci`, ties to the lower id.
+    """
+    n, size = near.shape
+    # the walk calls the chooser once per step, and each step draws `ants` uniforms
+    draws = iter(uniforms(rng, (n - 1, ants, 1)))
+
+    if size == n - 1:
+        # every list is the whole row, so the draw is roulette's over the
+        # whole row, which takes fewer numpy calls than the gathers below
+        def whole(cur: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
+            w = ci.take(cur, axis=0)
+            w *= unvisited
+            return spin(w, unvisited, next(draws))
+
+        return whole
+
+    rows = np.arange(ants)
+    row_start = rows[:, None] * n  # flat index of unvisited[a, 0]
+    offsets = near + np.arange(n)[:, None] * n  # flat index of ci[i, near[i]]
+    flat_ci = ci.ravel()
+
+    def choose(cur: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
+        cand = near.take(cur, axis=0)
+        open_ = unvisited.take(row_start + cand)
+        w = flat_ci.take(offsets.take(cur, axis=0))
+        w *= open_
+        nxt = cand[rows, spin(w, open_, next(draws))]
+        # an ant whose list is used up drew column 0 of an all-zero row: a visited node
+        drawn = unvisited[rows, nxt]
+        if not drawn.all():
+            stuck = np.flatnonzero(~drawn)
+            # choice info is >= 0, so a visited node's -1.0 never wins
+            left = np.where(unvisited[stuck], ci.take(cur[stuck], axis=0), -1.0)
+            nxt[stuck] = left.argmax(axis=1)
+        return nxt
+
+    return choose
 
 
 def _seq_to_routes(seq: Sequence[int]) -> RouteSet:

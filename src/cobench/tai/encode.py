@@ -8,6 +8,8 @@ integers where the data is integral and distances at one decimal.
 
 from __future__ import annotations
 
+import math
+
 from ..problems.types import (
     GraphInstance,
     Instance,
@@ -19,7 +21,7 @@ from .features import DEFAULT_K, graph_features, jssp_features, pfsp_features, r
 from .types import TextAttributedInstance
 
 # One str.format template per kind. The fields: n nodes (last = n - 1), k
-# hints, the OP route budget `limit`, the CVRP `customers` and `capacity`,
+# hints, the OP route `budget` clause, the CVRP `customers` and `capacity`,
 # and the scheduling `jobs` and `machines`.
 _INSTRUCTIONS = {
     ProblemKind.TSP: (
@@ -34,12 +36,11 @@ _INSTRUCTIONS = {
     ProblemKind.OP: (
         "Solve the Orienteering Problem with {n} nodes. Each node has (x, y) "
         "coordinates and a prize for visiting it. You must plan a route that starts at "
-        "depot 0, collecting the maximum total prize possible, subject to a maximum "
-        "route length T = {limit:.1f}. You may visit a subset of nodes, but the total "
-        "distance traveled must not exceed T. The input includes city coordinates, the "
-        "{k} nearest neighbors for each city, and their respective distances. Provide "
-        "the solution in the following format: 1. Route: The ordered list of visited "
-        "nodes. 2. Objective: The objective value (summation of the collecting prizes)."
+        "depot 0, collecting the maximum total prize possible, {budget} The input "
+        "includes city coordinates, the {k} nearest neighbors for each city, and their "
+        "respective distances. Provide the solution in the following format: 1. Route: "
+        "The ordered list of visited nodes. 2. Objective: The objective value "
+        "(summation of the collecting prizes)."
     ),
     ProblemKind.CVRP: (
         "Solve the Capacitated Vehicle Routing Problem (CVRP) with {customers} "
@@ -99,6 +100,14 @@ _INSTRUCTIONS = {
         "makespan of the schedule."
     ),
 }
+
+# The OP budget clause, for a finite route length limit T and for an
+# infinite one, which sets no limit.
+_OP_BUDGET = (
+    "subject to a maximum route length T = {:.1f}. You may visit a subset of nodes, but "
+    "the total distance traveled must not exceed T."
+)
+_OP_NO_BUDGET = "with no limit on the route length. You may visit a subset of nodes."
 
 
 def _fmt_coord(v: float) -> str:
@@ -166,7 +175,10 @@ def encode(inst: Instance, k: int = DEFAULT_K) -> TextAttributedInstance:
         raise ValueError("k must be >= 1")
     p = inst.payload
     if isinstance(p, RoutingInstance):
-        fields = dict(n=p.n, customers=p.n - 1, limit=p.distance_limit, capacity=p.capacity)
+        fields = dict(n=p.n, customers=p.n - 1, capacity=p.capacity)
+        if inst.kind is ProblemKind.OP:
+            limit = p.distance_limit
+            fields["budget"] = _OP_NO_BUDGET if limit == math.inf else _OP_BUDGET.format(limit)
         text = _routing_input(inst.kind, p, k)
     elif isinstance(p, GraphInstance):
         fields = dict(n=p.num_nodes, last=p.num_nodes - 1)

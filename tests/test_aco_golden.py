@@ -4,7 +4,8 @@ The digests pin the exact solutions that ACO (TSP, OP, CVRP) and the Tsili
 sampler return for fixed seeded instances and configs. A change to the
 construction code that is meant to be a pure speed-up must keep them. The
 cases cover clustered coordinates, zero-prize OP nodes (all-zero
-desirability rows) and CVRP tours that reload several times.
+desirability rows), CVRP tours that reload several times, and TSP ants
+that choose from candidate lists shorter than the row (40 and 60 nodes).
 """
 
 import hashlib
@@ -13,7 +14,8 @@ from dataclasses import replace
 import pytest
 
 from cobench.heuristics import AcoConfig, aco_solve, op_tsili
-from cobench.problems.types import GM2, ProblemKind
+from cobench.problems.generate import gen_instance
+from cobench.problems.types import GM2, GenConfig, ProblemKind
 
 from conftest import make_instance
 
@@ -31,6 +33,8 @@ ACO_CASES = {
     "case4": ((ProblemKind.OP, 25, 5, dict(prize_range=(0, 2)), dict(ants=10, iterations=10, seed=4)), "6e0fab8382566eaa"),
     "case6": ((ProblemKind.CVRP, 12, 4, {}, dict(ants=8, iterations=15, seed=2)), "a108a49630fab4d5"),
     "case7": ((ProblemKind.CVRP, 20, 7, dict(demand_range=(5, 9)), dict(ants=10, iterations=10, seed=5)), "6e1c2bc0839b4bce"),
+    "case8": ((ProblemKind.TSP, 40, 8, {}, dict(ants=10, iterations=10, seed=6)), "5adc383e966cb1e6"),
+    "case9": ((ProblemKind.TSP, 60, 9, dict(distribution=GM2), dict(ants=12, iterations=8, seed=7)), "96db82f233eb70e4"),
 }
 
 # (size, instance seed, generator overrides, samples, seed) -> digest
@@ -49,6 +53,17 @@ def test_aco_seeded_outputs(case, expected):
     kind, size, seed, gen, cfg = case
     inst = make_instance(kind, size=size, seed=seed, **gen)
     assert _digest(aco_solve(inst, AcoConfig(**cfg))) == expected
+
+
+def test_aco_tsp_whole_row_lists_keep_every_small_output():
+    # Up to 21 nodes a candidate list holds every other node, so ACO-TSP
+    # must return what the whole-row roulette returned before lists existed.
+    h = hashlib.sha256()
+    for n in range(2, 22):
+        for s in range(3):
+            inst = gen_instance(ProblemKind.TSP, GenConfig(size_range=(n, n), seed=s))
+            h.update(repr(aco_solve(inst, AcoConfig(ants=7, iterations=12, seed=s))).encode())
+    assert h.hexdigest()[:16] == "5aa7775b636b49b5"
 
 
 @pytest.mark.parametrize("case,expected", TSILI_CASES)

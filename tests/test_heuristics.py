@@ -31,6 +31,8 @@ from cobench.heuristics import (
     solve,
     tsp_nearest_neighbor,
 )
+from cobench.heuristics.aco import CANDIDATES, candidate_chooser, candidate_lists
+from cobench.heuristics.rollout import roulette
 from cobench.heuristics.routing import two_opt
 from cobench.problems.generate import distance_matrix
 from cobench.problems.types import (
@@ -275,6 +277,109 @@ def test_aco_survives_degenerate_desirability(case, kind):
     else:
         assert np.isinf(eta_b).any()
     assert check(inst, sol).feasible
+
+
+def test_candidate_lists_nearest_ties_to_lower_id():
+    # node 0 sits at distance 1 from nodes 1, 2 and 3, and nodes 2 and 4 coincide
+    coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (5.0, 5.0)]
+    near = candidate_lists(distance_matrix(coords), size=2)
+    assert near.shape == (6, 2)
+    assert near[0].tolist() == [1, 2]
+    assert near[2].tolist() == [0, 4]  # 4 at distance 0, then 0 before 1 at sqrt(2)
+    assert near[4].tolist() == [0, 2]
+    assert near[3].tolist() == [0, 2]
+    # up to size + 1 nodes a list holds every other node, in id order
+    whole = candidate_lists(distance_matrix(coords[:3]), size=2)
+    assert whole.tolist() == [[1, 2], [0, 2], [0, 1]]
+
+
+def _chooser_case(n, ants, seed):
+    """Random coordinates, choice info with a zero diagonal, and a start node
+    per ant, for one step of `candidate_chooser`."""
+    rng = np.random.default_rng(seed)
+    near = candidate_lists(distance_matrix(rng.random((n, 2))), CANDIDATES)
+    ci = rng.random((n, n))
+    np.fill_diagonal(ci, 0.0)
+    return rng, near, ci, rng.integers(0, n, ants)
+
+
+def _draw_pair(ci, near, cur, unvisited, seed):
+    """One step of the chooser and of the whole-row roulette from one seed."""
+    ants = len(cur)
+    got = candidate_chooser(ci, near, ants, np.random.default_rng(seed))(cur, unvisited)
+    want = roulette(ci[cur] * unvisited, unvisited, np.random.default_rng(seed))
+    return got, want
+
+
+@pytest.mark.parametrize("n", [2, 8, CANDIDATES + 1])
+def test_candidate_chooser_whole_row_is_roulette(n):
+    rng, near, ci, cur = _chooser_case(n, ants=64, seed=n)
+    assert near.shape == (n, n - 1)
+    unvisited = rng.random((64, n)) < 0.5
+    unvisited[np.arange(64), cur] = False
+    unvisited[np.arange(64), (cur + 1) % n] = True  # a move always exists
+    got, want = _draw_pair(ci, near, cur, unvisited, seed=n)
+    assert got.tolist() == want.tolist()
+
+
+def test_candidate_chooser_draws_roulette_among_unvisited_candidates():
+    # every unvisited node lies on the ant's list, so the list draw must pick
+    # exactly what the whole-row roulette picks from the same uniforms
+    n, ants = 3 * CANDIDATES, 64
+    rng, near, ci, cur = _chooser_case(n, ants, seed=1)
+    unvisited = np.zeros((ants, n), dtype=bool)
+    for a in range(ants):
+        unvisited[a, near[cur[a]][rng.random(CANDIDATES) < 0.3]] = True
+        unvisited[a, near[cur[a], a % CANDIDATES]] = True
+    got, want = _draw_pair(ci, near, cur, unvisited, seed=2)
+    assert got.tolist() == want.tolist()
+
+
+def test_candidate_chooser_used_up_list_takes_best_unvisited():
+    n, ants = 3 * CANDIDATES, 32
+    rng, near, ci, _ = _chooser_case(n, ants, seed=3)
+    cur = rng.permutation(n)[:ants]  # one ant per node, so each edits its own row of ci
+    unvisited = np.zeros((ants, n), dtype=bool)
+    expected = {}
+    for a in range(ants):
+        off_list = np.setdiff1d(np.arange(n), np.append(near[cur[a]], cur[a]))
+        if a % 2:  # used up: only nodes off the list are left
+            left = rng.choice(off_list, size=4, replace=False)
+            unvisited[a, left] = True
+            ci[cur[a], left[:2]] = ci[cur[a], left].max() + 1.0  # a tie, won by the lower id
+            expected[a] = int(min(left[:2]))
+        else:  # one candidate left beside off-list nodes of far larger choice info
+            unvisited[a, near[cur[a], 0]] = True
+            unvisited[a, off_list[:3]] = True
+            ci[cur[a], off_list[:3]] = 1e6
+            expected[a] = int(near[cur[a], 0])
+    got = candidate_chooser(ci, near, ants, np.random.default_rng(4))(cur, unvisited)
+    assert got.tolist() == [expected[a] for a in range(ants)]
+
+
+def test_candidate_chooser_zero_weights_draw_uniformly_among_candidates():
+    n, ants = 3 * CANDIDATES, 64
+    rng, near, ci, cur = _chooser_case(n, ants, seed=5)
+    ci[:] = 0.0
+    unvisited = rng.random((ants, n)) < 0.5
+    unvisited[np.arange(ants), cur] = False
+    unvisited[np.arange(ants), near[cur, 0]] = True
+    u = np.random.default_rng(6).random(ants)  # the ants' one uniform each
+    got = candidate_chooser(ci, near, ants, np.random.default_rng(6))(cur, unvisited)
+    for a in range(ants):
+        options = [int(v) for v in near[cur[a]] if unvisited[a, v]]  # ascending ids
+        assert got[a] == options[math.ceil(u[a] * len(options)) - 1]
+
+
+def test_aco_tsp_quality_against_nearest_neighbor():
+    # 20 ants x 50 iterations at 50 nodes: list-restricted ants stay within
+    # 1.2x of the nearest-neighbour tour on average
+    aco, nn = [], []
+    for s in range(10):
+        inst = make_instance(ProblemKind.TSP, size=50, seed=s)
+        aco.append(objective(inst, aco_solve(inst, AcoConfig(ants=20, iterations=50, seed=s))).value)
+        nn.append(objective(inst, tsp_nearest_neighbor(inst)).value)
+    assert np.mean(aco) <= 1.2 * np.mean(nn)
 
 
 def test_aco_rejects_non_routing():

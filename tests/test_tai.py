@@ -5,6 +5,7 @@ wording, neighbor-list formats, and the canonical answer grammar.
 """
 
 import importlib
+import math
 import re
 
 import numpy as np
@@ -113,6 +114,24 @@ def test_op_instruction_golden():
     assert "Solve the Orienteering Problem with 23 nodes." in tai.instruction
     assert "subject to a maximum route length T = 2682.5." in tai.instruction
     assert "2. Objective: The objective value (summation of the collecting prizes)." in tai.instruction
+
+
+def test_op_instruction_without_a_length_limit():
+    # An infinite distance limit is legal and means no budget: the prompt says
+    # so rather than printing "T = inf".
+    inst = Instance(
+        kind=ProblemKind.OP,
+        payload=RoutingInstance(
+            coords=((0.0, 0.0), (3.0, 4.0), (6.0, 0.0)), prizes=(0, 2, 5), distance_limit=math.inf
+        ),
+        id="x",
+    )
+    instruction = encode(inst, k=2).instruction
+    assert "inf" not in instruction and "T =" not in instruction
+    assert (
+        "collecting the maximum total prize possible, with no limit on the route length. "
+        "You may visit a subset of nodes. The input includes city coordinates"
+    ) in instruction
 
 
 def test_cvrp_instruction_golden():
