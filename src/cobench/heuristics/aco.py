@@ -27,7 +27,7 @@ import numpy as np
 
 from ..problems.generate import distance_matrix
 from ..problems.types import ROUTING_KINDS, Instance, ProblemKind, Route, RouteSet, Solution
-from .rollout import Chooser, rollout, roulette, spin, uniforms, within_budget
+from .rollout import Chooser, rollout, roulette, within_budget
 
 _EPS = 1e-12
 RHO = 0.1  # fraction of pheromone lost per iteration
@@ -138,31 +138,16 @@ def candidate_chooser(ci: np.ndarray, near: np.ndarray, ants: int, rng: np.rando
     with `roulette`'s rule and one uniform; an ant with none left takes its
     unvisited node of largest choice info `ci`, ties to the lower id.
     """
-    n, size = near.shape
-    # the walk calls the chooser once per step, and each step draws `ants` uniforms
-    draws = iter(uniforms(rng, (n - 1, ants, 1)))
-
-    if size == n - 1:
-        # every list is the whole row, so the draw is roulette's over the
-        # whole row, which takes fewer numpy calls than the gathers below
-        def whole(cur: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
-            w = ci.take(cur, axis=0)
-            w *= unvisited
-            return spin(w, unvisited, next(draws))
-
-        return whole
-
     rows = np.arange(ants)
-    row_start = rows[:, None] * n  # flat index of unvisited[a, 0]
-    offsets = near + np.arange(n)[:, None] * n  # flat index of ci[i, near[i]]
-    flat_ci = ci.ravel()
+    row_start = rows[:, None] * len(near)  # flat index of unvisited[a, 0]
+    near_ci = np.take_along_axis(ci, near, axis=1)  # ci[i, near[i]]
 
     def choose(cur: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
         cand = near.take(cur, axis=0)
         open_ = unvisited.take(row_start + cand)
-        w = flat_ci.take(offsets.take(cur, axis=0))
+        w = near_ci.take(cur, axis=0)
         w *= open_
-        nxt = cand[rows, spin(w, open_, next(draws))]
+        nxt = cand[rows, roulette(w, open_, rng)]
         # an ant whose list is used up drew column 0 of an all-zero row: a visited node
         drawn = unvisited[rows, nxt]
         if not drawn.all():

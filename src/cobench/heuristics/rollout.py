@@ -86,24 +86,16 @@ def rollout(
     return Walks(paths, length, load, walking)
 
 
-def uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform draws for `spin`, clamped away from 0 so that an exact-zero
-    draw never selects a leading zero-weight column."""
-    return np.maximum(rng.random(shape), 1e-16)
-
-
 def roulette(weights: np.ndarray, feasible: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one column per row with probability proportional to its weight.
 
     A row whose weights are all zero, or so small that its draw underflows to
     zero, draws uniformly among its feasible columns instead.
     """
-    return spin(weights, feasible, uniforms(rng, (len(weights), 1)))
-
-
-def spin(weights: np.ndarray, feasible: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`roulette` with its draws given: one column of `uniforms` per row."""
     cum = weights.cumsum(axis=1)
+    # u is clamped away from 0 so that an exact-zero draw never selects a
+    # leading zero-weight column
+    u = np.maximum(rng.random((len(cum), 1)), 1e-16)
     x = u * cum[:, -1:]
     dead = x[:, 0] <= 0.0
     if dead.any():
