@@ -16,6 +16,8 @@ its current node's list with the same roulette rule; an ant whose list is
 used up takes the unvisited node of largest choice info, ties to the lower
 id (ACOTSP's choose_best_next). Up to CANDIDATES + 1 nodes a list holds
 every other node, so the draw is the plain roulette over the whole row.
+Each TSP iteration draws all its uniforms in one (n - 1, ants) block; the
+generator fills it in order, so the stream equals one draw per ant per step.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
         choose = (
             candidate_chooser(ci, near, cfg.ants, rng)
             if kind is ProblemKind.TSP
-            else lambda cur, mask: roulette(ci[cur] * mask, mask, rng)
+            else masked_chooser(ci, rng)
         )
         walks = rollout(d, cfg.ants, choose, **rules)
         paths, length, prize = walks.paths, walks.length, no_prize
@@ -123,6 +125,18 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
     return _seq_to_routes(nodes) if kind is ProblemKind.CVRP else Route(nodes)
 
 
+def masked_chooser(ci: np.ndarray, rng: np.random.Generator) -> Chooser:
+    """ACO-OP and ACO-CVRP's step: `roulette` over each ant's row of choice
+    info `ci`, zeroed outside its feasible mask."""
+
+    def choose(cur: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        w = ci.take(cur, axis=0)
+        w *= mask
+        return roulette(w, mask, rng)
+
+    return choose
+
+
 def candidate_lists(d: np.ndarray, size: int) -> np.ndarray:
     """Each node's `size` nearest other nodes, distance ties to the lower id,
     in ascending id order: an (n, min(size, n - 1)) array."""
@@ -136,25 +150,38 @@ def candidate_chooser(ci: np.ndarray, near: np.ndarray, ants: int, rng: np.rando
 
     An ant draws among the unvisited nodes of its candidate list `near[cur]`
     with `roulette`'s rule and one uniform; an ant with none left takes its
-    unvisited node of largest choice info `ci`, ties to the lower id.
+    unvisited node of largest choice info `ci`, ties to the lower id. The
+    iteration's uniforms are drawn up front as one (n - 1, ants) block, which
+    is the same stream as one `ants`-long draw per step.
     """
+    n = len(near)
     rows = np.arange(ants)
-    row_start = rows[:, None] * len(near)  # flat index of unvisited[a, 0]
+    row_start = rows[:, None] * n  # flat index of unvisited[a, 0]
     near_ci = np.take_along_axis(ci, near, axis=1)  # ci[i, near[i]]
+    # clamped away from 0 as in roulette
+    draws = iter(np.maximum(rng.random((n - 1, ants, 1)), 1e-16))
 
     def choose(cur: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
         cand = near.take(cur, axis=0)
         open_ = unvisited.take(row_start + cand)
         w = near_ci.take(cur, axis=0)
         w *= open_
-        nxt = cand[rows, roulette(w, open_, rng)]
-        # an ant whose list is used up drew column 0 of an all-zero row: a visited node
-        drawn = unvisited[rows, nxt]
-        if not drawn.all():
-            stuck = np.flatnonzero(~drawn)
-            # choice info is >= 0, so a visited node's -1.0 never wins
-            left = np.where(unvisited[stuck], ci.take(cur[stuck], axis=0), -1.0)
-            nxt[stuck] = left.argmax(axis=1)
+        cum = w.cumsum(axis=1)
+        u = next(draws)
+        x = u * cum[:, -1:]
+        nxt = cand[rows, (cum >= x).argmax(axis=1)]
+        # x >= 0, so only a row of total weight 0 fails the test
+        if not x.all():
+            dead = (x[:, 0] == 0.0).nonzero()[0]
+            # a used-up list: the best unvisited node; choice info is >= 0,
+            # so a visited node's -1.0 never wins
+            left = np.where(unvisited[dead], ci.take(cur[dead], axis=0), -1.0)
+            nxt[dead] = left.argmax(axis=1)
+            # zero weights on open candidates: a uniform draw among them
+            some = dead[open_[dead].any(axis=1)]
+            if some.size:
+                count = open_[some].cumsum(axis=1)
+                nxt[some] = cand[some, (count >= u[some] * count[:, -1:]).argmax(axis=1)]
         return nxt
 
     return choose

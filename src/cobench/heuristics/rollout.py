@@ -23,7 +23,7 @@ Chooser = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 class Walks(NamedTuple):
     paths: np.ndarray    # (ants, steps + 1): depot 0, then one node per step, -1 where the ant stayed
-    length: np.ndarray   # distance travelled
+    length: Optional[np.ndarray]  # distance travelled; None without a feasible mask
     load: np.ndarray     # gain collected since the last depot visit
     walking: np.ndarray  # ants still under way when the step limit ran out
 
@@ -41,10 +41,13 @@ def rollout(
     which must have a zero diagonal.
 
     With no `feasible` mask every unvisited node is allowed, so every ant
-    moves on each of the n - 1 steps. With one, an ant that has no feasible
+    moves on each of the n - 1 steps, and the walks carry no length: the
+    caller sums its own closed tours. With one, an ant that has no feasible
     node stops for good, or, with `reload`, returns to the depot, empties its
     load, and finishes once it has visited every node. Arriving at node j
-    adds gain[j] to the ant's load.
+    adds gain[j] to the ant's load. The mask may allow only unvisited nodes,
+    and each ant's row may depend only on that ant's own state, so an ant
+    that has stopped or finished never has a feasible node again.
     """
     n = d.shape[0]
     steps = n - 1 if max_steps is None else max_steps
@@ -52,7 +55,7 @@ def rollout(
     cur = np.zeros(ants, dtype=np.intp)
     unvisited = np.ones((ants, n), dtype=bool)
     unvisited[:, 0] = False
-    length = np.zeros(ants)
+    length = None if feasible is None else np.zeros(ants)
     load = np.zeros(ants)
     walking = np.ones(ants, dtype=bool)
     paths = np.full((ants, steps + 1), -1, dtype=np.int32)
@@ -62,13 +65,18 @@ def rollout(
             nxt = choose(cur, unvisited)
             paths[:, s] = nxt
         else:
-            if not walking.any():
-                break
             mask = feasible(cur, unvisited, length, load)
-            moving = walking & mask.any(axis=1)
-            nxt = np.where(moving, choose(cur, mask), cur) if moving.any() else cur
-            if gain is not None:
-                load = np.where(moving, load + gain[nxt], load)
+            # an ant that stopped or finished has no feasible node
+            moving = mask.any(axis=1)
+            if moving.any():
+                nxt = np.where(moving, choose(cur, mask), cur)
+                if gain is not None:
+                    load = np.where(moving, load + gain[nxt], load)
+            elif reload and walking.any():
+                nxt = cur  # every ant under way is stuck
+            else:  # no ant can move or reload again
+                walking = moving
+                break
             if not reload:
                 walking = moving
             else:
@@ -79,8 +87,8 @@ def rollout(
                     walking = walking & (unvisited.any(axis=1) | ~stuck)
                     moving = moving | stuck
             paths[:, s] = np.where(moving, nxt, -1)
-        # an ant that stays put adds d[cur, cur] == 0.0, which leaves its length as is
-        length = length + d[cur, nxt]
+            # an ant that stays put adds d[cur, cur] == 0.0, which leaves its length as is
+            length = length + d[cur, nxt]
         unvisited[rows, nxt] = False
         cur = nxt
     return Walks(paths, length, load, walking)
@@ -89,20 +97,26 @@ def rollout(
 def roulette(weights: np.ndarray, feasible: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one column per row with probability proportional to its weight.
 
-    A row whose weights are all zero, or so small that its draw underflows to
-    zero, draws uniformly among its feasible columns instead.
+    Weights must be >= 0. A row whose weights are all zero, or so small that
+    its draw underflows to zero, draws uniformly among its feasible columns
+    instead; a row with no feasible column draws column 0.
     """
     cum = weights.cumsum(axis=1)
     # u is clamped away from 0 so that an exact-zero draw never selects a
     # leading zero-weight column
     u = np.maximum(rng.random((len(cum), 1)), 1e-16)
     x = u * cum[:, -1:]
-    dead = x[:, 0] <= 0.0
-    if dead.any():
-        cum[dead] = feasible[dead].cumsum(axis=1)
-        x[dead] = u[dead] * cum[dead, -1:]
+    # x >= 0, so only a row of total weight 0 fails the test (NaN passes)
+    if not x.all():
+        dead = (x[:, 0] == 0.0).nonzero()[0]
+        # a row with no feasible column draws column 0, which x == 0 gives
+        dead = dead[feasible[dead].any(axis=1)]
+        if dead.size:
+            count = feasible[dead].cumsum(axis=1)
+            cum[dead] = count
+            x[dead] = u[dead] * count[:, -1:]
     # cum is nondecreasing, so the first column to reach x is the draw
-    return np.argmax(cum >= x, axis=1)
+    return (cum >= x).argmax(axis=1)
 
 
 def within_budget(d: np.ndarray, limit: float) -> Mask:

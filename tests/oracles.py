@@ -5,13 +5,16 @@ pure Python data structures, math.dist instead of numpy, pointer-based event
 simulation instead of graph decodes, exact Fraction arithmetic for the policy
 math. Agreement between these and the package is the point of the tests.
 The group arithmetic also has its numpy formulation here, which the
-package's plain-Python floats must equal bit for bit.
+package's plain-Python floats must equal bit for bit, and the ACO step keeps
+its earlier per-step form here (one roulette call and one draw per step),
+which the package's leaner step must equal draw for draw.
 """
 
 import ast
 import math
 import re
 import statistics
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -407,3 +410,89 @@ def reference_parse(text, kind):
     except Exception:
         pass
     return failed
+
+
+# ---------------------------------------------------------------------------
+# The ACO step in its per-step form: the masked-rollout kernel, roulette, the
+# TSP candidate-list chooser and the OP/CVRP chooser, as they were before the
+# step was trimmed. Every draw and float of the package's step must match.
+
+
+WalksRef = namedtuple("WalksRef", "paths length load walking")
+
+
+def rollout_ref(d, ants, choose, feasible=None, gain=None, reload=False, max_steps=None):
+    """The walks as `rollout` returns them, with a length summed on every step."""
+    n = d.shape[0]
+    steps = n - 1 if max_steps is None else max_steps
+    rows = np.arange(ants)
+    cur = np.zeros(ants, dtype=np.intp)
+    unvisited = np.ones((ants, n), dtype=bool)
+    unvisited[:, 0] = False
+    length = np.zeros(ants)
+    load = np.zeros(ants)
+    walking = np.ones(ants, dtype=bool)
+    paths = np.full((ants, steps + 1), -1, dtype=np.int32)
+    paths[:, 0] = 0
+    for s in range(1, steps + 1):
+        if feasible is None:
+            nxt = choose(cur, unvisited)
+            paths[:, s] = nxt
+        else:
+            if not walking.any():
+                break
+            mask = feasible(cur, unvisited, length, load)
+            moving = walking & mask.any(axis=1)
+            nxt = np.where(moving, choose(cur, mask), cur) if moving.any() else cur
+            if gain is not None:
+                load = np.where(moving, load + gain[nxt], load)
+            if not reload:
+                walking = moving
+            else:
+                stuck = walking & ~moving
+                if stuck.any():
+                    nxt = np.where(stuck, 0, nxt)
+                    load = np.where(stuck, 0.0, load)
+                    walking = walking & (unvisited.any(axis=1) | ~stuck)
+                    moving = moving | stuck
+            paths[:, s] = np.where(moving, nxt, -1)
+        length = length + d[cur, nxt]
+        unvisited[rows, nxt] = False
+        cur = nxt
+    return WalksRef(paths, length, load, walking)
+
+
+def roulette_ref(weights, feasible, rng):
+    cum = weights.cumsum(axis=1)
+    u = np.maximum(rng.random((len(cum), 1)), 1e-16)
+    x = u * cum[:, -1:]
+    dead = x[:, 0] <= 0.0
+    if dead.any():
+        cum[dead] = feasible[dead].cumsum(axis=1)
+        x[dead] = u[dead] * cum[dead, -1:]
+    return np.argmax(cum >= x, axis=1)
+
+
+def candidate_chooser_ref(ci, near, ants, rng):
+    rows = np.arange(ants)
+    row_start = rows[:, None] * len(near)
+    near_ci = np.take_along_axis(ci, near, axis=1)
+
+    def choose(cur, unvisited):
+        cand = near.take(cur, axis=0)
+        open_ = unvisited.take(row_start + cand)
+        w = near_ci.take(cur, axis=0)
+        w *= open_
+        nxt = cand[rows, roulette_ref(w, open_, rng)]
+        drawn = unvisited[rows, nxt]
+        if not drawn.all():
+            stuck = np.flatnonzero(~drawn)
+            left = np.where(unvisited[stuck], ci.take(cur[stuck], axis=0), -1.0)
+            nxt[stuck] = left.argmax(axis=1)
+        return nxt
+
+    return choose
+
+
+def masked_chooser_ref(ci, rng):
+    return lambda cur, mask: roulette_ref(ci[cur] * mask, mask, rng)

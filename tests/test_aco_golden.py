@@ -5,7 +5,8 @@ sampler return for fixed seeded instances and configs. A change to the
 construction code that is meant to be a pure speed-up must keep them. The
 cases cover clustered coordinates, zero-prize OP nodes (all-zero
 desirability rows), CVRP tours that reload several times, and TSP ants
-that choose from candidate lists shorter than the row (40 and 60 nodes).
+that choose from candidate lists shorter than the row (40 and 60 nodes,
+and every fifth size from 25 to 60).
 """
 
 import hashlib
@@ -64,6 +65,17 @@ def test_aco_tsp_whole_row_lists_keep_every_small_output():
             inst = gen_instance(ProblemKind.TSP, GenConfig(size_range=(n, n), seed=s))
             h.update(repr(aco_solve(inst, AcoConfig(ants=7, iterations=12, seed=s))).encode())
     assert h.hexdigest()[:16] == "5aa7775b636b49b5"
+
+
+def test_aco_tsp_mid_size_outputs():
+    # 25-60 nodes: candidate lists shorter than the row, and late in each
+    # tour ants whose list is used up
+    h = hashlib.sha256()
+    for n in range(25, 61, 5):
+        for s in range(3):
+            inst = gen_instance(ProblemKind.TSP, GenConfig(size_range=(n, n), seed=s))
+            h.update(repr(aco_solve(inst, AcoConfig(ants=20, iterations=30, seed=s))).encode())
+    assert h.hexdigest()[:16] == "f718edac00062159"
 
 
 @pytest.mark.parametrize("case,expected", TSILI_CASES)
