@@ -5,35 +5,41 @@ kernel (rollout.py); a kind only supplies its heuristic desirability eta, its
 feasibility mask and what a stuck ant does. The exponents are the textbook
 alpha = 1 and beta = 2 (Dorigo & Stuetzle, Ant Colony Optimization, 2004,
 ch. 3), so each iteration computes the choice-info matrix tau * eta**2 once,
-and every step gathers one row of it per ant. Pheromones start at 1.0,
+and every step gathers each ant's candidates from it. Pheromones start at 1.0,
 evaporate by RHO per iteration, and only the best-so-far solution deposits
 (elitist update).
 
-A TSP ant chooses from a candidate list (Dorigo & Stuetzle 2004, sec.
-3.4.1, ACOTSP's nn_ants): each node's CANDIDATES nearest other nodes,
-distance ties to the lower id. The ant draws among the unvisited nodes of
-its current node's list with the same roulette rule; an ant whose list is
-used up takes the unvisited node of largest choice info, ties to the lower
-id (ACOTSP's choose_best_next). Up to CANDIDATES + 1 nodes a list holds
-every other node, so the draw is the plain roulette over the whole row.
-Each TSP iteration draws all its uniforms in one (n - 1, ants) block; the
-generator fills it in order, so the stream equals one draw per ant per step.
+Every ant chooses from a candidate list (Dorigo & Stuetzle 2004, sec.
+3.4.1, ACOTSP's nn_ants; Bullnheimer, Hartl & Strauss 1999 for the VRP):
+each node's CANDIDATES nearest other nodes, distance ties to the lower id.
+The ant draws among the feasible nodes of its current node's list with the
+roulette rule, feasible meaning unvisited for TSP and what the kind's mask
+allows for OP and CVRP; an ant with no feasible candidate takes its feasible
+node of largest choice info, ties to the lower id (ACOTSP's
+choose_best_next). Up to CANDIDATES + 1 nodes a list holds every other
+node, so the draw, and every seeded output, is the plain roulette over the
+whole row. Each TSP iteration draws all its uniforms in one (n - 1, ants)
+block; the generator fills it in order, so the stream equals one draw per
+ant per step. OP and CVRP walks end after a varying number of steps, so
+they draw per step. A solve reads the lists through a table of each ant's
+flat candidate offsets, ants * n * CANDIDATES * 8 bytes: 1.6 MB for 100
+ants at TSP-100, 48 MB for 100 ants at 3000 nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..problems.generate import distance_matrix
 from ..problems.types import ROUTING_KINDS, Instance, ProblemKind, Route, RouteSet, Solution
-from .rollout import Chooser, rollout, roulette, within_budget
+from .rollout import Chooser, rollout, within_budget
 
 _EPS = 1e-12
 RHO = 0.1  # fraction of pheromone lost per iteration
-CANDIDATES = 20  # length of a TSP node's candidate list (ACOTSP's nn_ants)
+CANDIDATES = 20  # length of a node's candidate list (ACOTSP's nn_ants)
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,10 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
     np.fill_diagonal(eta, 0.0)
     eta_b = eta * eta
     rng = np.random.default_rng(cfg.seed)
-    if kind is ProblemKind.TSP:
-        near = candidate_lists(d, CANDIDATES)
+    near = candidate_lists(d, CANDIDATES)
+    offsets = candidate_offsets(near, cfg.ants)
+    # a TSP walk always takes n - 1 steps; an OP or CVRP walk's length varies
+    steps = p.n - 1 if kind is ProblemKind.TSP else None
     tau = np.ones_like(d)
     no_prize = np.zeros(cfg.ants)
     best_prize, best_len = -np.inf, np.inf  # the first iteration always improves
@@ -95,16 +103,11 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
         # choice info, once per iteration; kept finite so that masking by a
         # product never turns an overflowed weight into NaN
         ci = np.nan_to_num(tau * eta_b, copy=False)
-        choose = (
-            candidate_chooser(ci, near, cfg.ants, rng)
-            if kind is ProblemKind.TSP
-            else masked_chooser(ci, rng)
-        )
-        walks = rollout(d, cfg.ants, choose, **rules)
+        walks = rollout(d, cfg.ants, candidate_chooser(ci, near, offsets, rng, steps), **rules)
         paths, length, prize = walks.paths, walks.length, no_prize
         if kind is ProblemKind.TSP:
             paths = np.pad(paths, ((0, 0), (0, 1)))  # close every tour at the depot
-            length = d[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+            length = d.take(paths[:, :-1] * p.n + paths[:, 1:]).sum(axis=1)
         elif kind is ProblemKind.OP:
             prize = walks.load
         else:  # an ant that ran out of steps has no complete solution
@@ -115,26 +118,16 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
         ):
             best_prize, best_len = float(prize[i]), float(length[i])
             best = paths[i][paths[i] >= 0]
+            # both directions of every edge of the best solution
+            edges = (np.concatenate((best[:-1], best[1:])), np.concatenate((best[1:], best[:-1])))
+            amount = best_prize / total_prize if kind is ProblemKind.OP else 1.0 / max(best_len, _EPS)
         tau *= 1.0 - RHO
         # elitist update; every edge gets the same amount, so the order of
         # the additions cannot change the sums
-        amount = best_prize / total_prize if kind is ProblemKind.OP else 1.0 / max(best_len, _EPS)
-        np.add.at(tau, (np.r_[best[:-1], best[1:]], np.r_[best[1:], best[:-1]]), amount)
+        np.add.at(tau, edges, amount)
 
     nodes = tuple(int(v) for v in best)
     return _seq_to_routes(nodes) if kind is ProblemKind.CVRP else Route(nodes)
-
-
-def masked_chooser(ci: np.ndarray, rng: np.random.Generator) -> Chooser:
-    """ACO-OP and ACO-CVRP's step: `roulette` over each ant's row of choice
-    info `ci`, zeroed outside its feasible mask."""
-
-    def choose(cur: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        w = ci.take(cur, axis=0)
-        w *= mask
-        return roulette(w, mask, rng)
-
-    return choose
 
 
 def candidate_lists(d: np.ndarray, size: int) -> np.ndarray:
@@ -145,43 +138,66 @@ def candidate_lists(d: np.ndarray, size: int) -> np.ndarray:
     return np.sort(np.argsort(far, axis=1, kind="stable")[:, : min(size, len(d) - 1)], axis=1)
 
 
-def candidate_chooser(ci: np.ndarray, near: np.ndarray, ants: int, rng: np.random.Generator) -> Chooser:
-    """ACO-TSP's step for one iteration of `ants` ants walking all n - 1 steps.
+def candidate_offsets(near: np.ndarray, ants: int) -> np.ndarray:
+    """Row a * n + i holds the flat indices of the (ants, n) mask's entries
+    [a, near[i]]: the table an ant at node i reads its candidates through."""
+    n, size = near.shape
+    return (near[None] + (np.arange(ants) * n)[:, None, None]).reshape(ants * n, size)
 
-    An ant draws among the unvisited nodes of its candidate list `near[cur]`
-    with `roulette`'s rule and one uniform; an ant with none left takes its
-    unvisited node of largest choice info `ci`, ties to the lower id. The
-    iteration's uniforms are drawn up front as one (n - 1, ants) block, which
-    is the same stream as one `ants`-long draw per step.
+
+def candidate_chooser(
+    ci: np.ndarray,
+    near: np.ndarray,
+    offsets: np.ndarray,
+    rng: np.random.Generator,
+    steps: Optional[int],
+) -> Chooser:
+    """Every ACO kind's step for one iteration, on candidate lists `near` and
+    their flat `offsets` (see `candidate_offsets`).
+
+    An ant draws among the feasible nodes of its candidate list `near[cur]`
+    with `roulette`'s rule and one uniform; an ant with none feasible takes
+    its feasible node of largest choice info `ci`, ties to the lower id, and
+    an ant with no feasible node at all gets node 0, as `roulette` gives
+    column 0. With `steps`, the walk's length, the iteration's uniforms are
+    drawn up front as one (steps, ants) block, the same stream as one
+    `ants`-long draw per step; with None each step draws its own.
     """
-    n = len(near)
+    n, size = near.shape
+    ants = len(offsets) // n
     rows = np.arange(ants)
-    row_start = rows[:, None] * n  # flat index of unvisited[a, 0]
-    near_ci = np.take_along_axis(ci, near, axis=1)  # ci[i, near[i]]
+    row_off = rows * n  # flat index of mask[a, 0]
+    rows_cl = rows * size  # flat index of a row's first candidate
+    near_ci = ci[np.arange(n)[:, None], near]  # ci[i, near[i]]
     # clamped away from 0 as in roulette
-    draws = iter(np.maximum(rng.random((n - 1, ants, 1)), 1e-16))
+    if steps is None:
+        def draw() -> np.ndarray:
+            return np.maximum(rng.random((ants, 1)), 1e-16)
+    else:
+        draw = iter(np.maximum(rng.random((steps, ants, 1)), 1e-16)).__next__
 
-    def choose(cur: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
-        cand = near.take(cur, axis=0)
-        open_ = unvisited.take(row_start + cand)
+    def choose(cur: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        idx = offsets.take(row_off + cur, axis=0)
+        open_ = mask.take(idx)
         w = near_ci.take(cur, axis=0)
         w *= open_
         cum = w.cumsum(axis=1)
-        u = next(draws)
+        u = draw()
         x = u * cum[:, -1:]
-        nxt = cand[rows, (cum >= x).argmax(axis=1)]
+        nxt = idx.take((cum >= x).argmax(axis=1) + rows_cl) - row_off
         # x >= 0, so only a row of total weight 0 fails the test
-        if not x.all():
+        if np.count_nonzero(x) != ants:
             dead = (x[:, 0] == 0.0).nonzero()[0]
-            # a used-up list: the best unvisited node; choice info is >= 0,
-            # so a visited node's -1.0 never wins
-            left = np.where(unvisited[dead], ci.take(cur[dead], axis=0), -1.0)
+            # no feasible candidate: the best feasible node, or node 0 for an
+            # ant with none; choice info is >= 0, so an infeasible node's
+            # -1.0 never wins
+            left = np.where(mask[dead], ci.take(cur[dead], axis=0), -1.0)
             nxt[dead] = left.argmax(axis=1)
             # zero weights on open candidates: a uniform draw among them
             some = dead[open_[dead].any(axis=1)]
             if some.size:
                 count = open_[some].cumsum(axis=1)
-                nxt[some] = cand[some, (count >= u[some] * count[:, -1:]).argmax(axis=1)]
+                nxt[some] = near[cur[some], (count >= u[some] * count[:, -1:]).argmax(axis=1)]
         return nxt
 
     return choose

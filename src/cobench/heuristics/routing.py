@@ -72,7 +72,9 @@ def tsp_farthest_insertion(inst: Instance) -> Route:
     d = distance_matrix(p.coords)
     n = p.n
     start = 0
-    first = int(np.argmax(d[start]))
+    far = d[start].copy()
+    far[start] = -np.inf  # coincident nodes must not pick the start itself
+    first = int(np.argmax(far))
     tour = [start, first, start]
     in_tour = np.zeros(n, dtype=bool)
     in_tour[[start, first]] = True

@@ -414,8 +414,8 @@ def reference_parse(text, kind):
 
 # ---------------------------------------------------------------------------
 # The ACO step in its per-step form: the masked-rollout kernel, roulette, the
-# TSP candidate-list chooser and the OP/CVRP chooser, as they were before the
-# step was trimmed. Every draw and float of the package's step must match.
+# candidate-list chooser and the whole-row chooser OP and CVRP used before
+# they chose from lists. Every draw and float of the package's step must match.
 
 
 WalksRef = namedtuple("WalksRef", "paths length load walking")
@@ -473,21 +473,20 @@ def roulette_ref(weights, feasible, rng):
     return np.argmax(cum >= x, axis=1)
 
 
-def candidate_chooser_ref(ci, near, ants, rng):
-    rows = np.arange(ants)
-    row_start = rows[:, None] * len(near)
+def candidate_chooser_ref(ci, near, offsets, rng, steps=None):
+    """The chooser with one roulette_ref draw per step, whatever `steps` says;
+    `offsets` only fixes the number of ants."""
+    rows = np.arange(len(offsets) // len(near))
     near_ci = np.take_along_axis(ci, near, axis=1)
 
-    def choose(cur, unvisited):
-        cand = near.take(cur, axis=0)
-        open_ = unvisited.take(row_start + cand)
-        w = near_ci.take(cur, axis=0)
-        w *= open_
-        nxt = cand[rows, roulette_ref(w, open_, rng)]
-        drawn = unvisited[rows, nxt]
+    def choose(cur, mask):
+        cand = near[cur]
+        open_ = mask[rows[:, None], cand]
+        nxt = cand[rows, roulette_ref(near_ci[cur] * open_, open_, rng)]
+        drawn = mask[rows, nxt]
         if not drawn.all():
             stuck = np.flatnonzero(~drawn)
-            left = np.where(unvisited[stuck], ci.take(cur[stuck], axis=0), -1.0)
+            left = np.where(mask[stuck], ci[cur[stuck]], -1.0)
             nxt[stuck] = left.argmax(axis=1)
         return nxt
 

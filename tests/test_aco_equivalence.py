@@ -1,12 +1,15 @@
 """The ACO step against its per-step form in oracles.py, draw for draw.
 
-The package's step draws each TSP iteration's uniforms in one block, tests
-for a zero-total row once per step, skips the uniform fallback for rows with
-no feasible column and sums no TSP length inside the walk. None of that may
-move a draw, a float or the state the generator is left in. The weight
-matrices mix ordinary rows with all-zero rows (with and without feasible
-columns), rows whose weights underflow the draw, and rows of infinite or NaN
-weight; the colony sizes reach the candidate lists' used-up fallback.
+The package's step draws each TSP iteration's uniforms in one block, reads
+candidates through a table of flat offsets, tests for a zero-total row once
+per step, skips the uniform fallback for rows with no feasible column and
+sums no TSP length inside the walk. None of that may move a draw, a float or
+the state the generator is left in. On lists that hold every other node (21
+nodes or fewer) the OP and CVRP step must also draw what the whole-row
+roulette drew. The weight matrices mix ordinary rows with all-zero rows
+(with and without feasible columns), rows whose weights underflow the draw,
+and rows of infinite or NaN weight; the colony sizes reach the candidate
+lists' used-up fallback.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ import oracles
 from cobench.heuristics import AcoConfig, aco_solve, op_greedy, op_tsili
 import cobench.heuristics.aco as aco
 import cobench.heuristics.routing as routing
-from cobench.heuristics.aco import CANDIDATES, candidate_chooser, candidate_lists, masked_chooser
+from cobench.heuristics.aco import CANDIDATES, candidate_chooser, candidate_lists, candidate_offsets
 from cobench.heuristics.rollout import rollout, roulette, within_budget
 from cobench.problems.generate import distance_matrix
 from cobench.problems.types import GM2, ProblemKind
@@ -75,9 +78,10 @@ def test_candidate_chooser_walk_matches_reference(n, seed):
     # a whole iteration: every step's draw, the tours and the generator's
     # state after the n - 1 steps, which the block of uniforms must reach
     d, near, ci, ants = *_colony(n, 16, seed), 16
+    offsets = candidate_offsets(near, ants)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = oracles.rollout_ref(d, ants, oracles.candidate_chooser_ref(ci, near, ants, want_rng))
-    got = rollout(d, ants, candidate_chooser(ci, near, ants, got_rng))
+    want = oracles.rollout_ref(d, ants, oracles.candidate_chooser_ref(ci, near, offsets, want_rng))
+    got = rollout(d, ants, candidate_chooser(ci, near, offsets, got_rng, n - 1))
     assert got.paths.tolist() == want.paths.tolist()
     assert got.length is None
     assert _state(got_rng) == _state(want_rng)
@@ -95,21 +99,75 @@ def test_candidate_chooser_step_matches_reference(seed):
     unvisited = rng.random((ants, n)) < rng.choice([0.02, 0.2, 0.8], size=(ants, 1))
     unvisited[np.arange(ants), cur] = False
     unvisited[np.arange(ants), (cur + 1) % n] = True  # a move always exists
-    want = oracles.candidate_chooser_ref(ci, near, ants, np.random.default_rng(seed))(cur, unvisited)
-    got = candidate_chooser(ci, near, ants, np.random.default_rng(seed))(cur, unvisited)
+    offsets = candidate_offsets(near, ants)
+    want = oracles.candidate_chooser_ref(ci, near, offsets, np.random.default_rng(seed))(cur, unvisited)
+    got = candidate_chooser(ci, near, offsets, np.random.default_rng(seed), n - 1)(cur, unvisited)
     assert got.tolist() == want.tolist()
+
+
+def _step_pair(ci, near, cur, mask, seed):
+    """One per-step draw of the chooser and of its reference from one seed."""
+    offsets = candidate_offsets(near, len(cur))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = oracles.candidate_chooser_ref(ci, near, offsets, want_rng)(cur, mask)
+    got = candidate_chooser(ci, near, offsets, got_rng, None)(cur, mask)
+    assert _state(got_rng) == _state(want_rng)
+    return got, want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_candidate_chooser_feasible_only_off_list_takes_best_feasible(seed):
+    # a capacity mask that rules out every candidate but leaves nodes off the
+    # list open: the ant takes its feasible node of largest choice info, a tie
+    # going to the lower id
+    n, ants = 3 * CANDIDATES, 24
+    _, near, ci = _colony(n, ants, seed, zero_rows=0.0, underflow_rows=0.0)
+    rng = np.random.default_rng(seed + 30)
+    cur = rng.permutation(n)[:ants]  # one ant per node, so each edits its own row of ci
+    mask = np.zeros((ants, n), dtype=bool)
+    expected = []
+    for a in range(ants):
+        off_list = np.setdiff1d(np.arange(n), np.append(near[cur[a]], cur[a]))
+        left = rng.choice(off_list, size=5, replace=False)
+        mask[a, left] = True
+        ci[cur[a], left[:2]] = ci[cur[a], left].max() + 1.0
+        expected.append(int(min(left[:2])))
+    got, want = _step_pair(ci, near, cur, mask, seed)
+    assert got.tolist() == want.tolist() == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_candidate_chooser_row_with_no_feasible_node(seed):
+    # an ant that cannot move still uses up its uniform and gets node 0,
+    # which the rollout discards; every other ant takes a feasible node
+    n, ants = 3 * CANDIDATES, 32
+    _, near, ci = _colony(n, ants, seed)
+    rng = np.random.default_rng(seed + 40)
+    cur = rng.integers(0, n, ants)
+    mask = rng.random((ants, n)) < 0.5
+    mask[np.arange(ants), cur] = False
+    mask[np.arange(ants), (cur + 1) % n] = True
+    stuck = rng.random(ants) < 0.5
+    stuck[0] = True
+    mask[stuck] = False
+    got, want = _step_pair(ci, near, cur, mask, seed)
+    assert got.tolist() == want.tolist()
+    assert (got[stuck] == 0).all() and mask[~stuck, got[~stuck]].all()
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_masked_chooser_matches_reference(seed):
-    n, ants = 30, 40
-    _, _, ci = _colony(n, ants, seed, zero_rows=0.3, underflow_rows=0.2)
+    # under a feasibility mask, on lists that hold every other node, the
+    # chooser is the whole-row roulette OP and CVRP drew before lists
+    n, ants = CANDIDATES + 1, 40
+    _, near, ci = _colony(n, ants, seed, zero_rows=0.3, underflow_rows=0.2)
     rng = np.random.default_rng(seed + 7)
     cur = rng.integers(0, n, ants)
     mask = rng.random((ants, n)) < rng.choice([0.0, 0.1, 0.6], size=(ants, 1))
+    mask[np.arange(ants), cur] = False  # the node an ant stands on is visited
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = oracles.masked_chooser_ref(ci, want_rng)(cur, mask)
-    got = masked_chooser(ci, got_rng)(cur, mask)
+    got = candidate_chooser(ci, near, candidate_offsets(near, ants), got_rng, None)(cur, mask)
     assert got.tolist() == want.tolist()
     assert _state(got_rng) == _state(want_rng)
 
@@ -118,22 +176,24 @@ def test_masked_chooser_matches_reference(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_masked_rollout_matches_reference(reload, max_steps, seed):
     # every field of the walks, the step limit cut short or not: a budget
-    # walk that stops ants for good, or a capacity walk that reloads
-    n, ants = 24, 12
-    d, _, ci = _colony(n, ants, seed, zero_rows=0.2, underflow_rows=0.1)
+    # walk that stops ants for good, or a capacity walk that reloads; on
+    # whole-row lists the chooser must draw what the whole-row roulette drew
+    n, ants = CANDIDATES + 1, 12
+    d, near, ci = _colony(n, ants, seed, zero_rows=0.2, underflow_rows=0.1)
     gain = np.random.default_rng(seed).integers(0, 4, n).astype(float)
     if reload:
         def feasible(cur, unvisited, length, load):
             return unvisited & (gain <= 6.0 - load[:, None])
     else:
         feasible = within_budget(d, 1.5 + seed / 2)
+    offsets = candidate_offsets(near, ants)
     walks = {}
     for name, walk, chooser in (
-        ("want", oracles.rollout_ref, oracles.masked_chooser_ref),
-        ("got", rollout, masked_chooser),
+        ("want", oracles.rollout_ref, lambda rng: oracles.masked_chooser_ref(ci, rng)),
+        ("got", rollout, lambda rng: candidate_chooser(ci, near, offsets, rng, None)),
     ):
         rng = np.random.default_rng(seed)
-        walks[name] = walk(d, ants, chooser(ci, rng), feasible, gain, reload, max_steps), _state(rng)
+        walks[name] = walk(d, ants, chooser(rng), feasible, gain, reload, max_steps), _state(rng)
     (want, want_state), (got, got_state) = walks["want"], walks["got"]
     for field in want._fields:
         assert getattr(got, field).tolist() == getattr(want, field).tolist(), field
@@ -145,7 +205,6 @@ def reference_step(monkeypatch):
     """Run aco_solve and the OP walks on the per-step form of the ACO step."""
     monkeypatch.setattr(aco, "rollout", oracles.rollout_ref)
     monkeypatch.setattr(aco, "candidate_chooser", oracles.candidate_chooser_ref)
-    monkeypatch.setattr(aco, "masked_chooser", oracles.masked_chooser_ref)
     monkeypatch.setattr(routing, "rollout", oracles.rollout_ref)
     monkeypatch.setattr(routing, "roulette", oracles.roulette_ref)
     return monkeypatch

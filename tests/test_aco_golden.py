@@ -4,9 +4,9 @@ The digests pin the exact solutions that ACO (TSP, OP, CVRP) and the Tsili
 sampler return for fixed seeded instances and configs. A change to the
 construction code that is meant to be a pure speed-up must keep them. The
 cases cover clustered coordinates, zero-prize OP nodes (all-zero
-desirability rows), CVRP tours that reload several times, and TSP ants
-that choose from candidate lists shorter than the row (40 and 60 nodes,
-and every fifth size from 25 to 60).
+desirability rows), CVRP tours that reload several times, and ants that
+choose from candidate lists shorter than the row (OP at 25 nodes, TSP at 40
+and 60, and every kind at every fifth size from 25 to 60).
 """
 
 import hashlib
@@ -31,7 +31,7 @@ ACO_CASES = {
     "case0": ((ProblemKind.TSP, 12, 1, {}, dict(ants=8, iterations=15, seed=3)), "77be82ed7264ebab"),
     "case1": ((ProblemKind.TSP, 20, 2, dict(distribution=GM2), dict(ants=10, iterations=10, seed=0)), "a392ce2e120e3bd3"),
     "case3": ((ProblemKind.OP, 15, 2, {}, dict(ants=8, iterations=15, seed=1)), "bd2818eb481869d5"),
-    "case4": ((ProblemKind.OP, 25, 5, dict(prize_range=(0, 2)), dict(ants=10, iterations=10, seed=4)), "6e0fab8382566eaa"),
+    "case4": ((ProblemKind.OP, 25, 5, dict(prize_range=(0, 2)), dict(ants=10, iterations=10, seed=4)), "158af35d94940fb9"),
     "case6": ((ProblemKind.CVRP, 12, 4, {}, dict(ants=8, iterations=15, seed=2)), "a108a49630fab4d5"),
     "case7": ((ProblemKind.CVRP, 20, 7, dict(demand_range=(5, 9)), dict(ants=10, iterations=10, seed=5)), "6e1c2bc0839b4bce"),
     "case8": ((ProblemKind.TSP, 40, 8, {}, dict(ants=10, iterations=10, seed=6)), "5adc383e966cb1e6"),
@@ -67,6 +67,19 @@ def test_aco_tsp_whole_row_lists_keep_every_small_output():
     assert h.hexdigest()[:16] == "5aa7775b636b49b5"
 
 
+def test_aco_op_cvrp_whole_row_lists_keep_every_small_output():
+    # Up to 21 nodes a candidate list holds every other node, so ACO-OP and
+    # ACO-CVRP must return what the whole-row roulette returned before they
+    # chose from lists.
+    h = hashlib.sha256()
+    for kind in (ProblemKind.OP, ProblemKind.CVRP):
+        for n in range(2, 22):
+            for s in range(3):
+                inst = gen_instance(kind, GenConfig(size_range=(n, n), seed=s))
+                h.update(repr(aco_solve(inst, AcoConfig(ants=7, iterations=12, seed=s))).encode())
+    assert h.hexdigest()[:16] == "c55abad7cd0b0d62"
+
+
 def test_aco_tsp_mid_size_outputs():
     # 25-60 nodes: candidate lists shorter than the row, and late in each
     # tour ants whose list is used up
@@ -76,6 +89,18 @@ def test_aco_tsp_mid_size_outputs():
             inst = gen_instance(ProblemKind.TSP, GenConfig(size_range=(n, n), seed=s))
             h.update(repr(aco_solve(inst, AcoConfig(ants=20, iterations=30, seed=s))).encode())
     assert h.hexdigest()[:16] == "f718edac00062159"
+
+
+def test_aco_op_cvrp_mid_size_outputs():
+    # 25-60 nodes: lists shorter than the row, and ants whose budget or
+    # capacity rules out every candidate but leaves nodes off the list
+    h = hashlib.sha256()
+    for kind in (ProblemKind.OP, ProblemKind.CVRP):
+        for n in range(25, 61, 5):
+            for s in range(3):
+                inst = gen_instance(kind, GenConfig(size_range=(n, n), seed=s))
+                h.update(repr(aco_solve(inst, AcoConfig(ants=10, iterations=12, seed=s))).encode())
+    assert h.hexdigest()[:16] == "0023010cb9fc0fc4"
 
 
 @pytest.mark.parametrize("case,expected", TSILI_CASES)
