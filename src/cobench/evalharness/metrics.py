@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..problems.types import (
-    ROUTING_KINDS,
     SCHEDULING_KINDS,
     SENSE_BY_KIND,
     Instance,
@@ -86,15 +85,12 @@ def solution_gap(sense: Sense, value: float, reference: float) -> float:
 
 
 def size_tier(inst: Instance) -> str:
+    p = inst.payload
     if inst.kind in SCHEDULING_KINDS:
-        size = max(inst.payload.num_jobs, inst.payload.num_machines)
-        if size <= 10:
-            return "small"
-        return "medium" if size <= 15 else "large"
-    n = inst.payload.n if inst.kind in ROUTING_KINDS else inst.payload.num_nodes
-    if n <= 30:
-        return "small"
-    return "medium" if n <= 60 else "large"
+        size, small, medium = max(p.num_jobs, p.num_machines), 10, 15
+    else:
+        size, small, medium = p.n, 30, 60
+    return "small" if size <= small else "medium" if size <= medium else "large"
 
 
 @dataclass(frozen=True)

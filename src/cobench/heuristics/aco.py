@@ -11,19 +11,18 @@ evaporate by RHO per iteration, and only the best-so-far solution deposits
 
 Every ant chooses from a candidate list (Dorigo & Stuetzle 2004, sec.
 3.4.1, ACOTSP's nn_ants; Bullnheimer, Hartl & Strauss 1999 for the VRP):
-each node's CANDIDATES nearest other nodes, distance ties to the lower id.
-The ant draws among the feasible nodes of its current node's list with the
-roulette rule, feasible meaning unvisited for TSP and what the kind's mask
-allows for OP and CVRP; an ant with no feasible candidate takes its feasible
-node of largest choice info, ties to the lower id (ACOTSP's
-choose_best_next). Up to CANDIDATES + 1 nodes a list holds every other
-node, so the draw, and every seeded output, is the plain roulette over the
-whole row. Each TSP iteration draws all its uniforms in one (n - 1, ants)
-block; the generator fills it in order, so the stream equals one draw per
-ant per step. OP and CVRP walks end after a varying number of steps, so
-they draw per step. A solve reads the lists through a table of each ant's
-flat candidate offsets, ants * n * CANDIDATES * 8 bytes: 1.6 MB for 100
-ants at TSP-100, 48 MB for 100 ants at 3000 nodes.
+each node's CANDIDATES nearest other nodes, distance ties to the lower id,
+in ascending id order. They come from `problems.generate.nearest_nodes`,
+the pass behind the prompts' neighbour hints. The ant draws among the
+feasible nodes of its current node's list with the roulette rule, feasible
+meaning unvisited for TSP and what the kind's mask allows for OP and CVRP;
+an ant with no feasible candidate takes its feasible node of largest choice
+info, ties to the lower id (ACOTSP's choose_best_next). Up to CANDIDATES +
+1 nodes a list holds every other node, so the draw, and every seeded
+output, is the plain roulette over the whole row. A solve reads the lists
+through a table of each ant's flat candidate offsets, ants * n * CANDIDATES
+* 8 bytes: 1.6 MB for 100 ants at TSP-100, 48 MB for 100 ants at 3000
+nodes.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..problems.generate import distance_matrix
+from ..problems.generate import distance_matrix, nearest_nodes
 from ..problems.types import ROUTING_KINDS, Instance, ProblemKind, Route, RouteSet, Solution
 from .rollout import Chooser, rollout, within_budget
 
@@ -86,12 +85,14 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
         def fits(cur, unvisited, length, load):
             return unvisited & (demands <= (Q - load)[:, None] + 1e-9)
 
-        # a stuck ant heads to the depot, either to reload or to close its final loop
-        rules = dict(feasible=fits, gain=demands, reload=True, max_steps=2 * p.n + 2)
+        # a stuck ant heads to the depot, either to reload or to close its
+        # final loop; no demand exceeds Q, so every walk is complete within
+        # the kernel's step limit
+        rules = dict(feasible=fits, gain=demands, reload=True)
     np.fill_diagonal(eta, 0.0)
     eta_b = eta * eta
     rng = np.random.default_rng(cfg.seed)
-    near = candidate_lists(d, CANDIDATES)
+    near = np.sort(nearest_nodes(p.coords, CANDIDATES)[0], axis=1)
     offsets = candidate_offsets(near, cfg.ants)
     # a TSP walk always takes n - 1 steps; an OP or CVRP walk's length varies
     steps = p.n - 1 if kind is ProblemKind.TSP else None
@@ -110,8 +111,6 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
             length = d.take(paths[:, :-1] * p.n + paths[:, 1:]).sum(axis=1)
         elif kind is ProblemKind.OP:
             prize = walks.load
-        else:  # an ant that ran out of steps has no complete solution
-            length = np.where(walks.walking, np.inf, length)
         i = int(np.lexsort((length, -prize))[0])
         if prize[i] > best_prize + _EPS or (
             abs(prize[i] - best_prize) <= _EPS and length[i] < best_len - _EPS
@@ -128,14 +127,6 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
 
     nodes = tuple(int(v) for v in best)
     return _seq_to_routes(nodes) if kind is ProblemKind.CVRP else Route(nodes)
-
-
-def candidate_lists(d: np.ndarray, size: int) -> np.ndarray:
-    """Each node's `size` nearest other nodes, distance ties to the lower id,
-    in ascending id order: an (n, min(size, n - 1)) array."""
-    far = d.copy()
-    np.fill_diagonal(far, np.inf)
-    return np.sort(np.argsort(far, axis=1, kind="stable")[:, : min(size, len(d) - 1)], axis=1)
 
 
 def candidate_offsets(near: np.ndarray, ants: int) -> np.ndarray:

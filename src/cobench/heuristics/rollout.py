@@ -25,7 +25,6 @@ class Walks(NamedTuple):
     paths: np.ndarray    # (ants, steps + 1): depot 0, then one node per step, -1 where the ant stayed
     length: Optional[np.ndarray]  # distance travelled; None without a feasible mask
     load: np.ndarray     # gain collected since the last depot visit
-    walking: np.ndarray  # ants still under way when the step limit ran out
 
 
 def rollout(
@@ -35,7 +34,6 @@ def rollout(
     feasible: Optional[Mask] = None,
     gain: Optional[np.ndarray] = None,
     reload: bool = False,
-    max_steps: Optional[int] = None,
 ) -> Walks:
     """Walk `ants` ants from depot 0 over the nodes of distance matrix `d`,
     which must have a zero diagonal.
@@ -48,16 +46,21 @@ def rollout(
     adds gain[j] to the ant's load. The mask may allow only unvisited nodes,
     and each ant's row may depend only on that ant's own state, so an ant
     that has stopped or finished never has a feasible node again.
+
+    The kernel owns its step limit: n - 1, or 2n + 2 with `reload`. That
+    never binds when the mask lets an ant empty at the depot move to every
+    unvisited node (CVRP's does, no demand exceeding the capacity): each
+    return to the depot then follows a visit, so a walk takes <= 2(n - 1).
     """
     n = d.shape[0]
-    steps = n - 1 if max_steps is None else max_steps
+    steps = 2 * n + 2 if reload else n - 1
     rows = np.arange(ants)
     cur = np.zeros(ants, dtype=np.intp)
     unvisited = np.ones((ants, n), dtype=bool)
     unvisited[:, 0] = False
     length = None if feasible is None else np.zeros(ants)
     load = np.zeros(ants)
-    walking = np.ones(ants, dtype=bool)
+    walking = np.ones(ants, dtype=bool)  # read only with reload
     paths = np.full((ants, steps + 1), -1, dtype=np.int32)
     paths[:, 0] = 0
     for s in range(1, steps + 1):
@@ -75,11 +78,8 @@ def rollout(
             elif reload and walking.any():
                 nxt = cur  # every ant under way is stuck
             else:  # no ant can move or reload again
-                walking = moving
                 break
-            if not reload:
-                walking = moving
-            else:
+            if reload:
                 stuck = walking & ~moving
                 if stuck.any():
                     nxt = np.where(stuck, 0, nxt)
@@ -91,7 +91,7 @@ def rollout(
             length = length + d[cur, nxt]
         unvisited[rows, nxt] = False
         cur = nxt
-    return Walks(paths, length, load, walking)
+    return Walks(paths, length, load)
 
 
 def roulette(weights: np.ndarray, feasible: np.ndarray, rng: np.random.Generator) -> np.ndarray:

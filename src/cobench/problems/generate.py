@@ -35,11 +35,45 @@ CLUSTER_SIGMA = 0.1  # in units of the coordinate span
 OP_BUDGET_FRACTION_RANGE = (0.5, 0.7)
 
 
+# Rows per block of `nearest_nodes`; a block holds BLOCK_ROWS * n distances.
+BLOCK_ROWS = 256
+
+
+def _distances(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Euclidean distances from each point of `rows` to each of `pts`."""
+    dx = rows[:, None, 0] - pts[None, :, 0]
+    dy = rows[:, None, 1] - pts[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def distance_matrix(coords) -> np.ndarray:
     """Dense symmetric Euclidean distance matrix."""
     pts = np.asarray(coords, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    return _distances(pts, pts)
+
+
+def nearest_nodes(coords, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Ids and distances of each node's min(k, n - 1) nearest other nodes, by
+    ascending distance, ties to the lower id: two (n, min(k, n - 1)) arrays.
+    One exact pass over blocks of rows, so no n x n table is held at once."""
+    pts = np.asarray(coords, dtype=float)
+    n = len(pts)
+    kk = min(k, n - 1)
+    blocks = []
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        d = _distances(pts[lo:hi], pts)
+        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never its own neighbour
+        # Every candidate within the row's kk-th distance, ordered by (row,
+        # distance, id); the first kk of each row are exact at ties.
+        kth = np.partition(d, kk - 1, axis=1)[:, kk - 1]
+        rows, cols = np.nonzero(d <= kth[:, None])
+        dist = d[rows, cols]
+        order = np.lexsort((cols, dist, rows))
+        take = order[np.searchsorted(rows, np.arange(hi - lo))[:, None] + np.arange(kk)]
+        blocks.append((cols[take], dist[take]))
+    ids, dists = zip(*blocks)
+    return np.concatenate(ids), np.concatenate(dists)
 
 
 def _uniform_coords(rng: np.random.Generator, n: int, box: Tuple[int, int]) -> np.ndarray:

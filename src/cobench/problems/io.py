@@ -7,7 +7,9 @@ same config produces byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -30,6 +32,20 @@ from .types import (
 SCHEMA_VERSION = 1
 
 
+def _ints(values, field: str) -> tuple:
+    """`values` as a tuple of ints: an integral float such as 3.0 loads as 3,
+    and a bool, a string or a non-integral number raises a ValueError naming
+    `field`. Files hold plain ints, so one type pass is the common case."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    for v in values:
+        integral = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+        if isinstance(v, bool) or not integral:
+            raise ValueError(f"{field}: expected an integer, got {v!r}")
+    return tuple(map(int, values))
+
+
 def _num(x: float) -> Union[int, float]:
     # Store integral values as ints: generated coordinates are integers while
     # benchmark files may carry true floats.
@@ -38,47 +54,37 @@ def _num(x: float) -> Union[int, float]:
 
 
 def _payload_to_dict(payload) -> dict:
+    # Fields in declaration order, unset ones left out; json writes tuples as lists.
+    out = {f.name: getattr(payload, f.name) for f in fields(payload)}
+    out = {name: value for name, value in out.items() if value is not None}
     if isinstance(payload, RoutingInstance):
-        out: dict = {"coords": [[_num(x), _num(y)] for x, y in payload.coords]}
-        if payload.prizes is not None:
-            out["prizes"] = list(payload.prizes)
-        if payload.demands is not None:
-            out["demands"] = list(payload.demands)
-        if payload.capacity is not None:
-            out["capacity"] = payload.capacity
-        if payload.distance_limit is not None:
-            out["distance_limit"] = payload.distance_limit
-        out["depot_index"] = payload.depot_index
-        return out
-    if isinstance(payload, GraphInstance):
-        return {"num_nodes": payload.num_nodes, "edges": [list(e) for e in payload.edges]}
-    if isinstance(payload, SchedulingInstance):
-        out = {"ptimes": [list(r) for r in payload.ptimes]}
-        if payload.machine_order is not None:
-            out["machine_order"] = [list(r) for r in payload.machine_order]
-        return out
-    raise TypeError(f"unknown payload type {type(payload).__name__}")
+        out["coords"] = [[_num(x), _num(y)] for x, y in payload.coords]
+        out["depot_index"] = 0  # node 0 is the depot; kept so that files stay as they were
+    return out
 
 
 def _payload_from_dict(kind: ProblemKind, d: dict):
     if kind in ROUTING_KINDS:
+        (depot,) = _ints((d.get("depot_index", 0),), "depot_index")
+        if depot != 0:
+            raise ValueError(f"depot_index {depot} is not supported: node 0 is the depot")
         return RoutingInstance(
             coords=tuple((float(x), float(y)) for x, y in d["coords"]),
-            prizes=tuple(int(p) for p in d["prizes"]) if "prizes" in d else None,
-            demands=tuple(int(q) for q in d["demands"]) if "demands" in d else None,
-            capacity=int(d["capacity"]) if "capacity" in d else None,
+            prizes=_ints(d["prizes"], "prizes") if "prizes" in d else None,
+            demands=_ints(d["demands"], "demands") if "demands" in d else None,
+            capacity=_ints((d["capacity"],), "capacity")[0] if "capacity" in d else None,
             distance_limit=float(d["distance_limit"]) if "distance_limit" in d else None,
-            depot_index=int(d.get("depot_index", 0)),
         )
     if kind in GRAPH_KINDS:
+        ends = _ints(chain.from_iterable((u, v) for u, v in d["edges"]), "edges")
         return GraphInstance(
-            num_nodes=int(d["num_nodes"]),
-            edges=tuple((int(u), int(v)) for u, v in d["edges"]),
+            num_nodes=_ints((d["num_nodes"],), "num_nodes")[0],
+            edges=tuple(zip(ends[::2], ends[1::2])),
         )
     return SchedulingInstance(
-        ptimes=tuple(tuple(int(t) for t in row) for row in d["ptimes"]),
+        ptimes=tuple(_ints(row, "ptimes") for row in d["ptimes"]),
         machine_order=(
-            tuple(tuple(int(m) for m in row) for row in d["machine_order"])
+            tuple(_ints(row, "machine_order") for row in d["machine_order"])
             if "machine_order" in d
             else None
         ),
@@ -143,15 +149,15 @@ def solution_to_dict(sol: Solution) -> dict:
 def solution_from_dict(d: dict) -> Solution:
     t = d["type"]
     if t == "route":
-        return Route(tuple(int(v) for v in d["nodes"]))
+        return Route(_ints(d["nodes"], "nodes"))
     if t == "routes":
-        return RouteSet(tuple(tuple(int(v) for v in r) for r in d["routes"]))
+        return RouteSet(tuple(_ints(r, "routes") for r in d["routes"]))
     if t == "set":
-        return VertexSet.of(d["vertices"])
+        return VertexSet(frozenset(_ints(d["vertices"], "vertices")))
     if t == "order":
-        return JobOrder(tuple(int(j) for j in d["jobs"]))
+        return JobOrder(_ints(d["jobs"], "jobs"))
     if t == "schedule":
-        return MachineSchedules(tuple(tuple(int(j) for j in s) for s in d["sequences"]))
+        return MachineSchedules(tuple(_ints(s, "sequences") for s in d["sequences"]))
     raise ValueError(f"unknown solution type {t!r}")
 
 

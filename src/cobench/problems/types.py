@@ -52,7 +52,8 @@ SCHEDULING_KINDS = (ProblemKind.PFSP, ProblemKind.JSSP)
 class RoutingInstance:
     """Euclidean node-based instance for TSP, OP, and CVRP.
 
-    coords are 2D points; node 0 is the depot for OP/CVRP. OP carries prizes
+    coords are 2D points; node 0 is the depot for OP/CVRP, which every
+    solver, prompt and the scorer take as given. OP carries prizes
     and a route-length budget, CVRP carries demands and a vehicle capacity.
     Coordinates, prizes and demands must be finite, and the capacity and
     distance limit positive; an infinite distance limit means no budget.
@@ -63,7 +64,6 @@ class RoutingInstance:
     demands: Optional[Tuple[int, ...]] = None         # CVRP only, demands[0] == 0
     capacity: Optional[int] = None                    # CVRP only, > 0
     distance_limit: Optional[float] = None            # OP only, > 0
-    depot_index: int = 0
 
     def __post_init__(self) -> None:
         if len(self.coords) < 2:
@@ -175,26 +175,20 @@ class Instance:
     meta: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        expected = {
-            ProblemKind.TSP: RoutingInstance,
-            ProblemKind.OP: RoutingInstance,
-            ProblemKind.CVRP: RoutingInstance,
-            ProblemKind.MIS: GraphInstance,
-            ProblemKind.MVC: GraphInstance,
-            ProblemKind.PFSP: SchedulingInstance,
-            ProblemKind.JSSP: SchedulingInstance,
-        }[self.kind]
+        if self.kind in ROUTING_KINDS:
+            expected = RoutingInstance
+        elif self.kind in GRAPH_KINDS:
+            expected = GraphInstance
+        else:
+            expected = SchedulingInstance
         if not isinstance(self.payload, expected):
             raise TypeError(f"{self.kind.value} expects payload {expected.__name__}")
-        if self.kind is ProblemKind.OP:
-            p = self.payload
-            if p.prizes is None or p.distance_limit is None:
-                raise ValueError("OP instance needs prizes and a distance limit")
-        if self.kind is ProblemKind.CVRP:
-            p = self.payload
-            if p.demands is None or p.capacity is None:
-                raise ValueError("CVRP instance needs demands and a capacity")
-        if self.kind is ProblemKind.JSSP and self.payload.machine_order is None:
+        p = self.payload
+        if self.kind is ProblemKind.OP and (p.prizes is None or p.distance_limit is None):
+            raise ValueError("OP instance needs prizes and a distance limit")
+        if self.kind is ProblemKind.CVRP and (p.demands is None or p.capacity is None):
+            raise ValueError("CVRP instance needs demands and a capacity")
+        if self.kind is ProblemKind.JSSP and p.machine_order is None:
             raise ValueError("JSSP instance needs machine_order")
 
     @property

@@ -3,21 +3,16 @@
 Each hint function returns one tuple per entity (node, machine or job) of
 up to k (id, value) pairs. All selections use exact values with
 deterministic tie-breaks (lower id wins).
-Routing neighbours come from one exact pass over blocks of rows of the
-distance matrix, so memory stays bounded on TSPLIB-sized inputs.
+Routing neighbours come from `problems.generate.nearest_nodes`, the exact
+block pass ACO's candidate lists come from too.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
+from ..problems.generate import nearest_nodes
 from ..problems.types import GraphInstance, RoutingInstance, SchedulingInstance
-
-# Rows per block of the routing neighbour pass; a block holds BLOCK_ROWS * n
-# distances.
-BLOCK_ROWS = 256
 
 DEFAULT_K = 2
 
@@ -26,25 +21,8 @@ Hints = Tuple[Tuple[Tuple[int, float], ...], ...]
 
 def routing_features(payload: RoutingInstance, k: int) -> Hints:
     """k nearest neighbors per node, ascending distance, ties to lower id."""
-    pts = np.asarray(payload.coords, dtype=float)
-    n = len(pts)
-    kk = min(k, n - 1)
-    out = []
-    for lo in range(0, n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
-        dx = pts[None, :, 0] - pts[lo:hi, 0, None]
-        dy = pts[None, :, 1] - pts[lo:hi, 1, None]
-        d = np.sqrt(dx * dx + dy * dy)
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never its own neighbour
-        # Every candidate within the row's kk-th distance, ordered by (row,
-        # distance, id); the first kk of each row are exact at ties.
-        kth = np.partition(d, kk - 1, axis=1)[:, kk - 1]
-        rows, cols = np.nonzero(d <= kth[:, None])
-        dist = d[rows, cols]
-        order = np.lexsort((cols, dist, rows))
-        take = order[np.searchsorted(rows, np.arange(hi - lo))[:, None] + np.arange(kk)]
-        out += [tuple(zip(i, x)) for i, x in zip(cols[take].tolist(), dist[take].tolist())]
-    return tuple(out)
+    ids, dists = nearest_nodes(payload.coords, k)
+    return tuple(tuple(zip(i, x)) for i, x in zip(ids.tolist(), dists.tolist()))
 
 
 def graph_features(payload: GraphInstance, k: int) -> Hints:

@@ -272,7 +272,7 @@ def _score_tsp(p: RoutingInstance, sol: Route) -> Scored:
 
 def _score_op(p: RoutingInstance, sol: Route) -> Scored:
     nodes = sol.nodes
-    starts = bool(nodes) and bool(nodes[0] == p.depot_index)
+    starts = bool(nodes) and bool(nodes[0] == 0)
     if not (nodes and _ids_ok(nodes, p.n)):
         # An empty route revisits nothing; bad ids leave the visits undefined.
         return _report(ProblemKind.OP, starts, not nodes, False), None
@@ -290,19 +290,19 @@ def _score_op(p: RoutingInstance, sol: Route) -> Scored:
 
 
 def _score_cvrp(p: RoutingInstance, sol: RouteSet) -> Scored:
-    depot = p.depot_index
+    # Node 0 is the depot, here and in every solver and prompt.
     routes = [r for r in sol.routes if len(r) > 0]
-    nonempty = [r for r in routes if any(v != depot for v in r)]
+    nonempty = [r for r in routes if any(v != 0 for v in r)]
     endpoints_ok = bool(routes) and all(
-        len(r) >= 2 and r[0] == depot and r[-1] == depot for r in nonempty
+        len(r) >= 2 and r[0] == 0 and r[-1] == 0 for r in nonempty
     )
     if not all(_ids_ok(r, p.n) for r in routes):
         return _report(ProblemKind.CVRP, endpoints_ok, False, False), None
 
-    visits = [v for r in routes for v in r if v != depot]
+    visits = [v for r in routes for v in r if v != 0]
     # With every id in range, n - 1 distinct non-depot ids are the customers.
     exactly_once = len(visits) == p.n - 1 and len(set(visits)) == p.n - 1
-    loads = [sum(p.demands[v] for v in r if v != depot) for r in nonempty]
+    loads = [sum(p.demands[v] for v in r if v != 0) for r in nonempty]
     capacity_ok = all(load <= p.capacity + TOLERANCE for load in loads)
     slack = min((p.capacity - load for load in loads), default=float(p.capacity))
     report = _report(

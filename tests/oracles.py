@@ -115,7 +115,7 @@ def tsp_feasible(payload, sol):
 def op_feasible(payload, sol):
     nodes = list(sol.nodes)
     n = payload.n
-    if not nodes or nodes[0] != payload.depot_index:
+    if not nodes or nodes[0] != 0:  # node 0 is the depot
         return False
     if any(not isinstance(v, int) or not (0 <= v < n) for v in nodes):
         return False
@@ -214,6 +214,15 @@ def nearest_neighbours(coords, k):
         ranked = sorted((math.dist(a, b), j) for j, b in enumerate(coords) if j != i)
         out.append(tuple((j, d) for d, j in ranked[:k]))
     return tuple(out)
+
+
+def candidate_lists(d, size):
+    """ACO's candidate lists by a stable argsort of distance matrix `d`:
+    each node's `size` nearest other nodes, distance ties to the lower id,
+    in ascending id order, an (n, min(size, n - 1)) array."""
+    far = d.copy()
+    np.fill_diagonal(far, np.inf)
+    return np.sort(np.argsort(far, axis=1, kind="stable")[:, : min(size, len(d) - 1)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +427,13 @@ def reference_parse(text, kind):
 # they chose from lists. Every draw and float of the package's step must match.
 
 
-WalksRef = namedtuple("WalksRef", "paths length load walking")
+WalksRef = namedtuple("WalksRef", "paths length load")
 
 
-def rollout_ref(d, ants, choose, feasible=None, gain=None, reload=False, max_steps=None):
+def rollout_ref(d, ants, choose, feasible=None, gain=None, reload=False):
     """The walks as `rollout` returns them, with a length summed on every step."""
     n = d.shape[0]
-    steps = n - 1 if max_steps is None else max_steps
+    steps = 2 * n + 2 if reload else n - 1
     rows = np.arange(ants)
     cur = np.zeros(ants, dtype=np.intp)
     unvisited = np.ones((ants, n), dtype=bool)
@@ -459,7 +468,7 @@ def rollout_ref(d, ants, choose, feasible=None, gain=None, reload=False, max_ste
         length = length + d[cur, nxt]
         unvisited[rows, nxt] = False
         cur = nxt
-    return WalksRef(paths, length, load, walking)
+    return WalksRef(paths, length, load)
 
 
 def roulette_ref(weights, feasible, rng):

@@ -242,6 +242,27 @@ def test_verify_non_finite_instance_is_data_error(tsp_dir, tmp_path, capsys, fie
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+def test_verify_non_zero_depot_is_data_error(tmp_path, capsys):
+    # Node 0 is the depot: a file that names another one is refused, not
+    # scored against a depot no solver or prompt uses.
+    code, _, _ = run(
+        capsys, "generate", "--kind", "cvrp", "--count", "1", "--seed", "3",
+        "--size", "12", "--out", str(tmp_path / "insts"),
+    )
+    assert code == 0
+    doc = json.loads(_instance_files(tmp_path / "insts")[0].read_text())
+    doc["payload"]["depot_index"] = 3
+    inst_file = tmp_path / "depot3.json"
+    inst_file.write_text(json.dumps(doc))
+    answer = tmp_path / "answer.txt"
+    answer.write_text("Routes: [[0, 1, 0]]")
+    code, out, err = run(capsys, "verify", "--instance", str(inst_file), "--response", str(answer))
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "depot_index 3" in lines[0], err
+
+
 @pytest.mark.parametrize("limit", [math.inf, 100.0])
 def test_verify_and_reward_print_strict_json_margins(tmp_path, capsys, limit):
     # An infinite distance limit (no budget) is legal; its margin prints as null.

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cobench.heuristics import (
@@ -31,10 +33,10 @@ from cobench.heuristics import (
     solve,
     tsp_nearest_neighbor,
 )
-from cobench.heuristics.aco import CANDIDATES, candidate_chooser, candidate_lists, candidate_offsets
-from cobench.heuristics.rollout import roulette
+from cobench.heuristics.aco import CANDIDATES, candidate_chooser, candidate_offsets
+from cobench.heuristics.rollout import rollout, roulette
 from cobench.heuristics.routing import two_opt
-from cobench.problems.generate import distance_matrix
+from cobench.problems.generate import distance_matrix, nearest_nodes
 from cobench.problems.types import (
     GraphInstance,
     Instance,
@@ -289,21 +291,22 @@ def test_aco_survives_degenerate_desirability(case, kind):
 
 
 def test_candidate_lists_nearest_ties_to_lower_id():
-    # node 0 sits at distance 1 from nodes 1, 2 and 3, and nodes 2 and 4 coincide
+    # node 0 sits at distance 1 from nodes 1, 2 and 3, and nodes 2 and 4
+    # coincide; ACO keeps each node's nearest nodes in id order
     coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (5.0, 5.0)]
-    near = candidate_lists(distance_matrix(coords), size=2)
+    near = np.sort(nearest_nodes(coords, 2)[0], axis=1)
     assert near.shape == (6, 2)
     assert near[0].tolist() == [1, 2]
     assert near[2].tolist() == [0, 4]  # 4 at distance 0, then 0 before 1 at sqrt(2)
     assert near[4].tolist() == [0, 2]
     assert near[3].tolist() == [0, 2]
     # up to size + 1 nodes a list holds every other node, in id order
-    whole = candidate_lists(distance_matrix(coords[:3]), size=2)
+    whole = np.sort(nearest_nodes(coords[:3], 2)[0], axis=1)
     assert whole.tolist() == [[1, 2], [0, 2], [0, 1]]
 
 
 def test_candidate_offsets_index_each_ants_mask_row():
-    near = candidate_lists(distance_matrix(np.random.default_rng(0).random((7, 2))), size=3)
+    near = oracles.candidate_lists(distance_matrix(np.random.default_rng(0).random((7, 2))), 3)
     offsets = candidate_offsets(near, ants=4)
     assert offsets.shape == (4 * 7, 3)
     mask = np.arange(4 * 7).reshape(4, 7)
@@ -312,11 +315,44 @@ def test_candidate_offsets_index_each_ants_mask_row():
             assert offsets[a * 7 + i].tolist() == mask[a, near[i]].tolist()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    capacity=st.one_of(st.none(), st.integers(10, 60)),
+    seed=st.integers(0, 2**16),
+)
+def test_aco_cvrp_walks_end_within_the_kernel_limit(n, capacity, seed):
+    # capacity None: every demand equals the capacity, so each route serves
+    # one customer and a walk takes the most steps, 2(n - 1)
+    gen = dict(demand_range=(5, 5), capacity=5) if capacity is None else dict(capacity=capacity)
+    inst = make_instance(ProblemKind.CVRP, size=n, seed=seed, **gen)
+    walks = []
+
+    def recording(*args, **kwargs):
+        walks.append(rollout(*args, **kwargs))
+        return walks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("cobench.heuristics.aco.rollout", recording)
+        aco_solve(inst, AcoConfig(ants=5, iterations=2, seed=seed))
+    limit = 2 * n + 2
+    assert len(walks) == 2  # one per iteration
+    for w in walks:
+        assert w.paths.shape == (5, limit + 1)
+        for path in w.paths:
+            taken = path[path >= 0]
+            steps = len(taken) - 1
+            assert (path[steps + 1:] == -1).all()  # an ant stays only once it is done
+            assert taken[0] == 0 and taken[-1] == 0
+            assert sorted(taken[taken > 0].tolist()) == list(range(1, n))
+            assert steps <= 2 * (n - 1) < limit
+
+
 def _chooser_case(n, ants, seed):
     """Random coordinates, choice info with a zero diagonal, and a start node
     per ant, for one step of `candidate_chooser`."""
     rng = np.random.default_rng(seed)
-    near = candidate_lists(distance_matrix(rng.random((n, 2))), CANDIDATES)
+    near = oracles.candidate_lists(distance_matrix(rng.random((n, 2))), CANDIDATES)
     ci = rng.random((n, n))
     np.fill_diagonal(ci, 0.0)
     return rng, near, ci, rng.integers(0, n, ants)

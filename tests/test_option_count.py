@@ -11,7 +11,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cobench"
 
-SETTABLE_VALUES = 56
+SETTABLE_VALUES = 55
 
 
 def _settable_values(tree: ast.AST) -> int:

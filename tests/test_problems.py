@@ -1,19 +1,26 @@
 """Instance generation, serialization, and benchmark-format tests."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import oracles
 
 from cobench.problems.benchmarks import parse_taillard, parse_tsplib, write_taillard
 from cobench.problems.generate import (
+    BLOCK_ROWS,
     _ba_edges,
     _er_edges,
     default_capacity,
+    distance_matrix,
     gen_batch,
     gen_instance,
     nearest_neighbor_tour_length,
+    nearest_nodes,
 )
 from cobench.problems.io import (
     instance_from_json,
@@ -30,6 +37,8 @@ from cobench.problems.io import (
 )
 from cobench.problems.types import (
     CLUSTERED,
+    GM2,
+    ROUTING_KINDS,
     Distribution,
     GenConfig,
     GraphFamily,
@@ -44,6 +53,8 @@ from cobench.problems.types import (
     UNIFORM,
     VertexSet,
 )
+
+from cobench.tai.features import routing_features
 
 from conftest import ALL_KINDS, make_instance
 
@@ -326,6 +337,101 @@ def test_instance_json_schema_guard():
         instance_from_json(json.dumps(doc))
 
 
+def test_routing_instance_files_unchanged():
+    # Node 0 is the depot and every file still says so: the JSON of seeded
+    # TSP, OP and CVRP instances, "depot_index": 0 included, is pinned.
+    h = hashlib.sha256()
+    for kind in ROUTING_KINDS:
+        for seed in range(6):
+            dist = {"distribution": GM2} if seed % 2 else {}
+            cfg = GenConfig(seed=seed, size_range=(5, 40), **dist)
+            h.update(instance_to_json(gen_instance(kind, cfg)).encode())
+    assert h.hexdigest()[:16] == "4ec1fba558e118b7"
+
+
+@pytest.mark.parametrize("kind", ROUTING_KINDS)
+def test_depot_index_zero_or_absent_loads(kind):
+    inst = make_instance(kind, size=8, seed=3)
+    doc = json.loads(instance_to_json(inst))
+    assert doc["payload"]["depot_index"] == 0
+    assert instance_from_json(json.dumps(doc)) == inst
+    del doc["payload"]["depot_index"]
+    assert instance_from_json(json.dumps(doc)) == inst
+
+
+@pytest.mark.parametrize("value", [3, -1, 1.5, True])
+def test_other_depot_index_is_rejected(value):
+    doc = json.loads(instance_to_json(make_instance(ProblemKind.CVRP, size=12, seed=3)))
+    doc["payload"]["depot_index"] = value
+    with pytest.raises(ValueError, match="depot_index"):
+        instance_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        (ProblemKind.CVRP, ("demands", 2), 2.9),
+        (ProblemKind.CVRP, ("capacity",), 30.7),
+        (ProblemKind.CVRP, ("demands", 1), "3"),
+        (ProblemKind.OP, ("prizes", 1), True),
+        (ProblemKind.OP, ("prizes", 1), math.nan),
+        (ProblemKind.MIS, ("num_nodes",), 9.5),
+        (ProblemKind.MIS, ("edges", 0, 1), 1.25),
+        (ProblemKind.JSSP, ("ptimes", 0, 0), True),
+        (ProblemKind.JSSP, ("ptimes", 0, 0), 0.5),
+        (ProblemKind.JSSP, ("machine_order", 0, 0), "0"),
+        (ProblemKind.PFSP, ("ptimes", 1, 2), 7.000001),
+    ],
+)
+def test_non_integral_integer_field_is_rejected(kind, path, value):
+    doc = json.loads(instance_to_json(make_instance(kind, size=10, seed=2)))
+    *parents, last = path
+    target = doc["payload"]
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValueError, match=f"{path[0]}: expected an integer"):
+        instance_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_integral_floats_load_as_ints(kind):
+    inst = make_instance(kind, size=10, seed=2)
+    doc = json.loads(instance_to_json(inst))
+
+    def floats(x, key=None):
+        if isinstance(x, dict):
+            return {k: floats(v, k) for k, v in x.items()}
+        if isinstance(x, list):
+            return [floats(v, key) for v in x]
+        return float(x) if type(x) is int and key != "coords" else x
+
+    doc["payload"] = floats(doc["payload"])
+    back = instance_from_json(json.dumps(doc))
+    assert back == inst
+    assert instance_to_json(back) == instance_to_json(inst)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "route", "nodes": [0, 1.5, 0]},
+        {"type": "routes", "routes": [[0, True, 0]]},
+        {"type": "set", "vertices": [1, "2"]},
+        {"type": "order", "jobs": [0, 2.2, 1]},
+        {"type": "schedule", "sequences": [[0, 1], [1, 0.1]]},
+    ],
+)
+def test_reference_ids_must_be_integers(doc):
+    with pytest.raises(ValueError, match="expected an integer"):
+        solution_from_dict(doc)
+
+
+def test_reference_ids_may_be_integral_floats():
+    assert solution_from_dict({"type": "route", "nodes": [0.0, 2.0, 0]}) == Route((0, 2, 0))
+    assert solution_from_dict({"type": "set", "vertices": [3.0, 1]}) == VertexSet.of([1, 3])
+
+
 def test_solution_dict_round_trips():
     sols = [
         Route((0, 2, 1, 0)),
@@ -360,6 +466,50 @@ def test_reference_validated_defaults_true():
     doc = json.loads(reference_to_json(ref))
     del doc["validated"]
     assert reference_from_json(json.dumps(doc)).validated is True
+
+
+# ---------------------------------------------------------------------------
+# Nearest nodes: the one pass behind the prompts' neighbour hints and ACO's
+# candidate lists
+
+
+def _check_nearest(coords, ks):
+    d = distance_matrix(coords)
+    want = oracles.nearest_neighbours(coords, max(ks))
+    for k in ks:
+        ids, dists = nearest_nodes(coords, k)
+        kk = min(k, len(coords) - 1)
+        assert ids.shape == dists.shape == (len(coords), kk)
+        assert np.sort(ids, axis=1).tolist() == oracles.candidate_lists(d, k).tolist()
+        assert routing_features(RoutingInstance(coords), k) == tuple(row[:k] for row in want)
+
+
+def test_nearest_nodes_match_both_oracles():
+    # Integer points in a box that shrinks with n, so distance ties and
+    # coincident nodes are common.
+    for n in range(2, 151):
+        rng = np.random.default_rng(n)
+        box = 1 + n // 3
+        coords = tuple((float(x), float(y)) for x, y in rng.integers(0, box, size=(n, 2)))
+        _check_nearest(coords, (1, 2, 5, 20))
+
+
+def test_nearest_nodes_coincident_nodes():
+    # Nodes 0, 2 and 5 coincide, nodes 1 and 3 too: a coincident node comes
+    # first, at distance 0, lower id first.
+    coords = ((1.0, 1.0), (4.0, 5.0), (1.0, 1.0), (4.0, 5.0), (9.0, 9.0), (1.0, 1.0))
+    _check_nearest(coords, (1, 2, 3, 5, 7))
+    ids, dists = nearest_nodes(coords, 3)
+    assert ids[0].tolist() == [2, 5, 1] and dists[0].tolist() == [0.0, 0.0, 5.0]
+    assert ids[3].tolist() == [1, 0, 2]
+    every = ((2.0, 3.0),) * 4  # all on one spot
+    assert nearest_nodes(every, 2)[0].tolist() == [[1, 2], [0, 2], [0, 1], [0, 1]]
+
+
+def test_nearest_nodes_spans_two_row_blocks():
+    rng = np.random.default_rng(BLOCK_ROWS)
+    coords = tuple((float(x), float(y)) for x, y in rng.integers(0, 30, size=(BLOCK_ROWS + 1, 2)))
+    _check_nearest(coords, (1, 4, 20))
 
 
 # ---------------------------------------------------------------------------

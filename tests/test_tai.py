@@ -26,8 +26,8 @@ from cobench.problems.types import (
     VertexSet,
 )
 from cobench.tai.encode import encode
+from cobench.problems.generate import BLOCK_ROWS
 from cobench.tai.features import (
-    BLOCK_ROWS,
     graph_features,
     jssp_features,
     pfsp_features,
