@@ -102,8 +102,11 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
 
     for _ in range(cfg.iterations):
         # choice info, once per iteration; kept finite so that masking by a
-        # product never turns an overflowed weight into NaN
-        ci = np.nan_to_num(tau * eta_b, copy=False)
+        # product never turns an overflowed weight into NaN (+inf becomes
+        # the largest float, NaN 0), mapped only when a weight is not finite
+        ci = tau * eta_b
+        if not np.isfinite(ci).all():
+            np.nan_to_num(ci, copy=False)
         walks = rollout(d, cfg.ants, candidate_chooser(ci, near, offsets, rng, steps), **rules)
         paths, length, prize = walks.paths, walks.length, no_prize
         if kind is ProblemKind.TSP:

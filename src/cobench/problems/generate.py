@@ -39,37 +39,49 @@ OP_BUDGET_FRACTION_RANGE = (0.5, 0.7)
 BLOCK_ROWS = 256
 
 
-def _distances(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Euclidean distances from each point of `rows` to each of `pts`."""
-    dx = rows[:, None, 0] - pts[None, :, 0]
-    dy = rows[:, None, 1] - pts[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+def _distances(
+    rows_x: np.ndarray, rows_y: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Euclidean distances from each point (rows_x, rows_y) to each (x, y),
+    from contiguous coordinate columns, with the squares summed in place."""
+    d = rows_x[:, None] - x
+    d *= d
+    dy = rows_y[:, None] - y
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
+
+
+def _columns(coords) -> np.ndarray:
+    """The x and y columns of the points, each contiguous: a (2, n) array."""
+    return np.asarray(coords, dtype=float).T.copy()
 
 
 def distance_matrix(coords) -> np.ndarray:
     """Dense symmetric Euclidean distance matrix."""
-    pts = np.asarray(coords, dtype=float)
-    return _distances(pts, pts)
+    x, y = _columns(coords)
+    return _distances(x, y, x, y)
 
 
 def nearest_nodes(coords, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Ids and distances of each node's min(k, n - 1) nearest other nodes, by
     ascending distance, ties to the lower id: two (n, min(k, n - 1)) arrays.
     One exact pass over blocks of rows, so no n x n table is held at once."""
-    pts = np.asarray(coords, dtype=float)
-    n = len(pts)
+    x, y = _columns(coords)
+    n = len(x)
     kk = min(k, n - 1)
     blocks = []
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        d = _distances(pts[lo:hi], pts)
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never its own neighbour
-        # Every candidate within the row's kk-th distance, ordered by (row,
-        # distance, id); the first kk of each row are exact at ties.
+        d = _distances(x[lo:hi], y[lo:hi], x, y)
+        d.reshape(-1)[lo :: n + 1] = np.inf  # never its own neighbour: row r, column lo + r
+        # Every candidate within the row's kk-th distance, by row and then
+        # distance; nonzero lists each row's ids ascending and lexsort is
+        # stable, so the first kk of each row are exact at ties.
         kth = np.partition(d, kk - 1, axis=1)[:, kk - 1]
         rows, cols = np.nonzero(d <= kth[:, None])
         dist = d[rows, cols]
-        order = np.lexsort((cols, dist, rows))
+        order = np.lexsort((dist, rows))
         take = order[np.searchsorted(rows, np.arange(hi - lo))[:, None] + np.arange(kk)]
         blocks.append((cols[take], dist[take]))
     ids, dists = zip(*blocks)

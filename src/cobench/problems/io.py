@@ -46,6 +46,18 @@ def _ints(values, field: str) -> tuple:
     return tuple(map(int, values))
 
 
+def _floats(values, field: str) -> tuple:
+    """`values` as a tuple of floats: an int loads as its float, and a bool,
+    a string or any other non-number raises a ValueError naming `field`.
+    Files hold plain numbers, so one type pass is the common case."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int, float}:
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{field}: expected a number, got {v!r}")
+    return tuple(map(float, values))
+
+
 def _num(x: float) -> Union[int, float]:
     # Store integral values as ints: generated coordinates are integers while
     # benchmark files may carry true floats.
@@ -68,12 +80,17 @@ def _payload_from_dict(kind: ProblemKind, d: dict):
         (depot,) = _ints((d.get("depot_index", 0),), "depot_index")
         if depot != 0:
             raise ValueError(f"depot_index {depot} is not supported: node 0 is the depot")
+        xy = _floats(chain.from_iterable((x, y) for x, y in d["coords"]), "coords")
         return RoutingInstance(
-            coords=tuple((float(x), float(y)) for x, y in d["coords"]),
+            coords=tuple(zip(xy[::2], xy[1::2])),
             prizes=_ints(d["prizes"], "prizes") if "prizes" in d else None,
             demands=_ints(d["demands"], "demands") if "demands" in d else None,
             capacity=_ints((d["capacity"],), "capacity")[0] if "capacity" in d else None,
-            distance_limit=float(d["distance_limit"]) if "distance_limit" in d else None,
+            distance_limit=(
+                _floats((d["distance_limit"],), "distance_limit")[0]
+                if "distance_limit" in d
+                else None
+            ),
         )
     if kind in GRAPH_KINDS:
         ends = _ints(chain.from_iterable((u, v) for u, v in d["edges"]), "edges")

@@ -9,6 +9,7 @@ integers where the data is integral and distances at one decimal.
 from __future__ import annotations
 
 import math
+from itertools import chain, starmap
 
 from ..problems.types import (
     GraphInstance,
@@ -110,63 +111,81 @@ _OP_BUDGET = (
 _OP_NO_BUDGET = "with no limit on the route length. You may visit a subset of nodes."
 
 
-def _fmt_coord(v: float) -> str:
-    f = float(v)
-    return str(int(f)) if f.is_integer() else f"{f:g}"
+def _coord_values(coords) -> list:
+    """The coordinates, flat, as `%s` prints them in a prompt: an integral
+    value as an int, any other in `%g` form."""
+    flat = list(map(float, chain.from_iterable(coords)))
+    ints = list(map(int, flat))
+    if flat == ints:  # generated coordinates are integers
+        return ints
+    return [i if i == f else format(f, "g") for f, i in zip(flat, ints)]
+
+
+def _rows(*parts):
+    """The values of every row in order, flat: row r takes those of
+    parts[0][r], then those of parts[1][r], and so on."""
+    return chain.from_iterable(map(chain, *parts))
 
 
 def _routing_input(kind: ProblemKind, p: RoutingInstance, k: int) -> str:
-    parts = []
-    for i, ((x, y), entry) in enumerate(zip(p.coords, routing_features(p, k))):
-        extra = ""
-        if kind is ProblemKind.OP:
-            extra = f", prize: {p.prizes[i]}"
-        elif kind is ProblemKind.CVRP:
-            extra = f", demand: {p.demands[i]}"
-        neighbors = ", ".join(f"{j}: {d:.1f}" for j, d in entry)
-        parts.append(
-            f"Node {i}, coordinates: [{_fmt_coord(x)}, {_fmt_coord(y)}]{extra}, "
-            f"neighbors: [{neighbors}]"
-        )
-    return "; ".join(parts)
+    hints = routing_features(p, k)
+    xy = iter(_coord_values(p.coords))
+    heads = [range(p.n), xy, xy]  # zip pairs each x with its y
+    row = "Node %d, coordinates: [%s, %s]"
+    if kind is ProblemKind.OP:
+        heads.append(p.prizes)
+        row += ", prize: %s"
+    elif kind is ProblemKind.CVRP:
+        heads.append(p.demands)
+        row += ", demand: %s"
+    row += ", neighbors: [" + ", ".join(["%d: %.1f"] * len(hints[0])) + "]"
+    values = _rows(zip(*heads), map(chain.from_iterable, hints))
+    return "; ".join([row] * p.n) % tuple(values)
 
 
 def _graph_input(p: GraphInstance, k: int) -> str:
-    edges = ",".join(f"({u},{v})" for u, v in p.edges)
-    nodes = []
-    for i, entry in enumerate(graph_features(p, k)):
-        ids = ",".join(str(j) for j, _ in entry)
-        degs = ",".join(f"#{int(d)}" for _, d in entry)
-        inner = f"{ids},{degs}" if entry else ""
-        nodes.append(f"N{i}:[{inner}]")
-    return f"Edges: [{edges}]\n\n" + "; ".join(nodes)
+    hints = graph_features(p, k)
+    # A node with c hints lists their c ids, then their c degrees.
+    rows = ["N%d:[]"] + [
+        "N%d:[" + ",".join(["%d"] * c) + "," + ",".join(["#%d"] * c) + "]"
+        for c in range(1, max(map(len, hints)) + 1)
+    ]
+    template = (
+        "Edges: [" + ",".join(["(%s,%s)"] * len(p.edges)) + "]\n\n"
+        + "; ".join([rows[len(entry)] for entry in hints])
+    )
+    nodes = _rows(zip(range(p.num_nodes)), map(chain.from_iterable, starmap(zip, hints)))
+    return template % tuple(chain(chain.from_iterable(p.edges), nodes))
 
 
 def _pfsp_input(p: SchedulingInstance, k: int) -> str:
-    parts = []
-    for m, entry in enumerate(pfsp_features(p, k)):
-        times = ", ".join(str(p.ptimes[j][m]) for j in range(p.num_jobs))
-        # Jobs display 1-based, as the Order answer grammar reads them.
-        lowest = ", ".join(f"{j + 1}: {int(t)}" for j, t in entry)
-        parts.append(
-            f"Machine {m}, processing times: [{times}], "
-            f"jobs with lowest processing time: [{lowest}]"
-        )
-    return "; ".join(parts)
+    hints = pfsp_features(p, k)
+    row = (
+        "Machine %d, processing times: [" + ", ".join(["%s"] * p.num_jobs) + "], "
+        "jobs with lowest processing time: [" + ", ".join(["%d: %d"] * len(hints[0])) + "]"
+    )
+    # Jobs display 1-based, as the Order answer grammar reads them.
+    lowest = ([v for j, t in entry for v in (j + 1, t)] for entry in hints)
+    values = _rows(zip(range(p.num_machines)), zip(*p.ptimes), lowest)
+    return "; ".join([row] * p.num_machines) % tuple(values)
 
 
 def _jssp_input(p: SchedulingInstance, k: int) -> str:
-    parts = []
-    for j, entry in enumerate(jssp_features(p, k)):
-        ops = ", ".join(
-            f"({p.machine_order[j][i]}, {p.ptimes[j][i]})" for i in range(p.num_machines)
-        )
-        lowest = ", ".join(f"{i}: ({p.machine_order[j][i]}, {int(t)})" for i, t in entry)
-        parts.append(
-            f"Job {j}, machines and processing times for operations: [{ops}], "
-            f"operators with lowest processing time: [{lowest}]"
-        )
-    return "; ".join(parts)
+    hints = jssp_features(p, k)
+    row = (
+        "Job %d, machines and processing times for operations: ["
+        + ", ".join(["(%s, %s)"] * p.num_machines)
+        + "], operators with lowest processing time: ["
+        + ", ".join(["%d: (%s, %d)"] * len(hints[0]))
+        + "]"
+    )
+    orders = p.machine_order
+    ops = map(chain.from_iterable, map(zip, orders, p.ptimes))
+    lowest = (
+        [v for i, t in entry for v in (i, order[i], t)] for order, entry in zip(orders, hints)
+    )
+    values = _rows(zip(range(p.num_jobs)), ops, lowest)
+    return "; ".join([row] * p.num_jobs) % tuple(values)
 
 
 def encode(inst: Instance, k: int = DEFAULT_K) -> TextAttributedInstance:

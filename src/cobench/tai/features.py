@@ -9,7 +9,10 @@ block pass ACO's candidate lists come from too.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Tuple
+
+import numpy as np
 
 from ..problems.generate import nearest_nodes
 from ..problems.types import GraphInstance, RoutingInstance, SchedulingInstance
@@ -27,13 +30,23 @@ def routing_features(payload: RoutingInstance, k: int) -> Hints:
 
 def graph_features(payload: GraphInstance, k: int) -> Hints:
     """Top-k neighbors per node by largest degree, ties to lower id."""
-    adj = payload.adjacency()
-    deg = [len(a) for a in adj]
-    out = []
-    for i in range(payload.num_nodes):
-        ranked = sorted(adj[i], key=lambda j: (-deg[j], j))[:k]
-        out.append(tuple((j, float(deg[j])) for j in ranked))
-    return tuple(out)
+    n = payload.num_nodes
+    k = min(k, n)  # no node has more than n - 1 neighbours
+    ends = np.fromiter(chain.from_iterable(payload.edges), np.intp, 2 * len(payload.edges))
+    deg = np.bincount(ends, minlength=n)
+    # One rank for every node, computed once: larger degree first, ties to
+    # the lower id.
+    rank = np.empty(n, np.intp)
+    rank[np.argsort(-deg, kind="stable")] = np.arange(n)
+    # Each edge seen from both of its ends, sorted by node and then by the
+    # neighbour's rank; a node's first min(k, degree) entries are its hints.
+    src, dst = ends, ends.reshape(-1, 2)[:, ::-1].ravel()
+    order = np.argsort(src * n + rank[dst])
+    src, dst = src[order], dst[order]
+    place = np.arange(len(src)) - (np.cumsum(deg) - deg)[src]  # index among its node's entries
+    top = dst[place < k]
+    pairs = zip(top.tolist(), deg[top].astype(float).tolist())
+    return tuple(tuple(islice(pairs, c)) for c in np.minimum(deg, k).tolist())
 
 
 def _k_lowest(rows, k: int) -> Hints:
@@ -53,4 +66,3 @@ def pfsp_features(payload: SchedulingInstance, k: int) -> Hints:
 def jssp_features(payload: SchedulingInstance, k: int) -> Hints:
     """Per job: the k operation indices with the lowest duration."""
     return _k_lowest(payload.ptimes, k)
-

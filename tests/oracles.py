@@ -7,10 +7,14 @@ math. Agreement between these and the package is the point of the tests.
 The group arithmetic also has its numpy formulation here, which the
 package's plain-Python floats must equal bit for bit, and the ACO step keeps
 its earlier per-step form here (one roulette call and one draw per step),
-which the package's leaner step must equal draw for draw.
+which the package's leaner step must equal draw for draw. The prompt input
+keeps its per-entity renderer here, whose bytes the package's one-call
+templates must equal; only the instruction text and the prompt wrapper are
+the package's own.
 """
 
 import ast
+import importlib
 import math
 import re
 import statistics
@@ -27,6 +31,7 @@ from cobench.problems.types import (
     RouteSet,
     VertexSet,
 )
+from cobench.tai.render import PROMPT_TEMPLATE
 from cobench.tai.types import ParsedSolution
 
 TOL = 1e-6
@@ -315,6 +320,136 @@ def group_advantages_ref(rewards):
     if sigma < 1e-8:
         return [0.0 for _ in rewards]
     return [(r - mu) / sigma for r in rewards]
+
+
+# ---------------------------------------------------------------------------
+# Prompt encoding: the per-entity renderer, one f-string per node, neighbour,
+# edge, machine and job, whose bytes the package's one-call templates must
+# equal. Hints come from per-node sorts: distances as sqrt(dx*dx + dy*dy),
+# the package's float formula, and degrees from each node's own adjacency.
+
+
+def euclid_neighbours(coords, k):
+    """Per node, its k nearest other nodes as (id, distance) pairs, each
+    distance math.sqrt(dx * dx + dy * dy), ascending, ties to the lower id."""
+    pts = [(float(x), float(y)) for x, y in coords]
+    out = []
+    for i, (xi, yi) in enumerate(pts):
+        ranked = sorted(
+            (math.sqrt((xi - xj) * (xi - xj) + (yi - yj) * (yi - yj)), j)
+            for j, (xj, yj) in enumerate(pts)
+            if j != i
+        )
+        out.append(tuple((j, d) for d, j in ranked[:k]))
+    return tuple(out)
+
+
+def degree_hints(payload, k):
+    """Per node, its k neighbours of largest degree, ties to the lower id."""
+    adj = [[] for _ in range(payload.num_nodes)]
+    for u, v in payload.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = [len(a) for a in adj]
+    return tuple(
+        tuple((j, float(deg[j])) for j in sorted(a, key=lambda j: (-deg[j], j))[:k])
+        for a in adj
+    )
+
+
+def lowest_hints(rows, k):
+    """Per row, its k (index, value) pairs of lowest value, ties to the lower index."""
+    return tuple(
+        tuple((i, float(row[i])) for i in sorted(range(len(row)), key=lambda i: (row[i], i))[:k])
+        for row in rows
+    )
+
+
+def _fmt_coord(v):
+    f = float(v)
+    return str(int(f)) if f.is_integer() else f"{f:g}"
+
+
+def _routing_input(kind, p, k):
+    parts = []
+    for i, ((x, y), entry) in enumerate(zip(p.coords, euclid_neighbours(p.coords, k))):
+        extra = ""
+        if kind is ProblemKind.OP:
+            extra = f", prize: {p.prizes[i]}"
+        elif kind is ProblemKind.CVRP:
+            extra = f", demand: {p.demands[i]}"
+        neighbors = ", ".join(f"{j}: {d:.1f}" for j, d in entry)
+        parts.append(
+            f"Node {i}, coordinates: [{_fmt_coord(x)}, {_fmt_coord(y)}]{extra}, "
+            f"neighbors: [{neighbors}]"
+        )
+    return "; ".join(parts)
+
+
+def _graph_input(p, k):
+    edges = ",".join(f"({u},{v})" for u, v in p.edges)
+    nodes = []
+    for i, entry in enumerate(degree_hints(p, k)):
+        ids = ",".join(str(j) for j, _ in entry)
+        degs = ",".join(f"#{int(d)}" for _, d in entry)
+        inner = f"{ids},{degs}" if entry else ""
+        nodes.append(f"N{i}:[{inner}]")
+    return f"Edges: [{edges}]\n\n" + "; ".join(nodes)
+
+
+def _pfsp_input(p, k):
+    parts = []
+    for m, entry in enumerate(lowest_hints(tuple(zip(*p.ptimes)), k)):
+        times = ", ".join(str(p.ptimes[j][m]) for j in range(p.num_jobs))
+        lowest = ", ".join(f"{j + 1}: {int(t)}" for j, t in entry)
+        parts.append(
+            f"Machine {m}, processing times: [{times}], "
+            f"jobs with lowest processing time: [{lowest}]"
+        )
+    return "; ".join(parts)
+
+
+def _jssp_input(p, k):
+    parts = []
+    for j, entry in enumerate(lowest_hints(p.ptimes, k)):
+        ops = ", ".join(
+            f"({p.machine_order[j][i]}, {p.ptimes[j][i]})" for i in range(p.num_machines)
+        )
+        lowest = ", ".join(f"{i}: ({p.machine_order[j][i]}, {int(t)})" for i, t in entry)
+        parts.append(
+            f"Job {j}, machines and processing times for operations: [{ops}], "
+            f"operators with lowest processing time: [{lowest}]"
+        )
+    return "; ".join(parts)
+
+
+def reference_input(inst, k):
+    """The prompt's input section, one entity at a time."""
+    p = inst.payload
+    if inst.kind in (ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP):
+        return _routing_input(inst.kind, p, k)
+    if inst.kind in (ProblemKind.MIS, ProblemKind.MVC):
+        return _graph_input(p, k)
+    return (_pfsp_input if inst.kind is ProblemKind.PFSP else _jssp_input)(p, k)
+
+
+def reference_prompt(inst, k):
+    """The whole prompt: the package's instruction text for the kind, with
+    its fields filled here, and the input from `reference_input`."""
+    text = importlib.import_module("cobench.tai.encode")
+    p = inst.payload
+    if inst.kind in (ProblemKind.TSP, ProblemKind.OP, ProblemKind.CVRP):
+        fields = dict(n=p.n, customers=p.n - 1, capacity=p.capacity)
+        if inst.kind is ProblemKind.OP:
+            limit = p.distance_limit
+            budget = text._OP_NO_BUDGET if limit == math.inf else text._OP_BUDGET.format(limit)
+            fields["budget"] = budget
+    elif inst.kind in (ProblemKind.MIS, ProblemKind.MVC):
+        fields = dict(n=p.num_nodes, last=p.num_nodes - 1)
+    else:
+        fields = dict(jobs=p.num_jobs, machines=p.num_machines)
+    instruction = text._INSTRUCTIONS[inst.kind].format(k=k, **fields)
+    return PROMPT_TEMPLATE.format(instruction, reference_input(inst, k), "")
 
 
 # ---------------------------------------------------------------------------

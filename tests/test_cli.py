@@ -242,6 +242,29 @@ def test_verify_non_finite_instance_is_data_error(tsp_dir, tmp_path, capsys, fie
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("field", ["coords", "distance_limit"])
+def test_verify_non_numeric_float_field_is_data_error(tmp_path, capsys, field):
+    code, _, _ = run(
+        capsys, "generate", "--kind", "op", "--count", "1", "--seed", "3",
+        "--size", "8", "--out", str(tmp_path / "insts"),
+    )
+    assert code == 0
+    doc = json.loads(_instance_files(tmp_path / "insts")[0].read_text())
+    if field == "coords":
+        doc["payload"]["coords"][1] = [True, "7"]
+    else:
+        doc["payload"]["distance_limit"] = "1e3"
+    inst_file = tmp_path / "strings.json"
+    inst_file.write_text(json.dumps(doc))
+    answer = tmp_path / "answer.txt"
+    answer.write_text("Route: [0, 1, 0]")
+    code, out, err = run(capsys, "verify", "--instance", str(inst_file), "--response", str(answer))
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0], err
+
+
 def test_verify_non_zero_depot_is_data_error(tmp_path, capsys):
     # Node 0 is the depot: a file that names another one is refused, not
     # scored against a depot no solver or prompt uses.

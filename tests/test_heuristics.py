@@ -290,6 +290,28 @@ def test_aco_survives_degenerate_desirability(case, kind):
     assert check(inst, sol).feasible
 
 
+@pytest.mark.parametrize(
+    "big,route",
+    [
+        ((10**300,), (0, 1, 4, 7, 14, 2, 9)),
+        ((10**200, 10**300), (0, 2, 1, 13, 6)),
+    ],
+)
+def test_aco_op_overflowed_prizes_keep_their_routes(big, route):
+    # Prizes this large overflow eta**2 to +inf; the choice info maps each
+    # +inf weight to the largest float, and the routes are pinned.
+    inst = make_instance(ProblemKind.OP, size=15, seed=1)
+    p = inst.payload
+    prizes = (0,) + big + p.prizes[1 + len(big):]
+    inst = replace(inst, payload=replace(p, prizes=prizes))
+    with np.errstate(over="ignore"):
+        eta = np.asarray(prizes, dtype=float) / np.maximum(distance_matrix(p.coords), 1e-12)
+        assert np.isinf(eta * eta).any()
+        sol = aco_solve(inst, AcoConfig(ants=10, iterations=20, seed=3))
+    assert sol.nodes == route
+    assert check(inst, sol).feasible
+
+
 def test_candidate_lists_nearest_ties_to_lower_id():
     # node 0 sits at distance 1 from nodes 1, 2 and 3, and nodes 2 and 4
     # coincide; ACO keeps each node's nearest nodes in id order

@@ -394,6 +394,42 @@ def test_non_integral_integer_field_is_rejected(kind, path, value):
         instance_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("coords", 1, 0), True),
+        (("coords", 1, 1), "7"),
+        (("coords", 2, 0), None),
+        (("coords", 2), "12"),
+        (("distance_limit",), "1e3"),
+        (("distance_limit",), False),
+        (("distance_limit",), [5.0]),
+    ],
+)
+def test_non_numeric_float_field_is_rejected(path, value):
+    doc = json.loads(instance_to_json(make_instance(ProblemKind.OP, size=10, seed=2)))
+    *parents, last = path
+    target = doc["payload"]
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValueError, match=f"{path[0]}: expected a number"):
+        instance_from_json(json.dumps(doc))
+
+
+def test_float_fields_load_ints_floats_and_an_infinite_limit():
+    inst = make_instance(ProblemKind.OP, size=10, seed=2)
+    doc = json.loads(instance_to_json(inst))
+    doc["payload"]["coords"][0] = [3, 4.5]
+    doc["payload"]["distance_limit"] = math.inf  # json writes Infinity
+    back = instance_from_json(json.dumps(doc))
+    assert back.payload.coords[0] == (3.0, 4.5)
+    assert all(type(v) is float for xy in back.payload.coords for v in xy)
+    assert back.payload.distance_limit == math.inf
+    assert back.payload.coords[1:] == inst.payload.coords[1:]
+    assert instance_to_json(instance_from_json(instance_to_json(back))) == instance_to_json(back)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_integral_floats_load_as_ints(kind):
     inst = make_instance(kind, size=10, seed=2)
