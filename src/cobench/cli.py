@@ -21,6 +21,7 @@ from .evalharness.endpoint import (
     evaluate_endpoint,
     load_rows,
     record_from_row,
+    require_references,
 )
 from .evalharness.metrics import EvalRecord, build_candidate, metrics
 from .evalharness.mock import MockPolicyConfig, mock_policy
@@ -91,6 +92,13 @@ def _print_report(
 def _load_references(path: Path) -> Dict[str, ReferenceSolution]:
     refs = (load_reference(p) for p in _json_files(path, "reference"))
     return {ref.instance_id: ref for ref in refs}
+
+
+def _load_reference_for(inst: Instance, path: str) -> ReferenceSolution:
+    ref = load_reference(path)
+    if ref.instance_id != inst.id:
+        raise ValueError(f"reference is for {ref.instance_id}, not {inst.id}")
+    return ref
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +192,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cand = build_candidate(inst, Path(args.response).read_text())
         report, value = cand.report, cand.objective
     else:
-        ref = load_reference(args.reference)
-        if ref.instance_id != inst.id:
-            return _fail(f"reference is for {ref.instance_id}, not {inst.id}")
-        report, value = score(inst, ref.solution)
+        report, value = score(inst, _load_reference_for(inst, args.reference).solution)
     payload = report.to_dict()
     if report.feasible:
         payload["objective"] = value
@@ -201,7 +206,7 @@ def _cmd_reward(args: argparse.Namespace) -> int:
     cfg = RewardConfig(alpha=args.alpha)
     reference = args.reference_objective
     if reference is None and args.reference:
-        reference = load_reference(args.reference).objective
+        reference = _load_reference_for(inst, args.reference).objective
     if reference is not None and not math.isfinite(reference):
         # Rejected whatever the answer, not only where optimality_reward reads it.
         return _fail(f"reference objective must be finite, got {reference}")
@@ -239,9 +244,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     instances = _load_instances(Path(args.instances))
     references = _load_references(Path(args.references))
-    missing = [i.id for i in instances if i.id not in references]
-    if missing:
-        return _fail(f"missing references for: {', '.join(missing[:5])}")
     out_path = Path(args.out) if args.out else None
     if args.mock:
         mock_cfg = MockPolicyConfig(
@@ -293,9 +295,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     unknown = [iid for iid in rows if iid not in instances]
     if unknown:
         return _fail(f"records mention unknown instance {unknown[0]}")
-    missing = [iid for iid in rows if iid not in references]
-    if missing:
-        return _fail(f"missing references for: {', '.join(missing[:5])}")
+    require_references(rows, references)
     records = [
         record_from_row(instances[iid], row, references[iid].objective)
         for iid, row in rows.items()

@@ -26,7 +26,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..problems.io import ReferenceSolution
 from ..problems.types import Instance
@@ -181,6 +181,13 @@ def _append_row(fh: BinaryIO, row: dict) -> None:
     fh.flush()
 
 
+def require_references(ids: Iterable[str], references: Container[str]) -> None:
+    """Raise ValueError naming the first five of ids that have no reference."""
+    missing = [iid for iid in ids if iid not in references]
+    if missing:
+        raise ValueError(f"missing references for: {', '.join(missing[:5])}")
+
+
 def record_from_row(inst: Instance, row: dict, reference_objective: float) -> EvalRecord:
     """Score one row's raw texts; a row whose sampling failed has none."""
     texts = row["raw_texts"] or ()
@@ -201,7 +208,9 @@ def evaluate(
     its samples arrive, in instance order, and instances that already have a
     row are not sampled again. A sampler that raises RuntimeError (a request
     that failed after its retries) yields a record with zero candidates that
-    is not persisted, so a rerun retries it; the batch itself never aborts."""
+    is not persisted, so a rerun retries it; the batch itself never aborts.
+    An instance without a reference raises ValueError before any request."""
+    require_references((inst.id for inst in instances), references)
     rows: Dict[str, dict] = {}
     with contextlib.ExitStack() as stack:
         fh: Optional[BinaryIO] = None

@@ -1,11 +1,12 @@
 """Best-of-N selection and aggregate metrics for endpoint evaluations.
 
-A Candidate is one sampled completion: its raw text, the feasibility report,
-and the recomputed objective (never the stated one). `build_candidate` is the
-one place raw model text becomes a scored answer. A record stores only what
-was sampled; its Best-of-N selection and gap are derived from the candidates,
-always by recomputed objectives. The `to_dict` methods write every report
-JSON, with a non-finite float as null, so the report is strict JSON.
+A Candidate is one sampled completion as scored: its feasibility report and
+recomputed objective (never the stated one); the JSONL file keeps the text.
+`build_candidate` is the one place raw model text becomes a scored answer. A
+record stores only what was sampled; its Best-of-N selection and gap are
+derived from the candidates, always by recomputed objectives. The `to_dict`
+methods write every report JSON, with a non-finite float as null, so the
+report is strict JSON.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ GAP_KS = (1, 5, 10)
 
 @dataclass(frozen=True)
 class Candidate:
-    raw_text: Optional[str]
     report: FeasibilityReport  # a failed format gate when the text did not parse
     objective: Optional[float]  # recomputed; None unless feasible
 
@@ -51,7 +51,7 @@ def build_candidate(inst: Instance, raw_text: Optional[str]) -> Candidate:
     text = strip_thinking(raw_text) if isinstance(raw_text, str) else None
     parsed = parse(text, inst.kind)
     report, value = score(inst, parsed.solution)
-    return Candidate(raw_text, report, value if report.feasible else None)
+    return Candidate(report, value if report.feasible else None)
 
 
 def bon_select(candidates: Sequence[Candidate], sense: Sense) -> Optional[int]:
@@ -177,10 +177,10 @@ def _jsonable(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _summarize(records: Sequence[EvalRecord], tiers: bool) -> MetricsSummary:
+def _summarize(records: Sequence[EvalRecord]) -> MetricsSummary:
     n = len(records)
     if n == 0:
-        return MetricsSummary(0, 0.0, 0.0, None, None, {k: 0.0 for k in GAP_KS}, {})
+        return MetricsSummary(0, 0.0, 0.0, None, None, {k: 0.0 for k in GAP_KS})
     feas = sum(1 for r in records if r.any_feasible) / n
     total_samples = sum(len(r.candidates) for r in records)
     fmt = (
@@ -190,20 +190,11 @@ def _summarize(records: Sequence[EvalRecord], tiers: bool) -> MetricsSummary:
     )
     gaps = [r.gap for r in records if r.gap is not None]
     mean_gap = sum(gaps) / len(gaps) if gaps else None
-    gap_std = None
-    if gaps:
-        mu = mean_gap
-        gap_std = math.sqrt(sum((g - mu) ** 2 for g in gaps) / len(gaps))
+    gap_std = math.sqrt(sum((g - mean_gap) ** 2 for g in gaps) / len(gaps)) if gaps else None
     gap_at_k: Dict[int, float] = {}
     for k in GAP_KS:
         hit = sum(1 for r in records if r.gap is not None and r.gap * 100.0 < k)
         gap_at_k[k] = hit / n
-    by_tier: Dict[str, MetricsSummary] = {}
-    if tiers:
-        for tier in ("small", "medium", "large"):
-            sub = [r for r in records if r.size_tier == tier]
-            if sub:
-                by_tier[tier] = _summarize(sub, tiers=False)
     wall = sum(r.wall_time for r in records) / n
     return MetricsSummary(
         num_records=n,
@@ -212,7 +203,6 @@ def _summarize(records: Sequence[EvalRecord], tiers: bool) -> MetricsSummary:
         mean_gap=mean_gap,
         gap_std=gap_std,
         gap_at_k=gap_at_k,
-        by_tier=by_tier,
         mean_wall_time=wall,
     )
 
@@ -220,4 +210,6 @@ def _summarize(records: Sequence[EvalRecord], tiers: bool) -> MetricsSummary:
 def metrics(records: Sequence[EvalRecord]) -> MetricsSummary:
     """Aggregate feasibility and gap metrics, overall and per size tier,
     with Gap@K for each K in GAP_KS."""
-    return _summarize(records, tiers=True)
+    tiers = {t: [r for r in records if r.size_tier == t] for t in ("small", "medium", "large")}
+    by_tier = {tier: _summarize(sub) for tier, sub in tiers.items() if sub}
+    return replace(_summarize(records), by_tier=by_tier)

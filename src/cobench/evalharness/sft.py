@@ -16,16 +16,16 @@ from ..problems.types import Instance
 from ..tai.encode import encode
 from ..tai.render import format_solution
 from ..verify import score
+from .endpoint import require_references
 
 
 def sft_records(
     instances: Sequence[Instance], references: Dict[str, ReferenceSolution]
 ) -> List[dict]:
+    require_references((inst.id for inst in instances), references)
     records = []
     for inst in instances:
-        ref = references.get(inst.id)
-        if ref is None:
-            raise ValueError(f"no reference solution for instance {inst.id}")
+        ref = references[inst.id]
         report, value = score(inst, ref.solution)
         if not report.feasible:
             violated = [name for name, ok in report.constraints if not ok]

@@ -32,11 +32,22 @@ from .types import (
 SCHEMA_VERSION = 1
 
 
+def _object(value, field: str) -> dict:
+    """`value` if it is a JSON object; anything else is a ValueError naming `field`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field}: expected an object, got {type(value).__name__}")
+    return value
+
+
 def _ints(values, field: str) -> tuple:
     """`values` as a tuple of ints: an integral float such as 3.0 loads as 3,
-    and a bool, a string or a non-integral number raises a ValueError naming
-    `field`. Files hold plain ints, so one type pass is the common case."""
-    values = tuple(values)
+    and a bool, a string, a non-integral number or a `values` that is not a
+    list raises a ValueError naming `field`. Files hold plain ints, so one
+    type pass is the common case."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{field}: expected a list of integers") from None
     if set(map(type, values)) <= {int}:
         return values
     for v in values:
@@ -44,6 +55,23 @@ def _ints(values, field: str) -> tuple:
         if isinstance(v, bool) or not integral:
             raise ValueError(f"{field}: expected an integer, got {v!r}")
     return tuple(map(int, values))
+
+
+def _int_rows(rows, field: str) -> tuple:
+    """`rows`, a list of integer lists, as a tuple of int tuples (see _ints)."""
+    try:
+        return tuple(_ints(row, field) for row in rows)
+    except TypeError:
+        raise ValueError(f"{field}: expected a list of integer lists") from None
+
+
+def _pairs(rows, field: str) -> tuple:
+    """The values of `rows`, a list of [a, b] pairs, in one flat tuple; a
+    `rows` or a row of another shape is a ValueError naming `field`."""
+    try:
+        return tuple(chain.from_iterable((a, b) for a, b in rows))
+    except (TypeError, ValueError):
+        raise ValueError(f"{field}: expected a list of pairs") from None
 
 
 def _floats(values, field: str) -> tuple:
@@ -80,7 +108,7 @@ def _payload_from_dict(kind: ProblemKind, d: dict):
         (depot,) = _ints((d.get("depot_index", 0),), "depot_index")
         if depot != 0:
             raise ValueError(f"depot_index {depot} is not supported: node 0 is the depot")
-        xy = _floats(chain.from_iterable((x, y) for x, y in d["coords"]), "coords")
+        xy = _floats(_pairs(d["coords"], "coords"), "coords")
         return RoutingInstance(
             coords=tuple(zip(xy[::2], xy[1::2])),
             prizes=_ints(d["prizes"], "prizes") if "prizes" in d else None,
@@ -93,17 +121,15 @@ def _payload_from_dict(kind: ProblemKind, d: dict):
             ),
         )
     if kind in GRAPH_KINDS:
-        ends = _ints(chain.from_iterable((u, v) for u, v in d["edges"]), "edges")
+        ends = _ints(_pairs(d["edges"], "edges"), "edges")
         return GraphInstance(
             num_nodes=_ints((d["num_nodes"],), "num_nodes")[0],
             edges=tuple(zip(ends[::2], ends[1::2])),
         )
     return SchedulingInstance(
-        ptimes=tuple(_ints(row, "ptimes") for row in d["ptimes"]),
+        ptimes=_int_rows(d["ptimes"], "ptimes"),
         machine_order=(
-            tuple(_ints(row, "machine_order") for row in d["machine_order"])
-            if "machine_order" in d
-            else None
+            _int_rows(d["machine_order"], "machine_order") if "machine_order" in d else None
         ),
     )
 
@@ -121,17 +147,17 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    doc = json.loads(text)
+    doc = _object(json.loads(text), "instance file")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
     kind = ProblemKind(doc["kind"])
     return Instance(
         kind=kind,
-        payload=_payload_from_dict(kind, doc["payload"]),
+        payload=_payload_from_dict(kind, _object(doc["payload"], "payload")),
         id=doc["id"],
         seed=doc.get("seed"),
-        meta=doc.get("meta", {}),
+        meta=_object(doc.get("meta", {}), "meta"),
     )
 
 
@@ -168,13 +194,13 @@ def solution_from_dict(d: dict) -> Solution:
     if t == "route":
         return Route(_ints(d["nodes"], "nodes"))
     if t == "routes":
-        return RouteSet(tuple(_ints(r, "routes") for r in d["routes"]))
+        return RouteSet(_int_rows(d["routes"], "routes"))
     if t == "set":
         return VertexSet(frozenset(_ints(d["vertices"], "vertices")))
     if t == "order":
         return JobOrder(_ints(d["jobs"], "jobs"))
     if t == "schedule":
-        return MachineSchedules(tuple(_ints(s, "sequences") for s in d["sequences"]))
+        return MachineSchedules(_int_rows(d["sequences"], "sequences"))
     raise ValueError(f"unknown solution type {t!r}")
 
 
@@ -192,7 +218,9 @@ class ReferenceSolution:
     validated: bool = True  # whether a feasibility check was run and passed
 
     def __post_init__(self) -> None:
-        ok = self.source in ("oracle", "imported") or self.source.startswith("heuristic:")
+        ok = isinstance(self.source, str) and (
+            self.source in ("oracle", "imported") or self.source.startswith("heuristic:")
+        )
         if not ok:
             raise ValueError(f"bad source {self.source!r}")
 
@@ -212,11 +240,11 @@ def reference_to_json(ref: ReferenceSolution, provenance: Optional[dict] = None)
 
 
 def reference_from_json(text: str) -> ReferenceSolution:
-    doc = json.loads(text)
+    doc = _object(json.loads(text), "reference file")
     return ReferenceSolution(
         instance_id=doc["instance_id"],
-        solution=solution_from_dict(doc["solution"]),
-        objective=float(doc["objective"]),
+        solution=solution_from_dict(_object(doc["solution"], "solution")),
+        objective=_floats((doc["objective"],), "objective")[0],
         source=doc["source"],
         validated=bool(doc.get("validated", True)),
     )

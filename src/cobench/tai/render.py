@@ -16,13 +16,13 @@ from ..problems.types import (
 )
 from .types import GRAMMAR_BY_KIND, TextAttributedInstance
 
-# Alpaca-style wrapper; instruction/input/response slots are filled verbatim.
+# Alpaca-style wrapper; instruction and input slots are filled verbatim.
 PROMPT_TEMPLATE = (
     "Below is an instruction describing a combinatorial optimization problem. "
     "It is paired with an input that provides the data of the instance. \n"
     "Your task is to produce a feasible solution that optimizes (minimizes or "
     "maximizes) the given objective.\n\n"
-    "### Instruction:{}\n\n### Input:{}\n\n### Response:{}"
+    "### Instruction:{}\n\n### Input:{}\n\n### Response:"
 )
 
 # Routing objectives are real-valued distances; the rest are integral.
@@ -63,6 +63,6 @@ def format_solution(kind: ProblemKind, sol: Solution, objective: Optional[float]
     return text
 
 
-def render_prompt(tai: TextAttributedInstance, response: str = "") -> str:
-    """Fill the Alpaca template with a TAI (and optionally a response)."""
-    return PROMPT_TEMPLATE.format(tai.instruction, tai.input, response)
+def render_prompt(tai: TextAttributedInstance) -> str:
+    """Fill the Alpaca template with a TAI."""
+    return PROMPT_TEMPLATE.format(tai.instruction, tai.input)

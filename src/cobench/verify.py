@@ -99,9 +99,6 @@ class FeasibilityReport:
     def feasible(self) -> bool:
         return self.zeta and all(ok for _, ok in self.constraints)
 
-    def constraint_flags(self) -> Tuple[bool, ...]:
-        return tuple(ok for _, ok in self.constraints)
-
     def to_dict(self) -> dict:
         """The report as strict JSON: a non-finite margin (an OP without a
         budget) is None."""

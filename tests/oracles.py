@@ -449,7 +449,7 @@ def reference_prompt(inst, k):
     else:
         fields = dict(jobs=p.num_jobs, machines=p.num_machines)
     instruction = text._INSTRUCTIONS[inst.kind].format(k=k, **fields)
-    return PROMPT_TEMPLATE.format(instruction, reference_input(inst, k), "")
+    return PROMPT_TEMPLATE.format(instruction, reference_input(inst, k))
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,7 @@ def test_criterion_3_heuristic_feasibility(capsys):
                 runs += 1
                 report = check(inst, res.solution)
                 if not report.feasible:
-                    failures.append((kind.value, method, inst.id, report.constraint_flags()))
+                    failures.append((kind.value, method, inst.id, report.constraints))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 300.0
     detail = (

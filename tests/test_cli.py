@@ -373,6 +373,54 @@ def test_verify_reference_id_mismatch(tsp_dir, tmp_path, capsys):
     assert "reference is for" in err
 
 
+@pytest.mark.parametrize(
+    "kind, keys, value, field",
+    [
+        ("tsp", ["payload", "coords", 1], 5, "coords"),
+        ("tsp", ["payload", "coords", 1], [1, 2, 3], "coords"),
+        ("tsp", ["payload", "coords"], 5, "coords"),
+        ("mis", ["payload", "edges", 0], 5, "edges"),
+        ("pfsp", ["payload", "ptimes"], [1, 2], "ptimes"),
+        ("tsp", ["payload"], [1], "payload"),
+        ("tsp", [], None, "instance file"),
+        ("tsp", ["meta"], ["a"], "meta"),
+        ("tsp", ["reference", "solution"], [0, 1, 0], "solution"),
+        ("tsp", ["reference", "solution", "nodes"], 5, "nodes"),
+        ("cvrp", ["reference", "solution", "routes"], [1, 2], "routes"),
+        ("tsp", ["reference"], None, "reference file"),
+    ],
+    ids=[
+        "coords-row-int", "coords-row-triple", "coords-int", "edge-int", "ptimes-rows-int",
+        "payload-list", "instance-list", "meta-list", "solution-list", "nodes-int",
+        "routes-rows-int", "reference-list",
+    ],
+)
+def test_verify_malformed_file_is_one_line(tmp_path, capsys, kind, keys, value, field):
+    method = {"tsp": "nn", "mis": "greedy", "pfsp": "neh", "cvrp": "sweep"}[kind]
+    run(capsys, "generate", "--kind", kind, "--size", "6", "--out", str(tmp_path / "insts"))
+    inst_file = _instance_files(tmp_path / "insts")[0]
+    ref_file = tmp_path / "ref.json"
+    run(capsys, "solve", "--instance", str(inst_file), "--method", method, "--out", str(ref_file))
+    target = ref_file if keys[:1] == ["reference"] else inst_file
+    doc = json.loads(target.read_text())
+    path = keys[1:] if target is ref_file else keys
+    if path:
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    else:
+        doc = [doc]  # the whole document is not an object
+    target.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "verify", "--instance", str(inst_file), "--reference", str(ref_file)
+    )
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field}: expected "), err
+
+
 # ---------------------------------------------------------------------------
 # reward
 
@@ -557,6 +605,25 @@ def test_reward_non_finite_reference_file_exits_two(tsp_dir, tmp_path, capsys, a
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "finite" in err
+
+
+def test_reward_refuses_a_reference_for_another_instance(tsp_dir, tmp_path, capsys):
+    files = _instance_files(tsp_dir)
+    ref_file = tmp_path / "ref.json"
+    run(capsys, "solve", "--instance", str(files[0]), "--method", "nn",
+        "--out", str(ref_file))
+    resp = tmp_path / "resp.txt"
+    resp.write_text("Route: [0, 1, 0]")
+    refused = f"error: reference is for {files[0].stem}, not {files[1].stem}\n"
+    code, out, err = run(
+        capsys, "verify", "--instance", str(files[1]), "--reference", str(ref_file)
+    )
+    assert (code, out, err) == (2, "", refused)
+    code, out, err = run(
+        capsys, "reward", "--instance", str(files[1]), "--response", str(resp),
+        "--reference", str(ref_file),
+    )
+    assert (code, out, err) == (2, "", refused)
 
 
 # ---------------------------------------------------------------------------
@@ -781,35 +848,25 @@ def test_records_row_of_the_wrong_shape_is_data_error(bench, tmp_path, capsys, r
         assert len(err.strip().splitlines()) == 1, argv
 
 
-def test_evaluate_missing_reference_is_usage_error(bench, tmp_path, capsys):
-    insts, refs = bench
-    extra = tmp_path / "extra"
-    run(capsys, "generate", "--kind", "tsp", "--count", "1", "--seed", "99",
-        "--size", "8", "--out", str(extra))
-    # Copy the new instance next to the others; it has no reference.
-    src = _instance_files(extra)[0]
-    (Path(insts) / src.name).write_bytes(src.read_bytes())
-    code, _, err = run(
-        capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
-        "--mock",
-    )
-    assert code == 2
-    assert "missing references" in err
-
-
-def test_report_missing_reference_is_data_error(bench, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["evaluate", "report", "dataset"])
+def test_missing_reference_is_refused_in_one_line(bench, tmp_path, capsys, command):
     insts, refs = bench
     raw_file = tmp_path / "raw.jsonl"
     run(capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
         "--mock", "--out", str(raw_file))
-    gone = sorted(Path(refs).glob("*.json"))[0]
+    gone = sorted(Path(refs).glob("*.json"))[1]
     gone.unlink()
-    code, _, err = run(
-        capsys, "report", "--records", str(raw_file), "--instances", str(insts),
-        "--references", str(refs),
+    out_file = tmp_path / "out.jsonl"
+    argv = {
+        "evaluate": ["evaluate", "--mock", "--out", str(out_file)],
+        "report": ["report", "--records", str(raw_file), "--out", str(out_file)],
+        "dataset": ["dataset", "--out", str(out_file)],
+    }[command]
+    code, out, err = run(
+        capsys, *argv, "--instances", str(insts), "--references", str(refs)
     )
-    assert code == 2
-    assert err.strip() == f"error: missing references for: {gone.stem}"
+    assert (code, out, err) == (2, "", f"error: missing references for: {gone.stem}\n")
+    assert not out_file.exists()
 
 
 def test_evaluate_needs_mock_or_base_url(bench, capsys):

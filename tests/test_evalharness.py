@@ -1,6 +1,7 @@
 """Evaluation harness tests: candidates, Best-of-N, metrics, the mock policy,
 the SFT exporter, and a live HTTP round trip against a local echo server."""
 
+import dataclasses
 import json
 import socket
 import threading
@@ -50,7 +51,7 @@ def _mk(format_ok, feasible, value):
     from cobench.verify import FeasibilityReport
 
     report = FeasibilityReport(zeta=format_ok, constraints=(("c", bool(feasible)),))
-    return Candidate("raw", report, value)
+    return Candidate(report, value)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def test_build_candidate_parse_failure():
     failed_gate = check(inst, None)
     assert not failed_gate.zeta
     c = build_candidate(inst, "no solution here")
-    assert c == Candidate("no solution here", failed_gate, None)
+    assert c == Candidate(failed_gate, None)
     assert not c.format_ok
     assert not c.feasible
 
@@ -75,7 +76,12 @@ def test_build_candidate_non_string_did_not_parse(raw):
     # A null completion (a refusal or a tool call) scores as an unparsed answer.
     inst = make_instance(ProblemKind.TSP, size=8, seed=0)
     c = build_candidate(inst, raw)
-    assert c == Candidate(raw, check(inst, None), None) and not c.format_ok
+    assert c == Candidate(check(inst, None), None) and not c.format_ok
+
+
+def test_candidate_is_its_report_and_objective():
+    # The sampled text lives in the JSONL row alone; a candidate keeps none of it.
+    assert [f.name for f in dataclasses.fields(Candidate)] == ["report", "objective"]
 
 
 def test_build_candidate_recomputes_objective():
@@ -568,6 +574,33 @@ def test_evaluate_unparsable_middle_line_is_an_error(tmp_path):
         evaluate(insts, refs, _echo_sampler(refs), out_path=out)
 
 
+def test_evaluate_refuses_missing_references_before_any_request(tmp_path):
+    insts, refs = _bench(ProblemKind.TSP, count=3, size=8)
+    gone = insts[1].id
+    kept = {iid: ref for iid, ref in refs.items() if iid != gone}
+    out = tmp_path / "runs" / "raw.jsonl"
+    calls = []
+    with pytest.raises(ValueError, match=f"^missing references for: {gone}$"):
+        evaluate(insts, kept, _echo_sampler(refs, calls=calls), out_path=out)
+    assert calls == [] and not out.parent.exists()
+    # An existing file is left as it was, truncated last line and all.
+    out.parent.mkdir()
+    evaluate(insts[:1], refs, _echo_sampler(refs), out_path=out)
+    out.write_bytes(out.read_bytes() + b'{"instance_id": "cut')
+    before = out.read_bytes()
+    with pytest.raises(ValueError, match=f"^missing references for: {gone}$"):
+        evaluate(insts, kept, _echo_sampler(refs, calls=calls), out_path=out)
+    assert calls == [] and out.read_bytes() == before
+
+
+def test_missing_references_name_the_first_five():
+    insts, _ = _bench(ProblemKind.TSP, count=7, size=5)
+    ids = [inst.id for inst in insts]
+    with pytest.raises(ValueError) as err:
+        evaluate(insts, {}, _echo_sampler({}))
+    assert str(err.value) == f"missing references for: {', '.join(ids[:5])}"
+
+
 def test_evaluate_duplicate_rows_resolve_last_wins(tmp_path):
     insts, refs = _bench(ProblemKind.TSP, count=2, size=8)
     out = tmp_path / "raw.jsonl"
@@ -953,7 +986,7 @@ def test_sft_rejects_infeasible_reference():
 
 def test_sft_rejects_missing_reference():
     insts, _ = _bench(ProblemKind.TSP, count=1, size=8)
-    with pytest.raises(ValueError, match="no reference"):
+    with pytest.raises(ValueError, match=f"^missing references for: {insts[0].id}$"):
         sft_records(insts, {})
 
 

@@ -379,15 +379,15 @@ def test_prompt_template_exact():
         "It is paired with an input that provides the data of the instance. \n"
         "Your task is to produce a feasible solution that optimizes (minimizes or "
         "maximizes) the given objective.\n\n"
-        "### Instruction:{}\n\n### Input:{}\n\n### Response:{}"
+        "### Instruction:{}\n\n### Input:{}\n\n### Response:"
     )
 
 
 def test_render_prompt_slots():
     inst = make_instance(ProblemKind.TSP, size=10, seed=0)
     tai = encode(inst)
-    text = render_prompt(tai, response="hello")
-    assert text.endswith("### Response:hello")
+    text = render_prompt(tai)
+    assert text.endswith("\n\n### Response:")
     assert "### Instruction:" + tai.instruction in text
     assert "### Input:" + tai.input in text
     # The preamble line keeps its trailing space before the newline.
