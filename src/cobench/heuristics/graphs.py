@@ -9,17 +9,30 @@ from ._kinds import _require
 
 
 def mis_greedy_min_degree(inst: Instance) -> VertexSet:
-    """Adaptive greedy: repeatedly take the lowest-degree remaining vertex,
-    then delete it and its neighbors."""
+    """Adaptive greedy: repeatedly take the remaining vertex with the fewest
+    remaining neighbours (ties to the lower id), then delete it and its
+    neighbours.
+
+    One degree table over the remaining vertices is updated as vertices
+    leave, so a solve costs O(E + n * picks): each pick is one scan of the
+    table, and each edge is visited twice over the whole run. A deleted
+    vertex reads `n`, more than any degree."""
     p = _require(inst, ProblemKind.MIS)
-    adj = [set(a) for a in p.adjacency()]
-    alive: Set[int] = set(range(p.num_nodes))
+    n = p.num_nodes
+    adj = p.adjacency()
+    deg = [len(a) for a in adj]
     chosen: List[int] = []
-    while alive:
-        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
+    while (low := min(deg)) < n:
+        v = deg.index(low)
         chosen.append(v)
-        removed = (adj[v] & alive) | {v}
-        alive -= removed
+        gone = [w for w in adj[v] if deg[w] < n]
+        gone.append(v)
+        for u in gone:
+            deg[u] = n
+        for u in gone:
+            for w in adj[u]:
+                if deg[w] < n:
+                    deg[w] -= 1
     return VertexSet.of(chosen)
 
 
@@ -54,19 +67,24 @@ def mvc_approx_matching(inst: Instance) -> VertexSet:
 
 
 def mvc_greedy_max_degree(inst: Instance) -> VertexSet:
-    """Adaptive greedy: repeatedly add the vertex covering the most remaining
-    edges until every edge is covered."""
+    """Adaptive greedy: repeatedly add the vertex covering the most uncovered
+    edges (ties to the lower id) until every edge is covered.
+
+    One table holds each vertex's count of uncovered edges and is updated as
+    vertices join the cover, so a solve costs O(E + n * picks): each pick is
+    one scan of the table. A vertex in the cover reads 0, and a neighbour w
+    of a new pick still has the edge to it uncovered exactly when deg[w] > 0."""
     p = _require(inst, ProblemKind.MVC)
+    adj = p.adjacency()
+    deg = [len(a) for a in adj]
     cover: List[int] = []
-    remaining = {e for e in p.edges}
-    while remaining:
-        counts: dict[int, int] = {}
-        for u, v in remaining:
-            counts[u] = counts.get(u, 0) + 1
-            counts[v] = counts.get(v, 0) + 1
-        v = min(counts, key=lambda u: (-counts[u], u))
+    while (top := max(deg)) > 0:
+        v = deg.index(top)
         cover.append(v)
-        remaining = {e for e in remaining if v not in e}
+        deg[v] = 0
+        for w in adj[v]:
+            if deg[w]:
+                deg[w] -= 1
     return VertexSet.of(cover)
 
 

@@ -32,11 +32,16 @@ from .types import (
 SCHEMA_VERSION = 1
 
 
+def _typed(value, field: str, kind: type, expected: str):
+    """`value` if it is a `kind`; anything else is a ValueError naming `field`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{field}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def _object(value, field: str) -> dict:
     """`value` if it is a JSON object; anything else is a ValueError naming `field`."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{field}: expected an object, got {type(value).__name__}")
-    return value
+    return _typed(value, field, dict, "an object")
 
 
 def _ints(values, field: str) -> tuple:
@@ -155,8 +160,8 @@ def instance_from_json(text: str) -> Instance:
     return Instance(
         kind=kind,
         payload=_payload_from_dict(kind, _object(doc["payload"], "payload")),
-        id=doc["id"],
-        seed=doc.get("seed"),
+        id=_typed(doc["id"], "id", str, "a string"),
+        seed=None if doc.get("seed") is None else _ints((doc["seed"],), "seed")[0],
         meta=_object(doc.get("meta", {}), "meta"),
     )
 
@@ -242,11 +247,11 @@ def reference_to_json(ref: ReferenceSolution, provenance: Optional[dict] = None)
 def reference_from_json(text: str) -> ReferenceSolution:
     doc = _object(json.loads(text), "reference file")
     return ReferenceSolution(
-        instance_id=doc["instance_id"],
+        instance_id=_typed(doc["instance_id"], "instance_id", str, "a string"),
         solution=solution_from_dict(_object(doc["solution"], "solution")),
         objective=_floats((doc["objective"],), "objective")[0],
         source=doc["source"],
-        validated=bool(doc.get("validated", True)),
+        validated=_typed(doc.get("validated", True), "validated", bool, "true or false"),
     )
 
 

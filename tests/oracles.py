@@ -10,7 +10,8 @@ its earlier per-step form here (one roulette call and one draw per step),
 which the package's leaner step must equal draw for draw. The prompt input
 keeps its per-entity renderer here, whose bytes the package's one-call
 templates must equal; only the instruction text and the prompt wrapper are
-the package's own.
+the package's own. The greedy graph heuristics, NEH and JSSP dispatch keep
+their rescan forms here, which the package's incremental forms must equal.
 """
 
 import ast
@@ -281,6 +282,87 @@ def op_greedy_insertion(d, prizes, budget):
         _, v, pos, delta = best
         route.insert(pos + 1, v)
         length += delta
+
+
+# ---------------------------------------------------------------------------
+# Graph and scheduling heuristics in their rescan form: every step recounts
+# degrees over the remaining graph, decodes every trial order in full, or
+# rebuilds every job's earliest start. The package's incremental forms must
+# return the same solutions.
+
+
+def mis_greedy(p):
+    """Take the remaining vertex with the fewest remaining neighbours, lower
+    id on ties, and delete it and its neighbours; the chosen ids in order."""
+    adj = [set() for _ in range(p.num_nodes)]
+    for u, v in p.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    alive = set(range(p.num_nodes))
+    chosen = []
+    while alive:
+        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
+        chosen.append(v)
+        alive -= (adj[v] & alive) | {v}
+    return chosen
+
+
+def mvc_greedy(p):
+    """Add the vertex on the most uncovered edges, lower id on ties, until
+    every edge is covered; the cover's ids in order."""
+    cover = []
+    remaining = set(p.edges)
+    while remaining:
+        counts = {}
+        for u, v in remaining:
+            counts[u] = counts.get(u, 0) + 1
+            counts[v] = counts.get(v, 0) + 1
+        v = min(counts, key=lambda u: (-counts[u], u))
+        cover.append(v)
+        remaining = {e for e in remaining if v not in e}
+    return cover
+
+
+def neh(ptimes):
+    """NEH with every trial insertion decoded in full by pfsp_makespan_dag:
+    jobs by decreasing total work, lower id on ties, each at the position of
+    least partial makespan, the earliest on ties."""
+    ranked = sorted(range(len(ptimes)), key=lambda j: (-sum(ptimes[j]), j))
+    order = []
+    for j in ranked:
+        best_pos, best_mk = 0, math.inf
+        for pos in range(len(order) + 1):
+            mk = pfsp_makespan_dag(ptimes, order[:pos] + [j] + order[pos:])
+            if mk < best_mk - 1e-12:
+                best_mk, best_pos = mk, pos
+        order.insert(best_pos, j)
+    return order
+
+
+def dispatch(p, rule):
+    """Non-delay dispatch that rebuilds every job's earliest start at every
+    step: the least (start, machine) picks the machine, and the rule key
+    picks among the jobs that can start there then, lower job on ties."""
+    jobs, machines = len(p.ptimes), len(p.ptimes[0])
+    t_job, t_mach, next_op = [0] * jobs, [0] * machines, [0] * jobs
+    sequences = [[] for _ in range(machines)]
+    key = (
+        (lambda j: (t_job[j], j))
+        if rule == "fifo"
+        else (lambda j: (p.ptimes[j][next_op[j]], j))
+    )
+    for _ in range(jobs * machines):
+        ready = []
+        for j in range(jobs):
+            if next_op[j] < machines:
+                m = p.machine_order[j][next_op[j]]
+                ready.append((max(t_job[j], t_mach[m]), m, j))
+        start, machine, _ = min(ready)
+        j = min((j for est, m, j in ready if m == machine and est == start), key=key)
+        t_job[j] = t_mach[machine] = start + p.ptimes[j][next_op[j]]
+        next_op[j] += 1
+        sequences[machine].append(j)
+    return sequences
 
 
 # ---------------------------------------------------------------------------

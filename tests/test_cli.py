@@ -388,11 +388,17 @@ def test_verify_reference_id_mismatch(tsp_dir, tmp_path, capsys):
         ("tsp", ["reference", "solution", "nodes"], 5, "nodes"),
         ("cvrp", ["reference", "solution", "routes"], [1, 2], "routes"),
         ("tsp", ["reference"], None, "reference file"),
+        ("tsp", ["id"], ["x"], "id"),
+        ("tsp", ["seed"], "7", "seed"),
+        ("tsp", ["seed"], True, "seed"),
+        ("tsp", ["reference", "instance_id"], ["x"], "instance_id"),
+        ("tsp", ["reference", "validated"], "false", "validated"),
     ],
     ids=[
         "coords-row-int", "coords-row-triple", "coords-int", "edge-int", "ptimes-rows-int",
         "payload-list", "instance-list", "meta-list", "solution-list", "nodes-int",
-        "routes-rows-int", "reference-list",
+        "routes-rows-int", "reference-list", "id-list", "seed-string", "seed-bool",
+        "instance-id-list", "validated-string",
     ],
 )
 def test_verify_malformed_file_is_one_line(tmp_path, capsys, kind, keys, value, field):

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -26,6 +26,7 @@ from cobench.heuristics import (
     brute_force,
     jssp_dispatch,
     mis_greedy_min_degree,
+    mvc_greedy_max_degree,
     op_greedy,
     op_greedy_insertion,
     op_tsili,
@@ -38,6 +39,7 @@ from cobench.heuristics.rollout import rollout, roulette
 from cobench.heuristics.routing import two_opt
 from cobench.problems.generate import distance_matrix, nearest_nodes
 from cobench.problems.types import (
+    GraphFamily,
     GraphInstance,
     Instance,
     MachineSchedules,
@@ -516,6 +518,57 @@ def test_mvc_degree_removal_complements_mis_degree_add():
         assert cover == frozenset(range(mis_inst.payload.num_nodes)) - independent
 
 
+@st.composite
+def graphs(draw):
+    """A graph of 1-24 nodes shaped to tie degrees: edgeless, a star, complete,
+    a cycle, equal cliques or random edges, with its ids shuffled."""
+    n = draw(st.integers(1, 24))
+    pairs = list(itertools.combinations(range(n), 2))
+    shape = draw(st.sampled_from(["edgeless", "star", "complete", "cycle", "cliques", "random"]))
+    if shape == "edgeless" or not pairs:
+        edges = []
+    elif shape == "star":
+        edges = [(0, v) for v in range(1, n)]
+    elif shape == "complete":
+        edges = pairs
+    elif shape == "cycle":
+        edges = {(min(v, (v + 1) % n), max(v, (v + 1) % n)) for v in range(n)}
+    elif shape == "cliques":
+        k = draw(st.integers(1, 4))
+        edges = [(u, v) for u, v in pairs if u % k == v % k]
+    else:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    ids = draw(st.permutations(range(n)))
+    return GraphInstance(n, tuple(sorted((min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=graphs())
+def test_greedy_graph_heuristics_equal_their_rescan_forms(graph):
+    mis = Instance(kind=ProblemKind.MIS, payload=graph, id="g")
+    mvc = Instance(kind=ProblemKind.MVC, payload=graph, id="g")
+    assert mis_greedy_min_degree(mis).vertices == frozenset(oracles.mis_greedy(graph))
+    assert mvc_greedy_max_degree(mvc).vertices == frozenset(oracles.mvc_greedy(graph))
+
+
+@pytest.mark.parametrize("kind", [ProblemKind.MIS, ProblemKind.MVC], ids=["mis", "mvc"])
+@pytest.mark.parametrize(
+    "family, size, gen",
+    [
+        (GraphFamily.ER, 500, dict(er_prob_range=(0.05, 0.05))),
+        (GraphFamily.ER, 1000, dict(er_prob_range=(0.01, 0.01))),
+        (GraphFamily.BA, 1000, dict(ba_attach_range=(3, 3))),
+    ],
+    ids=["er-500", "er-1000", "ba-1000"],
+)
+def test_greedy_graph_heuristics_beyond_the_paper_sizes(kind, family, size, gen):
+    inst = make_instance(kind, size=size, seed=size, graph_family=family, **gen)
+    rescan = oracles.mis_greedy if kind is ProblemKind.MIS else oracles.mvc_greedy
+    res = solve(inst, "greedy")
+    assert res.solution.vertices == frozenset(rescan(inst.payload))
+    assert check(inst, res.solution).feasible
+
+
 # ---------------------------------------------------------------------------
 # Scheduling heuristics
 
@@ -596,6 +649,47 @@ def test_dispatch_rejects_unknown_rule():
     inst = make_instance(ProblemKind.JSSP, size=5, seed=0)
     with pytest.raises(ValueError):
         jssp_dispatch(inst, rule="lpt")
+
+
+@st.composite
+def jssp_instances(draw):
+    """J x M (1-7 each, drawn independently) with times 1-3, so that many
+    operations can start at once, and random machine orders."""
+    jobs, machines = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    ptimes = [[draw(st.integers(1, 3)) for _ in range(machines)] for _ in range(jobs)]
+    orders = [draw(st.permutations(range(machines))) for _ in range(jobs)]
+    return _jssp(ptimes, orders)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=jssp_instances())
+@example(inst=_jssp([[2]], [[0]]))
+def test_dispatch_equals_its_rescan_form(inst):
+    for rule in ("spt", "fifo", "atc"):
+        got = [list(s) for s in jssp_dispatch(inst, rule).sequences]
+        assert got == oracles.dispatch(inst.payload, rule), rule
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ptimes=st.integers(1, 8).flatmap(
+        lambda m: st.lists(st.lists(st.integers(1, 3), min_size=m, max_size=m), min_size=1, max_size=8)
+    )
+)
+def test_neh_equals_its_full_decode_form(ptimes):
+    assert list(pfsp_neh(_pfsp(ptimes)).jobs) == oracles.neh(ptimes)
+
+
+@pytest.mark.parametrize("jobs", [50, 100])
+def test_dispatch_beyond_the_paper_sizes(jobs):
+    # Taillard's 50x20 and 100x20 shapes: times 1-99, random machine orders
+    rng = random.Random(jobs)
+    ptimes = [[rng.randint(1, 99) for _ in range(20)] for _ in range(jobs)]
+    inst = _jssp(ptimes, [rng.sample(range(20), 20) for _ in range(jobs)])
+    for rule in ("spt", "fifo"):
+        sol = jssp_dispatch(inst, rule)
+        assert [list(s) for s in sol.sequences] == oracles.dispatch(inst.payload, rule), rule
+        assert check(inst, sol).feasible, rule
 
 
 # ---------------------------------------------------------------------------
