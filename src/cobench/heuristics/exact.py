@@ -31,7 +31,7 @@ from ..problems.types import (
     Solution,
     VertexSet,
 )
-from ..verify import jssp_makespan, jssp_start_times, objective
+from ..verify import jssp_decode, objective
 
 
 class BudgetExceededError(Exception):
@@ -305,13 +305,12 @@ def _jssp_exact(inst: Instance) -> MachineSchedules:
     best_sol: Optional[MachineSchedules] = None
     best_mk = float("inf")
     for combo in itertools.product(perms, repeat=machines):
-        sol = MachineSchedules(tuple(combo))
-        start = jssp_start_times(p, sol)
-        if start is None:
+        decoded = jssp_decode(p, combo)
+        if decoded is None:
             continue  # deadlocked combination
-        mk = jssp_makespan(p, start)
+        mk = decoded[1]
         if mk < best_mk - 1e-12:
             best_mk = mk
-            best_sol = sol
+            best_sol = MachineSchedules(combo)
     assert best_sol is not None  # identical sequences always decode
     return best_sol

@@ -8,6 +8,7 @@ instances as immutable and hashable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -89,6 +90,22 @@ class RoutingInstance:
         return len(self.coords)
 
 
+def _edges_ok(edges, n: int) -> bool:
+    """Every edge is a (lo, hi) pair with 0 <= lo < hi < n, and none repeats,
+    checked in whole-list passes. False when any check fails or cannot run
+    (an edge that is no pair, an unhashable or uncomparable edge)."""
+    try:
+        us, vs = zip(*edges, strict=True)  # strict: every edge is a pair
+        return (
+            all(map(operator.lt, us, vs))
+            and min(us) >= 0
+            and max(vs) < n
+            and len(set(edges)) == len(edges)
+        )
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class GraphInstance:
     """Undirected graph for MIS/MVC. Edges are normalized (lo, hi) pairs."""
@@ -99,6 +116,9 @@ class GraphInstance:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("graph needs at least 1 node")
+        if not self.edges or _edges_ok(self.edges, self.num_nodes):
+            return
+        # Name the first bad edge.
         seen = set()
         for u, v in self.edges:
             if u == v:

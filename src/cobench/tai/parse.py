@@ -33,6 +33,7 @@ from __future__ import annotations
 import ast
 import json
 import re
+from itertools import chain
 from typing import Optional, Tuple
 
 from ..problems.types import (
@@ -90,15 +91,17 @@ def _as_int_list(obj) -> Optional[Tuple[int, ...]]:
 
 
 def _as_nested_int_lists(obj) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    if not isinstance(obj, (list, tuple)) or not obj:
-        return None
-    out = []
-    for row in obj:
-        vals = _as_int_list(row)
-        if vals is None:
-            return None
-        out.append(vals)
-    return tuple(out)
+    # Both readers make plain lists and tuples, never subclasses, so whole-list
+    # type passes stand in for a per-row isinstance test.
+    if (
+        isinstance(obj, (list, tuple))
+        and obj
+        and set(map(type, obj)) <= {list, tuple}
+        and all(obj)
+        and set(map(type, chain.from_iterable(obj))) == {int}
+    ):
+        return tuple(map(tuple, obj))
+    return None
 
 
 def _payload_to_solution(kind: ProblemKind, obj) -> Optional[Solution]:

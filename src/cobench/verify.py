@@ -31,11 +31,12 @@ gate's ABC Collection tests, which it would pass. Route lengths add
 math.dist per edge in path order; math.dist runs the norm math.hypot runs
 on the coordinate differences, so each edge is the same float.
 
-JSSP answers are decoded semi-actively by Kahn's walk over the operation
-graph, from tables built once per instance and kept on its frozen payload.
-The walk starts every operation at the latest finish of its job and machine
-predecessors, so a schedule it decodes has no machine conflict and keeps
-job precedence; those two constraints fail exactly when it deadlocks.
+JSSP answers are decoded semi-actively by one sweep over the machine
+sequences, in plain Python lists read straight from the payload and the
+answer; the payload keeps nothing between calls. The sweep starts every
+operation at the latest finish of its job and machine predecessors, so a
+schedule it decodes has no machine conflict and keeps job precedence; those
+two constraints fail exactly when it deadlocks.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numbers
 from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import List, Mapping, NamedTuple, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -361,91 +362,62 @@ def _score_pfsp(p: SchedulingInstance, sol: JobOrder) -> Scored:
     return _report(ProblemKind.PFSP, perm), pfsp_makespan(p.ptimes, jobs)
 
 
-class _JsspTables(NamedTuple):
-    """Per-instance JSSP tables. Operation (j, i) is node j * M + i."""
+def jssp_decode(
+    p: SchedulingInstance, sequences
+) -> Optional[Tuple[List[List[float]], float]]:
+    """Semi-active decode of per-machine job sequences: (starts, makespan),
+    where starts[j][i] is the earliest start of job j's i-th operation and
+    the makespan is the largest job finish. `sequences` must hold one
+    permutation of the jobs per machine, as score() checks first; for
+    anything else the result is undefined.
 
-    op_flat: np.ndarray  # [j * M + m]: the node of job j's operation on machine m
-    duration: List[float]  # per node
-    indeg: np.ndarray  # per node: 1 for the job precedence edge, 0 for first ops
-    ptimes: np.ndarray  # (J, M) floats
-
-
-def _jssp_tables(p: SchedulingInstance) -> _JsspTables:
-    """The tables of `p`, built on first use and kept in its __dict__.
-
-    The payload is frozen, so they cannot go stale, and as a non-field they
-    stay out of ==, repr, fields() and the JSON form. A dataclasses.replace
-    copy starts without them. Two threads racing on a new payload only
-    build the same tables twice."""
-    tables = p.__dict__.get("_jssp_tables")
-    if tables is None:
-        jobs, machines = p.num_jobs, p.num_machines
-        base = np.arange(jobs)[:, None] * machines
-        op_flat = np.empty(jobs * machines, dtype=np.intp)
-        op_flat[(base + np.asarray(p.machine_order, dtype=np.intp)).ravel()] = (
-            base + np.arange(machines)
-        ).ravel()
-        ptimes = np.asarray(p.ptimes, dtype=float)
-        indeg = np.ones((jobs, machines), dtype=np.intp)
-        indeg[:, 0] = 0
-        tables = _JsspTables(op_flat, ptimes.ravel().tolist(), indeg.ravel(), ptimes)
-        p.__dict__["_jssp_tables"] = tables  # frozen: bypass __setattr__
-    return tables
+    One sweep keeps a worklist of machines, a pointer into each machine's
+    sequence and each job's next operation. A machine runs the job at its
+    pointer once that job's next operation is on it, at max(job free,
+    machine free), and a job that moves on wakes the machine it goes to.
+    Returns None when the worklist empties with a job left unrun: the
+    combined order is cyclic (deadlock).
+    """
+    ptimes, order = p.ptimes, p.machine_order
+    jobs, machines = len(ptimes), len(ptimes[0])
+    starts = [[0.0] * machines for _ in ptimes]
+    job_free = [0.0] * jobs
+    next_op = [0] * jobs
+    machine_free = [0.0] * machines
+    ptr = [0] * machines
+    work = list(range(machines))
+    while work:
+        m = work.pop()
+        seq = sequences[m]
+        k, free = ptr[m], machine_free[m]
+        while k < jobs:
+            j = seq[k]
+            i = next_op[j]
+            if order[j][i] != m:
+                break  # job j reaches machine m later and wakes it then
+            start = job_free[j]
+            if free > start:
+                start = free
+            starts[j][i] = start
+            free = job_free[j] = start + ptimes[j][i]
+            k += 1
+            i += 1
+            next_op[j] = i
+            if i < machines:
+                nxt = order[j][i]
+                if sequences[nxt][ptr[nxt]] == j:
+                    work.append(nxt)
+        ptr[m], machine_free[m] = k, free
+    if min(ptr) < jobs:
+        return None
+    return starts, max(job_free)
 
 
 def jssp_start_times(p: SchedulingInstance, sol: MachineSchedules) -> Optional[np.ndarray]:
-    """Semi-active decode: the earliest start of every operation, as a
-    (jobs, machines) array indexed [j, i] by job and operation index,
-    respecting job precedence and the per-machine job sequences. `sol`
-    must hold one permutation of the jobs per machine, as score() checks
-    first; for anything else the result is undefined.
-
-    Returns None when the combined order is cyclic (deadlock): Kahn's walk
-    then stops with some in-degree above zero. Each node has at most two
-    successors: the job's next operation (node + 1, unless it is the job's
-    last) and the next operation on its machine (msucc, -1 if none).
-    """
-    t = _jssp_tables(p)
-    machines = p.num_machines
-    # nodes[m, k]: the node of the k-th job in machine m's sequence.
-    seqs = np.asarray(sol.sequences, dtype=np.intp)
-    nodes = t.op_flat[seqs * machines + np.arange(machines)[:, None]]
-    total = len(t.duration)
-    msucc = np.full(total, -1, dtype=np.intp)
-    msucc[nodes[:, :-1]] = nodes[:, 1:]
-    indeg = t.indeg.copy()
-    indeg[nodes[:, 1:]] += 1  # every node appears once in `nodes`
-    ready = np.flatnonzero(indeg == 0).tolist()
-    msucc, indeg = msucc.tolist(), indeg.tolist()
-    duration = t.duration
-    earliest = [0.0] * total
-    while ready:
-        k = ready.pop()
-        finish = earliest[k] + duration[k]
-        nxt = k + 1
-        if nxt % machines:
-            if finish > earliest[nxt]:
-                earliest[nxt] = finish
-            d = indeg[nxt] - 1
-            indeg[nxt] = d
-            if not d:
-                ready.append(nxt)
-        nxt = msucc[k]
-        if nxt >= 0:
-            if finish > earliest[nxt]:
-                earliest[nxt] = finish
-            d = indeg[nxt] - 1
-            indeg[nxt] = d
-            if not d:
-                ready.append(nxt)
-    if any(indeg):
-        return None
-    return np.array(earliest).reshape(p.num_jobs, machines)
-
-
-def jssp_makespan(p: SchedulingInstance, start: np.ndarray) -> float:
-    """Latest finish over all operations of a decoded schedule."""
-    return float((start + _jssp_tables(p).ptimes).max())
+    """jssp_decode's start times as a (jobs, machines) array indexed [j, i]
+    by job and operation index, or None on a deadlock."""
+    decoded = jssp_decode(p, sol.sequences)
+    return None if decoded is None else np.array(decoded[0])
 
 
 def _all_permutations(rows, n: int) -> bool:
@@ -463,12 +435,15 @@ def _score_jssp(p: SchedulingInstance, sol: MachineSchedules) -> Scored:
     if not (len(seqs) == p.num_machines and _all_permutations(seqs, p.num_jobs)):
         # Without a full, valid sequence set the decode is undefined.
         return _report(ProblemKind.JSSP, False, False, False), None
-    start = jssp_start_times(p, sol)
-    if start is None:
+    if not set(map(type, seqs)) <= {tuple, list} and any(isinstance(r, Mapping) for r in seqs):
+        # A mapping's keys pass the gate, but the sweep would read its values.
+        return _FAILED_REPORTS[ProblemKind.JSSP], None
+    decoded = jssp_decode(p, seqs)
+    if decoded is None:
         return _report(ProblemKind.JSSP, True, False, False), None
     # The decode starts each operation at or after the finish of both its
     # predecessors, so no conflict or precedence violation can remain.
-    return _report(ProblemKind.JSSP, True, True, True), jssp_makespan(p, start)
+    return _report(ProblemKind.JSSP, True, True, True), decoded[1]
 
 
 _SCORERS = {

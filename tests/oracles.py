@@ -11,7 +11,9 @@ which the package's leaner step must equal draw for draw. The prompt input
 keeps its per-entity renderer here, whose bytes the package's one-call
 templates must equal; only the instruction text and the prompt wrapper are
 the package's own. The greedy graph heuristics, NEH and JSSP dispatch keep
-their rescan forms here, which the package's incremental forms must equal.
+their rescan forms here, which the package's incremental forms must equal,
+and the JSSP decode keeps its Kahn walk over numpy tables, whose start
+times and makespans the package's list sweep must equal bit for bit.
 """
 
 import ast
@@ -104,6 +106,55 @@ def jssp_sim(payload, sequences):
         if not progressed:
             return None
     return max(machine_free)
+
+
+def jssp_kahn_start_times(payload, sequences):
+    """The semi-active decode as Kahn's walk over the operation graph, from
+    numpy tables: the (jobs, machines) start times, or None on a deadlock.
+
+    Operation (j, i) is node j * M + i. Each node has at most two
+    successors: the job's next operation (node + 1, unless it is the job's
+    last) and the next operation on its machine (msucc, -1 if none). Every
+    node starts at the latest finish of its predecessors, taken by `>` from
+    0.0. The walk stops with some in-degree above zero on a cycle."""
+    jobs, machines = payload.num_jobs, payload.num_machines
+    base = np.arange(jobs)[:, None] * machines
+    op_flat = np.empty(jobs * machines, dtype=np.intp)
+    op_flat[(base + np.asarray(payload.machine_order, dtype=np.intp)).ravel()] = (
+        base + np.arange(machines)
+    ).ravel()
+    duration = np.asarray(payload.ptimes, dtype=float).ravel().tolist()
+    indeg = np.ones((jobs, machines), dtype=np.intp)
+    indeg[:, 0] = 0
+    indeg = indeg.ravel()
+    # nodes[m, k]: the node of the k-th job in machine m's sequence.
+    seqs = np.asarray(sequences, dtype=np.intp)
+    nodes = op_flat[seqs * machines + np.arange(machines)[:, None]]
+    total = len(duration)
+    msucc = np.full(total, -1, dtype=np.intp)
+    msucc[nodes[:, :-1]] = nodes[:, 1:]
+    indeg[nodes[:, 1:]] += 1  # every node appears once in `nodes`
+    ready = np.flatnonzero(indeg == 0).tolist()
+    msucc, indeg = msucc.tolist(), indeg.tolist()
+    earliest = [0.0] * total
+    while ready:
+        k = ready.pop()
+        finish = earliest[k] + duration[k]
+        for nxt in (k + 1 if (k + 1) % machines else -1, msucc[k]):
+            if nxt >= 0:
+                if finish > earliest[nxt]:
+                    earliest[nxt] = finish
+                indeg[nxt] -= 1
+                if not indeg[nxt]:
+                    ready.append(nxt)
+    if any(indeg):
+        return None
+    return np.array(earliest).reshape(jobs, machines)
+
+
+def jssp_kahn_makespan(payload, start):
+    """Latest finish over all operations of a decoded schedule."""
+    return float((start + np.asarray(payload.ptimes, dtype=float)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -42,6 +45,7 @@ from cobench.problems.types import (
     Distribution,
     GenConfig,
     GraphFamily,
+    GraphInstance,
     Instance,
     JobOrder,
     MachineSchedules,
@@ -559,10 +563,20 @@ def test_payload_validation_errors():
         RoutingInstance(coords=((0.0, 0.0), (1.0, 1.0)), prizes=(0,))
     from cobench.problems.types import GraphInstance, SchedulingInstance
 
-    with pytest.raises(ValueError):
-        GraphInstance(num_nodes=3, edges=((1, 1),))
-    with pytest.raises(ValueError):
-        GraphInstance(num_nodes=3, edges=((2, 1),))  # not normalized
+    for edges, message in (
+        (((1, 1),), "self-loop on node 1"),
+        (((0, 3),), "edge (0,3) out of range"),
+        (((-1, 2),), "edge (-1,2) out of range"),
+        (((2, 1),), "edge (2,1) not normalized as (lo, hi)"),
+        (((0, 1), (1, 2), (0, 1)), "duplicate edge (0,1)"),
+        # Several bad edges: the first in list order is named.
+        (((0, 1), (2, 1), (1, 1), (0, 5), (0, 1)), "edge (2,1) not normalized as (lo, hi)"),
+        (((0, 2), (0, 2), (0, 9), (2, 2)), "duplicate edge (0,2)"),
+        (((1, 2), (0, 7), (1, 1)), "edge (0,7) out of range"),
+        (((0, 1), (2, 2), (2, 1)), "self-loop on node 2"),
+    ):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            GraphInstance(num_nodes=3, edges=edges)
     with pytest.raises(ValueError):
         SchedulingInstance(ptimes=((1, 2), (3,)))
     with pytest.raises(ValueError):
@@ -573,6 +587,55 @@ def test_payload_validation_errors():
         Instance(kind=ProblemKind.OP, payload=RoutingInstance(coords=((0.0, 0.0), (1.0, 1.0))), id="x")
     with pytest.raises(TypeError):
         Instance(kind=ProblemKind.PFSP, payload=RoutingInstance(coords=((0.0, 0.0), (1.0, 1.0))), id="x")
+
+
+def _edge_loop_outcome(num_nodes, edges):
+    """GraphInstance's edge check as one loop, naming the first bad edge:
+    None if the edges pass, else the error's type and message."""
+    try:
+        seen = set()
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop on node {u}")
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise ValueError(f"edge ({u},{v}) out of range")
+            if u > v:
+                raise ValueError(f"edge ({u},{v}) not normalized as (lo, hi)")
+            if (u, v) in seen:
+                raise ValueError(f"duplicate edge ({u},{v})")
+            seen.add((u, v))
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    return None
+
+
+_END = st.one_of(st.integers(-2, 6), st.floats(-1, 7), st.booleans(), st.none())
+_EDGE = st.one_of(
+    st.tuples(st.integers(-1, 6), st.integers(-1, 6)),
+    st.lists(_END, max_size=3).map(tuple),
+    st.lists(st.integers(0, 5), min_size=2, max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    num_nodes=st.integers(1, 6),
+    edges=st.one_of(
+        # Well-formed graphs, then any edges at all.
+        st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda e: e[0] < e[1]))
+        .map(sorted)
+        .map(tuple),
+        st.lists(_EDGE, max_size=6).map(tuple),
+    ),
+)
+def test_graph_validation_equals_the_edge_loop(num_nodes, edges):
+    want = _edge_loop_outcome(num_nodes, edges)
+    try:
+        GraphInstance(num_nodes=num_nodes, edges=edges)
+        got = None
+    except (TypeError, ValueError) as err:
+        got = type(err), str(err)
+    assert got == want
 
 
 @pytest.mark.parametrize(

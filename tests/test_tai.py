@@ -566,6 +566,46 @@ def test_parse_rejections():
     assert not parse("Route: [[0], [1]]", ProblemKind.TSP).format_ok  # nested, needs flat
 
 
+def _nested_per_row(obj):
+    """The per-row form of parse's nested-list reader: a non-empty list or
+    tuple of non-empty lists or tuples of plain ints, as a tuple of tuples."""
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return None
+    rows = []
+    for row in obj:
+        if not isinstance(row, (list, tuple)) or not row or set(map(type, row)) != {int}:
+            return None
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+_NESTED_VALUE = st.one_of(
+    st.integers(-3, 30), st.booleans(), st.floats(allow_nan=False), st.none(), st.text(max_size=1)
+)
+_NESTED_ROW = st.one_of(
+    st.lists(st.integers(0, 9), max_size=5),
+    st.lists(_NESTED_VALUE, max_size=4),
+    st.lists(st.integers(0, 9), max_size=4).map(tuple),
+    _NESTED_VALUE,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(
+    obj=st.one_of(
+        st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=5), max_size=5),
+        st.lists(_NESTED_ROW, max_size=5),
+        st.lists(_NESTED_ROW, max_size=5).map(tuple),
+        st.lists(_NESTED_VALUE, max_size=5),  # a single flat level
+        _NESTED_VALUE,
+    )
+)
+def test_nested_int_lists_equal_the_per_row_form(obj):
+    got = importlib.import_module("cobench.tai.parse")._as_nested_int_lists(obj)
+    # repr tells True from 1 and a list from a tuple.
+    assert repr(got) == repr(_nested_per_row(obj))
+
+
 def test_parse_empty_set_allowed():
     parsed = parse("Set: []", ProblemKind.MIS)
     assert parsed.format_ok

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -419,9 +419,9 @@ def test_jssp_decode_matches_event_sim():
 
 
 def test_jssp_scoring_keeps_payload_value_semantics():
-    # Scoring memoises per-instance tables on the frozen payload; they must
-    # not leak into equality, repr, fields or the JSON form, must survive a
-    # pickle or a deepcopy, and must not follow a payload into replace().
+    # Scoring leaves the frozen payload as it was: equality, repr, fields
+    # and the JSON form do not change, a pickle or a deepcopy scores the
+    # same, and a replace() copy scores from its own times.
     cfg = GenConfig(seed=5, size_range=(6, 6))
     inst = gen_instance(ProblemKind.JSSP, cfg)
     text, shown = instance_to_json(inst), repr(inst)
@@ -441,6 +441,65 @@ def test_jssp_scoring_keeps_payload_value_semantics():
     assert report == scored[0] and value == 2 * scored[1]
     assert value == oracles.jssp_sim(doubled, [list(r) for r in sol.sequences])
     assert score(inst, sol) == scored
+    assert list(vars(inst.payload)) == ["ptimes", "machine_order"]
+
+
+_JSSP_TIMES = {
+    "int": st.integers(1, 100),
+    "tie": st.integers(1, 3),
+    "float": st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+    "huge": st.integers(2**53, 2**62),
+}
+
+
+@st.composite
+def _jssp_cases(draw):
+    """A payload of 1-8 jobs by 1-8 machines and one permutation of the
+    jobs per machine: one shared order (never deadlocks) or one each."""
+    jobs, machines = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    times = _JSSP_TIMES[draw(st.sampled_from(sorted(_JSSP_TIMES)))]
+    ptimes = tuple(tuple(draw(times) for _ in range(machines)) for _ in range(jobs))
+    orders = tuple(draw(st.permutations(range(machines))) for _ in range(jobs))
+    perms = st.permutations(range(jobs)).map(tuple)
+    if draw(st.booleans()):
+        seqs = (draw(perms),) * machines
+    else:
+        seqs = tuple(draw(perms) for _ in range(machines))
+    return SchedulingInstance(ptimes=ptimes, machine_order=orders), seqs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_jssp_cases())
+@example(case=(SchedulingInstance(ptimes=((7,),), machine_order=((0,),)), ((0,),)))
+@example(case=(JSSP_2x2, ((1, 0), (0, 1))))  # deadlock
+def test_jssp_decode_equals_the_kahn_walk(case):
+    payload, seqs = case
+    inst = Instance(kind=ProblemKind.JSSP, payload=payload, id="jh")
+    sol = MachineSchedules(seqs)
+    kahn = oracles.jssp_kahn_start_times(payload, seqs)
+    start = jssp_start_times(payload, sol)
+    report, value = score(inst, sol)
+    sim = oracles.jssp_sim(payload, [list(s) for s in seqs])
+    if kahn is None:
+        assert start is None and sim is None and value is None
+        assert _flags(report) == (True, False, False)
+    else:
+        assert start.shape == kahn.shape and start.dtype == kahn.dtype
+        assert np.array_equal(start, kahn)
+        assert type(value) is float
+        assert value == oracles.jssp_kahn_makespan(payload, kahn) == sim
+        assert report.feasible
+    assert list(vars(payload)) == ["ptimes", "machine_order"]
+
+
+def test_jssp_rows_are_read_as_sequences():
+    # A range or a list is read like a tuple. A mapping's keys pass the
+    # permutation gate, but its values are no sequence, so it is not scored.
+    want = score(JSSP_INST, MachineSchedules(((0, 1), (1, 0))))
+    assert score(JSSP_INST, MachineSchedules((range(2), [1, 0]))) == want
+    for rows in (({0: 1, 1: 0}, (1, 0)), ({0: 0, 1: 1}, (1, 0)), ({0, 1}, (1, 0))):
+        report, value = score(JSSP_INST, MachineSchedules(rows))
+        assert not report.zeta and value is None
 
 
 def test_jssp_makespan_lower_bounds():
