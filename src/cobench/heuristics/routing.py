@@ -24,10 +24,10 @@ _IMPROVE_TOL = 1e-10
 # TSP
 
 
-def tsp_nearest_neighbor(inst: Instance, start: int = 0) -> Route:
-    """Greedy nearest-neighbor tour from `start`, closed back to it."""
+def tsp_nearest_neighbor(inst: Instance) -> Route:
+    """Greedy nearest-neighbor tour from node 0, closed back to it."""
     p = _require(inst, ProblemKind.TSP)
-    return Route(tuple(nearest_neighbor_tour(distance_matrix(p.coords), start) + [start]))
+    return Route(tuple(nearest_neighbor_tour(distance_matrix(p.coords)) + [0]))
 
 
 def two_opt(d: np.ndarray, tour: Sequence[int]) -> List[int]:

@@ -16,9 +16,9 @@ from .types import Instance, ProblemKind, RoutingInstance, SchedulingInstance
 def parse_tsplib(source: Union[str, Path]) -> Instance:
     """Parse a TSPLIB TSP file with EUC_2D coordinates.
 
-    `source` is a path or the file's text. Node ids are 1-based in the file
-    and renumbered to 0-based in id order. Raises ValueError on non-Euclidean
-    or malformed files.
+    `source` is a path, or the file's text with its newlines. Node ids are
+    1-based in the file and renumbered to 0-based in id order. Raises
+    ValueError on non-Euclidean or malformed files.
     """
     text = _read(source)
     headers: dict[str, str] = {}
@@ -152,8 +152,7 @@ def write_taillard(inst: Instance) -> str:
 
 
 def _read(source: Union[str, Path]) -> str:
-    if isinstance(source, Path):
-        return source.read_text()
-    if "\n" not in source and Path(source).exists():
+    # No valid file fits on one line: a string without a newline is a path.
+    if isinstance(source, Path) or "\n" not in source:
         return Path(source).read_text()
     return source

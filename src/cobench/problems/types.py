@@ -262,6 +262,10 @@ class MachineSchedules:
 
 Solution = Union[Route, RouteSet, VertexSet, JobOrder, MachineSchedules]
 
+# The solutions whose ids sit in rows: one route per vehicle, one sequence
+# per machine. Their answers nest one list level deeper than the others.
+NESTED_SOLUTION_TYPES = (RouteSet, MachineSchedules)
+
 SOLUTION_TYPE_BY_KIND: Mapping[ProblemKind, type] = {
     ProblemKind.TSP: Route,
     ProblemKind.OP: Route,

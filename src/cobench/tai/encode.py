@@ -19,7 +19,7 @@ from ..problems.types import (
     SchedulingInstance,
 )
 from .features import DEFAULT_K, graph_features, jssp_features, pfsp_features, routing_features
-from .types import TextAttributedInstance
+from .types import ORDER_BASE, TextAttributedInstance
 
 # One str.format template per kind. The fields: n nodes (last = n - 1), k
 # hints, the OP route `budget` clause, the CVRP `customers` and `capacity`,
@@ -164,8 +164,7 @@ def _pfsp_input(p: SchedulingInstance, k: int) -> str:
         "Machine %d, processing times: [" + ", ".join(["%s"] * p.num_jobs) + "], "
         "jobs with lowest processing time: [" + ", ".join(["%d: %d"] * len(hints[0])) + "]"
     )
-    # Jobs display 1-based, as the Order answer grammar reads them.
-    lowest = ([v for j, t in entry for v in (j + 1, t)] for entry in hints)
+    lowest = ([v for j, t in entry for v in (j + ORDER_BASE, t)] for entry in hints)
     values = _rows(zip(range(p.num_machines)), zip(*p.ptimes), lowest)
     return "; ".join([row] * p.num_machines) % tuple(values)
 

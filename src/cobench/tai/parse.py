@@ -37,15 +37,16 @@ from itertools import chain
 from typing import Optional, Tuple
 
 from ..problems.types import (
+    NESTED_SOLUTION_TYPES,
+    SOLUTION_TYPE_BY_KIND,
     JobOrder,
-    MachineSchedules,
     ProblemKind,
     Route,
     RouteSet,
     Solution,
     VertexSet,
 )
-from .types import GRAMMAR_BY_KIND, OutputGrammar, ParsedSolution
+from .types import GRAMMAR_BY_KIND, ORDER_BASE, OutputGrammar, ParsedSolution
 
 # Both route grammars accept both labels: instruction text says "Route" but
 # some outputs (and the nested grammar) use "Routes".
@@ -105,30 +106,24 @@ def _as_nested_int_lists(obj) -> Optional[Tuple[Tuple[int, ...], ...]]:
 
 
 def _payload_to_solution(kind: ProblemKind, obj) -> Optional[Solution]:
-    grammar = GRAMMAR_BY_KIND[kind]
-    if grammar is OutputGrammar.ROUTE:
-        flat = _as_int_list(obj)
-        return Route(flat) if flat is not None else None
-    if grammar is OutputGrammar.ROUTES:
-        nested = _as_nested_int_lists(obj)
-        if nested is not None:
-            return RouteSet(nested)
-        flat = _as_int_list(obj)  # a single flat route is one vehicle
-        return RouteSet((flat,)) if flat is not None else None
-    if grammar is OutputGrammar.SET:
-        if isinstance(obj, (list, tuple)) and len(obj) == 0:
-            return VertexSet(frozenset())
-        flat = _as_int_list(obj)
-        return VertexSet.of(flat) if flat is not None else None
-    if grammar is OutputGrammar.ORDER:
-        flat = _as_int_list(obj)
-        if flat is None:
-            return None
-        # Orders display 1-based; shift down. Bad ids then fail feasibility,
-        # they never crash the parse.
-        return JobOrder(tuple(j - 1 for j in flat))
-    nested = _as_nested_int_lists(obj)
-    return MachineSchedules(nested) if nested is not None else None
+    solution_type = SOLUTION_TYPE_BY_KIND[kind]
+    if solution_type in NESTED_SOLUTION_TYPES:
+        rows = _as_nested_int_lists(obj)
+        if rows is None and solution_type is RouteSet:
+            flat = _as_int_list(obj)  # a single flat route is one vehicle
+            rows = None if flat is None else (flat,)
+        return None if rows is None else solution_type(rows)
+    if solution_type is VertexSet and isinstance(obj, (list, tuple)) and not obj:
+        return VertexSet(frozenset())
+    flat = _as_int_list(obj)
+    if flat is None:
+        return None
+    if solution_type is VertexSet:
+        return VertexSet.of(flat)
+    if solution_type is JobOrder:
+        # Bad ids fail feasibility later; they never crash the parse.
+        return JobOrder(tuple(j - ORDER_BASE for j in flat))
+    return Route(flat)
 
 
 def _read_payload(kind: ProblemKind, text: str, i: int) -> Tuple[Optional[Solution], int]:

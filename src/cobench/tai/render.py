@@ -5,16 +5,15 @@ from __future__ import annotations
 from typing import Optional
 
 from ..problems.types import (
+    NESTED_SOLUTION_TYPES,
     ROUTING_KINDS,
     SOLUTION_TYPE_BY_KIND,
     JobOrder,
-    MachineSchedules,
     ProblemKind,
-    RouteSet,
     Solution,
     VertexSet,
 )
-from .types import GRAMMAR_BY_KIND, TextAttributedInstance
+from .types import GRAMMAR_BY_KIND, ORDER_BASE, TextAttributedInstance
 
 # Alpaca-style wrapper; instruction and input slots are filled verbatim.
 PROMPT_TEMPLATE = (
@@ -55,8 +54,8 @@ def format_solution(kind: ProblemKind, sol: Solution, objective: Optional[float]
     if isinstance(sol, VertexSet):
         ids = sorted(ids)
     elif isinstance(sol, JobOrder):
-        ids = [j + 1 for j in ids]  # orders display 1-based
-    body = _nested(ids) if isinstance(sol, (RouteSet, MachineSchedules)) else _flat(ids)
+        ids = [j + ORDER_BASE for j in ids]
+    body = _nested(ids) if isinstance(sol, NESTED_SOLUTION_TYPES) else _flat(ids)
     text = f"{GRAMMAR_BY_KIND[kind].value}: {body}"
     if objective is not None:
         text += f", Objective: {format_objective(kind, objective)}"

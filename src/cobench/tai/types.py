@@ -6,7 +6,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from ..problems.types import ProblemKind, Solution
+from ..problems.types import (
+    SOLUTION_TYPE_BY_KIND,
+    JobOrder,
+    MachineSchedules,
+    ProblemKind,
+    Route,
+    RouteSet,
+    Solution,
+    VertexSet,
+)
 
 
 class OutputGrammar(str, Enum):
@@ -15,19 +24,25 @@ class OutputGrammar(str, Enum):
     ROUTE = "Route"        # flat node list
     ROUTES = "Routes"      # nested per-vehicle lists
     SET = "Set"            # flat vertex list
-    ORDER = "Order"        # flat job list, displayed 1-based
+    ORDER = "Order"        # flat job list, numbered from ORDER_BASE
     SCHEDULE = "Schedule"  # nested per-machine job lists
 
 
-GRAMMAR_BY_KIND: Mapping[ProblemKind, OutputGrammar] = {
-    ProblemKind.TSP: OutputGrammar.ROUTE,
-    ProblemKind.OP: OutputGrammar.ROUTE,
-    ProblemKind.CVRP: OutputGrammar.ROUTES,
-    ProblemKind.MIS: OutputGrammar.SET,
-    ProblemKind.MVC: OutputGrammar.SET,
-    ProblemKind.PFSP: OutputGrammar.ORDER,
-    ProblemKind.JSSP: OutputGrammar.SCHEDULE,
+_GRAMMAR_BY_SOLUTION_TYPE = {
+    Route: OutputGrammar.ROUTE,
+    RouteSet: OutputGrammar.ROUTES,
+    VertexSet: OutputGrammar.SET,
+    JobOrder: OutputGrammar.ORDER,
+    MachineSchedules: OutputGrammar.SCHEDULE,
 }
+
+GRAMMAR_BY_KIND: Mapping[ProblemKind, OutputGrammar] = {
+    kind: _GRAMMAR_BY_SOLUTION_TYPE[solution_type]
+    for kind, solution_type in SOLUTION_TYPE_BY_KIND.items()
+}
+
+# Order answers and PFSP prompts number jobs from 1; a JobOrder from 0.
+ORDER_BASE = 1
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Feasibility checking and objective computation in one scoring pass.
 
 score() checks every constraint and computes the objective value from the
-same validated view of the solution, and never raises. Every id passes one
-gate first (an integer in range), so a solution the report calls feasible
-always has a value: feasible implies objective() succeeds. A solution that
-is well-formed but infeasible still gets a value; the value is None only
-when the solution cannot be scored at all (wrong type or shape, bad ids,
-JSSP rows that are not permutations, or a deadlocked schedule). check() and
+same validated view of the solution, and never raises. One shape gate
+fails zeta where score cannot read the ids, and one id gate takes only
+integers in range, so a solution the report calls feasible always has a
+value: feasible implies objective() succeeds. A solution that is
+well-formed but infeasible still gets a value; the value is None only when
+the solution cannot be scored at all (wrong type or shape, bad ids, JSSP
+rows that are not permutations, or a deadlocked schedule). check() and
 objective() are thin views of score(); objective() raises ValueError where
 the value is None.
 
@@ -15,21 +16,19 @@ instance, the solution and their (report, value). A call whose instance and
 solution are the same objects (`is`) as the last call's returns the stored
 result, so check() then objective() on one answer, as an RL loop runs them,
 or solve()'s objective() then check(), scores it once. A result is stored
-only when the solution's ids sit in immutable containers: a tuple (a tuple of
-tuples for RouteSet and MachineSchedules) or, for the flat types, a
-frozenset, which is what the parser and every heuristic build. A solution
-whose ids are held in a list is scored on every call, so mutating it
-between calls never returns a stale result. The slot is read and written
-as one tuple each, so threads need no lock: a call that races another is at
-worst a miss.
+only when the shape gate calls the ids frozen: a tuple (a tuple of tuples
+for RouteSet and MachineSchedules) or, for the flat types, a frozenset,
+which is what the parser and every heuristic build. A solution whose ids are
+held in a list is scored on every call, so mutating it between calls never
+returns a stale result. The slot is read and written as one tuple each, so
+threads need no lock: a call that races another is at worst a miss.
 
 Reports are frozen, so score() hands out shared ones: every (kind,
 constraint flags) report, and each kind's failed report, is built once at
 import. Only an OP or CVRP report that carries its margin is built per call.
-A solution whose ids sit in those immutable containers also skips the shape
-gate's ABC Collection tests, which it would pass. Route lengths add
-math.dist per edge in path order; math.dist runs the norm math.hypot runs
-on the coordinate differences, so each edge is the same float.
+Route lengths add math.dist per edge in path order; math.dist runs the norm
+math.hypot runs on the coordinate differences, so each edge is the same
+float.
 
 JSSP answers are decoded semi-actively by one sweep over the machine
 sequences, in plain Python lists read straight from the payload and the
@@ -51,6 +50,7 @@ from typing import List, Mapping, Optional, Tuple
 import numpy as np
 
 from .problems.types import (
+    NESTED_SOLUTION_TYPES,
     GraphInstance,
     Instance,
     JobOrder,
@@ -154,26 +154,24 @@ def _is_id_collection(obj) -> bool:
     return isinstance(obj, Collection) and not isinstance(obj, np.ndarray)
 
 
-def _shape_ok(sol: Solution) -> bool:
-    """The one shape gate: the solution's one field is a collection other
-    than a numpy array, and so is each of its rows for RouteSet and
-    MachineSchedules. Which ids they hold is the id gate's job."""
+def _shape_gate(sol: Solution) -> Optional[bool]:
+    """The one shape gate, on the id field alone: None when score cannot
+    read the ids, else whether they are frozen, so that their score cannot
+    change. Frozen ids skip the ABC tests, which they would pass. Readable
+    ids, and each row of a nested solution, sit in a collection other than
+    a numpy array, and no JSSP row is a mapping, whose keys the permutation
+    test would read where the decode reads its values."""
     (ids,) = vars(sol).values()
-    return _is_id_collection(ids) and (
-        not isinstance(sol, (RouteSet, MachineSchedules))
-        or all(_is_id_collection(r) for r in ids)
-    )
-
-
-def _frozen_ids(sol: Solution) -> bool:
-    """The solution's ids sit in a tuple, with each row of a RouteSet or
-    MachineSchedules in a tuple too, or, for the flat types, in a
-    frozenset. Its score cannot change, and _shape_ok would pass it."""
-    (ids,) = vars(sol).values()
-    nested = isinstance(sol, (RouteSet, MachineSchedules))
-    if type(ids) is frozenset:
-        return not nested
-    return type(ids) is tuple and (not nested or set(map(type, ids)) <= {tuple})
+    if not isinstance(sol, NESTED_SOLUTION_TYPES):
+        if type(ids) in (tuple, frozenset):
+            return True
+        return False if _is_id_collection(ids) else None
+    if type(ids) is tuple and set(map(type, ids)) <= {tuple}:
+        return True
+    readable = _is_id_collection(ids) and all(map(_is_id_collection, ids))
+    if readable and isinstance(sol, MachineSchedules):
+        readable = not any(isinstance(r, Mapping) for r in ids)
+    return False if readable else None
 
 
 # The last stored call: (instance, solution, scored). See the module docstring.
@@ -193,8 +191,8 @@ def score(inst: Instance, sol: Solution) -> Scored:
     kind = inst.kind
     if not isinstance(sol, SOLUTION_TYPE_BY_KIND[kind]):
         return _FAILED_REPORTS[kind], None
-    frozen = _frozen_ids(sol)
-    if not (frozen or _shape_ok(sol)):
+    frozen = _shape_gate(sol)
+    if frozen is None:
         return _FAILED_REPORTS[kind], None
     try:
         scored = _SCORERS[kind](inst.payload, sol)
@@ -413,13 +411,6 @@ def jssp_decode(
     return starts, max(job_free)
 
 
-def jssp_start_times(p: SchedulingInstance, sol: MachineSchedules) -> Optional[np.ndarray]:
-    """jssp_decode's start times as a (jobs, machines) array indexed [j, i]
-    by job and operation index, or None on a deadlock."""
-    decoded = jssp_decode(p, sol.sequences)
-    return None if decoded is None else np.array(decoded[0])
-
-
 def _all_permutations(rows, n: int) -> bool:
     """Every row is a permutation of range(n). One type pass over all rows
     sends plain ints straight to the sort; other rows pass the id gate
@@ -435,9 +426,6 @@ def _score_jssp(p: SchedulingInstance, sol: MachineSchedules) -> Scored:
     if not (len(seqs) == p.num_machines and _all_permutations(seqs, p.num_jobs)):
         # Without a full, valid sequence set the decode is undefined.
         return _report(ProblemKind.JSSP, False, False, False), None
-    if not set(map(type, seqs)) <= {tuple, list} and any(isinstance(r, Mapping) for r in seqs):
-        # A mapping's keys pass the gate, but the sweep would read its values.
-        return _FAILED_REPORTS[ProblemKind.JSSP], None
     decoded = jssp_decode(p, seqs)
     if decoded is None:
         return _report(ProblemKind.JSSP, True, False, False), None

@@ -13,7 +13,9 @@ templates must equal; only the instruction text and the prompt wrapper are
 the package's own. The greedy graph heuristics, NEH and JSSP dispatch keep
 their rescan forms here, which the package's incremental forms must equal,
 and the JSSP decode keeps its Kahn walk over numpy tables, whose start
-times and makespans the package's list sweep must equal bit for bit.
+times and makespans the package's list sweep must equal bit for bit. The
+solution shape keeps the two gates and the JSSP scorer's own mapping rule
+that score() ran before one gate took their place.
 """
 
 import ast
@@ -22,11 +24,14 @@ import math
 import re
 import statistics
 from collections import namedtuple
+from collections.abc import Collection, Mapping
 from fractions import Fraction
 
 import numpy as np
 
+from cobench import verify
 from cobench.problems.types import (
+    SOLUTION_TYPE_BY_KIND,
     JobOrder,
     MachineSchedules,
     ProblemKind,
@@ -772,3 +777,69 @@ def candidate_chooser_ref(ci, near, offsets, rng, steps=None):
 
 def masked_chooser_ref(ci, rng):
     return lambda cur, mask: roulette_ref(ci[cur] * mask, mask, rng)
+
+
+# ---------------------------------------------------------------------------
+# Solution shape: _shape_ok and _frozen_ids, which score() ran one after the
+# other, and the JSSP scorer's refusal of a mapping row, which it applied
+# only once the rows had passed the permutation test.
+
+
+def _is_id_collection(obj):
+    return isinstance(obj, Collection) and not isinstance(obj, np.ndarray)
+
+
+def shape_ok(sol):
+    (ids,) = vars(sol).values()
+    return _is_id_collection(ids) and (
+        not isinstance(sol, (RouteSet, MachineSchedules))
+        or all(_is_id_collection(r) for r in ids)
+    )
+
+
+def frozen_ids(sol):
+    (ids,) = vars(sol).values()
+    nested = isinstance(sol, (RouteSet, MachineSchedules))
+    if type(ids) is frozenset:
+        return not nested
+    return type(ids) is tuple and (not nested or set(map(type, ids)) <= {tuple})
+
+
+def refused_mapping_row(payload, sol):
+    """The JSSP scorer's rule: a MachineSchedules whose rows pass the
+    permutation test is not scored if one of them is a mapping. Rows the
+    test cannot read made the scorer raise, so it never reached the rule."""
+    seqs = sol.sequences
+    if not any(isinstance(r, Mapping) for r in seqs):
+        return False
+    try:
+        return len(seqs) == payload.num_machines and verify._all_permutations(
+            seqs, payload.num_jobs
+        )
+    except (TypeError, ValueError, LookupError):
+        return False
+
+
+def reference_shape_gate(inst, sol):
+    """The old gates' answer for a solution of the kind's type: None when
+    not scored, else whether score() stored the result."""
+    if frozen_ids(sol):
+        return True
+    if not shape_ok(sol):
+        return None
+    if isinstance(sol, MachineSchedules) and refused_mapping_row(inst.payload, sol):
+        return None
+    return False
+
+
+def reference_score(inst, sol):
+    """score() before the one shape gate, with no stored result."""
+    failed = verify._FAILED_REPORTS[inst.kind], None
+    if not isinstance(sol, SOLUTION_TYPE_BY_KIND[inst.kind]):
+        return failed
+    if reference_shape_gate(inst, sol) is None:
+        return failed
+    try:
+        return verify._SCORERS[inst.kind](inst.payload, sol)
+    except (TypeError, ValueError, LookupError):
+        return failed

@@ -29,7 +29,8 @@ from cobench.evalharness import (
     solution_gap,
 )
 from cobench.heuristics import METHODS_BY_KIND, brute_force, solve
-from cobench.heuristics.routing import distance_matrix, tsp_nearest_neighbor, two_opt
+from cobench.heuristics.routing import distance_matrix, two_opt
+from cobench.problems.generate import nearest_neighbor_tour
 from cobench.problems.io import ReferenceSolution
 from cobench.problems.types import (
     GraphInstance,
@@ -351,7 +352,7 @@ def _tsp_reference(inst):
     d = distance_matrix(p.coords)
     best = solve(inst, "fi").objective.value
     for s in range(0, p.n, max(1, p.n // 8)):
-        tour = two_opt(d, tsp_nearest_neighbor(inst, start=s).nodes)
+        tour = two_opt(d, nearest_neighbor_tour(d, s) + [s])
         best = min(best, float(sum(d[tour[k], tour[k + 1]] for k in range(len(tour) - 1))))
     return best
 

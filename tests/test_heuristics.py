@@ -49,7 +49,7 @@ from cobench.problems.types import (
     SchedulingInstance,
     Sense,
 )
-from cobench.verify import check, jssp_start_times, objective, pfsp_makespan
+from cobench.verify import check, jssp_decode, objective, pfsp_makespan
 
 from conftest import ALL_KINDS, ROUTING_KINDS, make_instance
 
@@ -606,15 +606,15 @@ def _non_delay(inst, sol) -> bool:
     position k of a machine's sequence, no operation at k or later could
     start before the one at k does."""
     p = inst.payload
-    start = jssp_start_times(p, sol)
+    start = jssp_decode(p, sol.sequences)[0]
     for m, seq in enumerate(sol.sequences):
         ops = [(j, p.machine_order[j].index(m)) for j in seq]
-        ready = [start[j, i - 1] + p.ptimes[j][i - 1] if i else 0.0 for j, i in ops]
+        ready = [start[j][i - 1] + p.ptimes[j][i - 1] if i else 0.0 for j, i in ops]
         free = 0.0
         for k, (j, i) in enumerate(ops):
-            if any(max(free, r) < start[j, i] for r in ready[k:]):
+            if any(max(free, r) < start[j][i] for r in ready[k:]):
                 return False
-            free = start[j, i] + p.ptimes[j][i]
+            free = start[j][i] + p.ptimes[j][i]
     return True
 
 

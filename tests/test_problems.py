@@ -705,6 +705,15 @@ def test_parse_tsplib_dimension_mismatch():
         parse_tsplib(bad)
 
 
+def test_a_one_line_string_is_read_as_a_path():
+    # A mistyped path is named as missing, not read as file text.
+    missing = str(DATA / "berlin52.tsx")
+    for parse_file in (parse_tsplib, parse_taillard):
+        with pytest.raises(FileNotFoundError, match="berlin52.tsx"):
+            parse_file(missing)
+    assert parse_tsplib(str(DATA / "berlin52.tsp")) == parse_tsplib(DATA / "berlin52.tsp")
+
+
 def test_taillard_round_trip():
     inst = make_instance(ProblemKind.JSSP, size=6, seed=21)
     text = write_taillard(inst)

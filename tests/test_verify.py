@@ -41,7 +41,7 @@ from cobench.verify import (
     CONSTRAINT_NAMES,
     FeasibilityReport,
     check,
-    jssp_start_times,
+    jssp_decode,
     objective,
     pfsp_makespan,
     score,
@@ -345,7 +345,7 @@ def test_jssp_crafted_deadlock():
     # m0 wants job1 first, but job1 reaches m0 only after m1; m1 wants job0
     # first, but job0 reaches m1 only after m0. Circular wait.
     sol = MachineSchedules(((1, 0), (0, 1)))
-    assert jssp_start_times(JSSP_2x2, sol) is None
+    assert jssp_decode(JSSP_2x2, sol.sequences) is None
     report = check(JSSP_INST, sol)
     assert _flags(report) == (True, False, False)
     assert oracles.jssp_sim(JSSP_2x2, [[1, 0], [0, 1]]) is None
@@ -389,12 +389,13 @@ def test_jssp_decode_matches_event_sim():
             seqs.append(tuple(s))
         sol = MachineSchedules(tuple(seqs))
         sim = oracles.jssp_sim(payload, [list(s) for s in seqs])
-        start = jssp_start_times(payload, sol)
+        decoded = jssp_decode(payload, sol.sequences)
         if sim is None:
-            assert start is None
+            assert decoded is None
             assert _flags(check(inst, sol)) == (True, False, False)
             deadlocks += 1
         else:
+            start = np.array(decoded[0])
             # Scoring trusts the decode for both constraints; check them here
             # from the start times alone.
             finish = start + np.asarray(ptimes)
@@ -477,13 +478,14 @@ def test_jssp_decode_equals_the_kahn_walk(case):
     inst = Instance(kind=ProblemKind.JSSP, payload=payload, id="jh")
     sol = MachineSchedules(seqs)
     kahn = oracles.jssp_kahn_start_times(payload, seqs)
-    start = jssp_start_times(payload, sol)
+    decoded = jssp_decode(payload, seqs)
     report, value = score(inst, sol)
     sim = oracles.jssp_sim(payload, [list(s) for s in seqs])
     if kahn is None:
-        assert start is None and sim is None and value is None
+        assert decoded is None and sim is None and value is None
         assert _flags(report) == (True, False, False)
     else:
+        start = np.array(decoded[0])
         assert start.shape == kahn.shape and start.dtype == kahn.dtype
         assert np.array_equal(start, kahn)
         assert type(value) is float
@@ -493,11 +495,17 @@ def test_jssp_decode_equals_the_kahn_walk(case):
 
 
 def test_jssp_rows_are_read_as_sequences():
-    # A range or a list is read like a tuple. A mapping's keys pass the
-    # permutation gate, but its values are no sequence, so it is not scored.
+    # A range or a list is read like a tuple. A mapping's values are no
+    # sequence, so the shape gate refuses it, whether or not its keys pass
+    # the permutation test.
     want = score(JSSP_INST, MachineSchedules(((0, 1), (1, 0))))
     assert score(JSSP_INST, MachineSchedules((range(2), [1, 0]))) == want
-    for rows in (({0: 1, 1: 0}, (1, 0)), ({0: 0, 1: 1}, (1, 0)), ({0, 1}, (1, 0))):
+    for rows in (
+        ({0: 1, 1: 0}, (1, 0)),
+        ({0: 0, 1: 1}, (1, 0)),
+        ({0: 0, 5: 1}, (1, 0)),
+        ({0, 1}, (1, 0)),
+    ):
         report, value = score(JSSP_INST, MachineSchedules(rows))
         assert not report.zeta and value is None
 
@@ -570,6 +578,9 @@ _BAD_SHAPE = [
     MachineSchedules(None),
     MachineSchedules((0, 1)),
     MachineSchedules(((0, 1), 5)),
+    # A mapping row fails even where its keys fail the permutation test,
+    # which the parent scored zeta True with every flag False.
+    MachineSchedules(({0: 0, 5: 1}, (1, 0))),
 ]
 
 
@@ -587,23 +598,111 @@ def test_check_never_raises_on_junk():
                 objective(inst, sol)
 
 
-def test_frozen_fast_path_only_takes_what_the_shape_gate_passes():
-    # score() skips _shape_ok where _frozen_ids holds, so the two must agree.
-    frozen_looking = [
-        Route(frozenset({0, 1})),
-        JobOrder(frozenset({0})),
-        VertexSet(frozenset()),
-        RouteSet(frozenset({(0, 1, 0)})),
-        RouteSet(frozenset({0, 1})),
-        MachineSchedules(frozenset({(0, 1)})),
-        MachineSchedules(((0, 1), [1, 0])),
-        RouteSet(((0, 1, 0), np.array([0, 2, 0]))),
-    ]
-    well_formed = [reference_solution(make_instance(kind, size=6, seed=1))[0] for kind in ALL_KINDS]
-    for sol in _JUNK + _BAD_SHAPE + frozen_looking + well_formed:
-        if verify._frozen_ids(sol):
-            assert verify._shape_ok(sol), sol
-    assert all(verify._frozen_ids(sol) for sol in well_formed)
+_KINDS_BY_TYPE = {
+    t: [k for k in ALL_KINDS if SOLUTION_TYPE_BY_KIND[k] is t]
+    for t in set(SOLUTION_TYPE_BY_KIND.values())
+}
+# Small instances, so that drawn ids are often in range and JSSP rows often
+# permutations: 5 nodes, or 3 jobs on 3 machines.
+_SHAPE_INSTANCES = {
+    kind: make_instance(kind, size=3 if kind in (ProblemKind.PFSP, ProblemKind.JSSP) else 5)
+    for kind in ALL_KINDS
+}
+_ID = st.one_of(st.integers(-1, 5), st.integers(0, 4).map(np.int64), st.booleans())
+_CONTAINERS = (
+    "tuple", "list", "set", "frozenset", "dict", "array", "iterator", "str", "None", "int"
+)
+
+
+def _contain(form, items):
+    """`items` in the container `form`; a tuple where they cannot be put in
+    it (unhashable set members or keys, ragged rows for an array)."""
+    try:
+        if form == "set":
+            return set(items)
+        if form == "frozenset":
+            return frozenset(items)
+        if form == "dict":
+            return dict(zip(items, reversed(items)))
+        if form == "array":
+            return np.array(items)
+    except (TypeError, ValueError):
+        return tuple(items)
+    return {
+        "tuple": tuple,
+        "list": list,
+        "iterator": lambda xs: iter(tuple(xs)),
+        "str": lambda xs: str(list(xs)),
+        "None": lambda xs: None,
+        "int": len,
+    }.get(form, tuple)(items)
+
+
+@st.composite
+def _shape_cases(draw):
+    """(kind, solution of the kind's type) whose ids sit in any container,
+    each row of a nested solution in its own."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    solution_type = SOLUTION_TYPE_BY_KIND[kind]
+    ids = st.lists(_ID, max_size=6)
+    if solution_type in (RouteSet, MachineSchedules):
+        row = st.tuples(st.sampled_from(_CONTAINERS), ids).map(lambda c: _contain(*c))
+        ids = st.lists(row, max_size=4)
+    return kind, solution_type(_contain(draw(st.sampled_from(_CONTAINERS)), draw(ids)))
+
+
+def _with_examples(cases):
+    """A hypothesis @example(case=...) for each case."""
+
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+
+    return decorate
+
+
+# The junk and bad shapes above, ids that look frozen and are not, a JSSP
+# mapping row whose keys pass the permutation test, and one well-formed
+# solution per kind.
+_FROZEN_LOOKING = [
+    Route(frozenset({0, 1})),
+    JobOrder(frozenset({0})),
+    VertexSet(frozenset()),
+    RouteSet(frozenset({(0, 1, 0)})),
+    RouteSet(frozenset({0, 1})),
+    MachineSchedules(frozenset({(0, 1)})),
+    MachineSchedules(((0, 1), [1, 0])),
+    MachineSchedules(({0: 1, 1: 0, 2: 2}, (0, 1, 2), (2, 1, 0))),
+    RouteSet(((0, 1, 0), np.array([0, 2, 0]))),
+]
+_SHAPE_EXAMPLES = [
+    (kind, sol)
+    for sol in _JUNK + _BAD_SHAPE + _FROZEN_LOOKING
+    for kind in _KINDS_BY_TYPE[type(sol)]
+] + [(kind, reference_solution(_SHAPE_INSTANCES[kind])[0]) for kind in ALL_KINDS]
+
+
+@_with_examples(_SHAPE_EXAMPLES)
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=_shape_cases())
+def test_shape_gate_agrees_with_the_gates_it_replaced(case):
+    # One verdict changed on purpose: a MachineSchedules with a mapping row
+    # whose keys fail the permutation test now fails zeta, where the old
+    # gates passed it to the scorer and it got zeta True, every flag False.
+    kind, sol = case
+    inst = _SHAPE_INSTANCES[kind]
+    gate, want_gate = verify._shape_gate(sol), oracles.reference_shape_gate(inst, sol)
+    scored, want = score(inst, sol), oracles.reference_score(inst, sol)
+    changed = isinstance(sol, MachineSchedules) and want_gate is False and any(
+        isinstance(r, dict) for r in sol.sequences
+    )
+    if changed:
+        assert gate is None and scored == (verify._FAILED_REPORTS[kind], None)
+        assert want[0].zeta and not any(_flags(want[0])) and want[1] is None
+    else:
+        assert gate is want_gate
+        assert scored == want
 
 
 def test_shared_reports_equal_fresh_ones():
