@@ -19,6 +19,7 @@ import contextlib
 import http.client
 import json
 import logging
+import math
 import os
 import time
 import urllib.error
@@ -52,10 +53,13 @@ class EndpointConfig:
     api_key_env: str = "COBENCH_API_KEY"
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.max_parallel < 1:
-            raise ValueError("max_parallel must be >= 1")
+        for name, least in (("n_samples", 1), ("max_parallel", 1), ("retries", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError("backoff must be finite and >= 0")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be finite and > 0")
 
 
 def _headers(cfg: EndpointConfig) -> Dict[str, str]:

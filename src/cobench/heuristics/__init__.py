@@ -35,8 +35,8 @@ from .scheduling import jssp_dispatch, pfsp_neh, pfsp_palmer
 Solver = Callable[..., Solution]
 
 
-def _aco(inst: Instance, seed: int, **params) -> Solution:
-    return aco_solve(inst, replace(AcoConfig.default_for(inst.kind), seed=seed, **params))
+def _aco(inst: Instance, seed: int) -> Solution:
+    return aco_solve(inst, replace(AcoConfig.default_for(inst.kind), seed=seed))
 
 
 _REGISTRY: Dict[Tuple[ProblemKind, str], Solver] = {
@@ -78,9 +78,7 @@ class SolveResult:
     method: str
 
 
-def solve(
-    inst: Instance, method: str, seed: Optional[int] = None, **params
-) -> SolveResult:
+def solve(inst: Instance, method: str, seed: Optional[int] = None) -> SolveResult:
     """Run a named baseline on an instance and score its solution.
 
     A seeded method given no seed runs with seed 0."""
@@ -92,9 +90,9 @@ def solve(
         )
     fn = _REGISTRY[key]
     if method in SEEDED_METHODS:
-        sol = fn(inst, seed=0 if seed is None else seed, **params)
+        sol = fn(inst, seed=0 if seed is None else seed)
     else:
-        sol = fn(inst, **params)
+        sol = fn(inst)
     return SolveResult(solution=sol, objective=objective(inst, sol), method=method)
 
 

@@ -1,8 +1,12 @@
-"""The kind guard every constructive heuristic opens with."""
+"""The kind guard every constructive heuristic opens with, and the limit slack."""
 
 from __future__ import annotations
 
 from ..problems.types import Instance, Payload, ProblemKind
+
+# How far over its limit a route length or load still fits. It is within
+# verify.TOLERANCE, so check calls feasible whatever a solver lets fit.
+FIT_SLACK = 1e-9
 
 
 def _require(inst: Instance, *kinds: ProblemKind) -> Payload:

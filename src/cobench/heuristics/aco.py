@@ -34,6 +34,7 @@ import numpy as np
 
 from ..problems.generate import distance_matrix, nearest_nodes
 from ..problems.types import ROUTING_KINDS, Instance, ProblemKind, Route, RouteSet, Solution
+from ._kinds import FIT_SLACK
 from .rollout import Chooser, rollout, within_budget
 
 _EPS = 1e-12
@@ -83,7 +84,7 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
             raise ValueError("a customer demand exceeds the vehicle capacity")
 
         def fits(cur, unvisited, length, load):
-            return unvisited & (demands <= (Q - load)[:, None] + 1e-9)
+            return unvisited & (demands <= (Q - load)[:, None] + FIT_SLACK)
 
         # a stuck ant heads to the depot, either to reload or to close its
         # final loop; no demand exceeds Q, so every walk is complete within

@@ -32,6 +32,7 @@ from ..problems.types import (
     VertexSet,
 )
 from ..verify import jssp_decode, objective
+from ._kinds import FIT_SLACK
 
 
 class BudgetExceededError(Exception):
@@ -175,7 +176,7 @@ def _op_exact(inst: Instance) -> Route:
     n = p.n
     d = distance_matrix(p.coords)
     dp, parent = _held_karp(d, n - 1)
-    fits = dp <= p.distance_limit + 1e-9
+    fits = dp <= p.distance_limit + FIT_SLACK
     prize = np.where(fits, _subset_sums(p.prizes[1:])[:, None], -np.inf)
     best = prize.max()
     if best <= 0:
@@ -195,7 +196,7 @@ def _cvrp_exact(inst: Instance) -> RouteSet:
     dp, parent = _held_karp(d, customers)
 
     loop_cost = (dp + d[1:, 0]).min(axis=1)
-    loop_cost[_subset_sums(p.demands[1:]) > p.capacity + 1e-9] = np.inf
+    loop_cost[_subset_sums(p.demands[1:]) > p.capacity + FIT_SLACK] = np.inf
 
     best = np.full(size, np.inf)
     choice = np.zeros(size, dtype=np.int64)

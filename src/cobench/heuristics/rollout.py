@@ -15,6 +15,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from ._kinds import FIT_SLACK
+
 # feasible(cur, unvisited, length, load) -> (ants, n) mask of allowed moves
 Mask = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 # choose(cur, feasible) -> the next node of every ant
@@ -126,6 +128,6 @@ def within_budget(d: np.ndarray, limit: float) -> Mask:
     def feasible(cur, unvisited, length, load):
         reach = d[cur]
         reach += length[:, None]  # in place: one fewer (ants, n) temporary
-        return unvisited & (reach <= limit + 1e-9)
+        return unvisited & (reach <= limit + FIT_SLACK)
 
     return feasible

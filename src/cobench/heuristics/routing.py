@@ -13,7 +13,7 @@ import numpy as np
 
 from ..problems.generate import distance_matrix, nearest_neighbor_tour
 from ..problems.types import Instance, ProblemKind, Route, RouteSet
-from ._kinds import _require
+from ._kinds import FIT_SLACK, _require
 from .rollout import rollout, roulette, within_budget
 
 _EPS = 1e-12
@@ -137,7 +137,7 @@ def op_greedy_insertion(inst: Instance) -> Route:
         delta = np.empty((p.n, len(route)))
         delta[:, :-1] = d[a].T + d[:, b] - d[a, b]
         delta[:, -1] = d[route[-1]]
-        fits = unvisited[:, None] & (length + delta <= budget + 1e-9)
+        fits = unvisited[:, None] & (length + delta <= budget + FIT_SLACK)
         if not fits.any():
             break
         ratio = np.where(fits, prizes / np.maximum(delta, _EPS), -np.inf)

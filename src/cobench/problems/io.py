@@ -14,19 +14,17 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .types import (
-    GRAPH_KINDS,
-    ROUTING_KINDS,
+    NESTED_SOLUTION_TYPES,
+    PAYLOAD_TYPE_BY_KIND,
+    SOLUTION_TAGS,
     GraphInstance,
     Instance,
-    JobOrder,
-    MachineSchedules,
     ProblemKind,
-    Route,
-    RouteSet,
     RoutingInstance,
     SchedulingInstance,
     Solution,
     VertexSet,
+    solution_ids,
 )
 
 SCHEMA_VERSION = 1
@@ -109,7 +107,8 @@ def _payload_to_dict(payload) -> dict:
 
 
 def _payload_from_dict(kind: ProblemKind, d: dict):
-    if kind in ROUTING_KINDS:
+    payload_type = PAYLOAD_TYPE_BY_KIND[kind]
+    if payload_type is RoutingInstance:
         (depot,) = _ints((d.get("depot_index", 0),), "depot_index")
         if depot != 0:
             raise ValueError(f"depot_index {depot} is not supported: node 0 is the depot")
@@ -125,7 +124,7 @@ def _payload_from_dict(kind: ProblemKind, d: dict):
                 else None
             ),
         )
-    if kind in GRAPH_KINDS:
+    if payload_type is GraphInstance:
         ends = _ints(_pairs(d["edges"], "edges"), "edges")
         return GraphInstance(
             num_nodes=_ints((d["num_nodes"],), "num_nodes")[0],
@@ -151,11 +150,17 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def instance_from_json(text: str) -> Instance:
-    doc = _object(json.loads(text), "instance file")
+def _document(text: str, what: str) -> dict:
+    """The object `text` holds; ValueError for another shape or schema_version."""
+    doc = _object(json.loads(text), what)
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # true == 1
         raise ValueError(f"unsupported schema_version {version!r}")
+    return doc
+
+
+def instance_from_json(text: str) -> Instance:
+    doc = _document(text, "instance file")
     kind = ProblemKind(doc["kind"])
     return Instance(
         kind=kind,
@@ -181,32 +186,21 @@ def load_instance(path: Union[str, Path]) -> Instance:
 
 
 def solution_to_dict(sol: Solution) -> dict:
-    if isinstance(sol, Route):
-        return {"type": "route", "nodes": list(sol.nodes)}
-    if isinstance(sol, RouteSet):
-        return {"type": "routes", "routes": [list(r) for r in sol.routes]}
-    if isinstance(sol, VertexSet):
-        return {"type": "set", "vertices": sorted(sol.vertices)}
-    if isinstance(sol, JobOrder):
-        return {"type": "order", "jobs": list(sol.jobs)}
-    if isinstance(sol, MachineSchedules):
-        return {"type": "schedule", "sequences": [list(s) for s in sol.sequences]}
+    for solution_type, tag in SOLUTION_TAGS.items():
+        if isinstance(sol, solution_type):
+            return {"type": tag, fields(solution_type)[0].name: solution_ids(sol)}
     raise TypeError(f"unknown solution type {type(sol).__name__}")
 
 
 def solution_from_dict(d: dict) -> Solution:
     t = d["type"]
-    if t == "route":
-        return Route(_ints(d["nodes"], "nodes"))
-    if t == "routes":
-        return RouteSet(_int_rows(d["routes"], "routes"))
-    if t == "set":
-        return VertexSet(frozenset(_ints(d["vertices"], "vertices")))
-    if t == "order":
-        return JobOrder(_ints(d["jobs"], "jobs"))
-    if t == "schedule":
-        return MachineSchedules(_int_rows(d["sequences"], "sequences"))
-    raise ValueError(f"unknown solution type {t!r}")
+    # Compared, not looked up, so that an unhashable value is unknown too.
+    solution_type = next((s for s, tag in SOLUTION_TAGS.items() if tag == t), None)
+    if solution_type is None:
+        raise ValueError(f"unknown solution type {t!r}")
+    name = fields(solution_type)[0].name
+    ids = (_int_rows if solution_type in NESTED_SOLUTION_TYPES else _ints)(d[name], name)
+    return solution_type(frozenset(ids) if solution_type is VertexSet else ids)
 
 
 @dataclass(frozen=True)
@@ -245,7 +239,7 @@ def reference_to_json(ref: ReferenceSolution, provenance: Optional[dict] = None)
 
 
 def reference_from_json(text: str) -> ReferenceSolution:
-    doc = _object(json.loads(text), "reference file")
+    doc = _document(text, "reference file")
     return ReferenceSolution(
         instance_id=_typed(doc["instance_id"], "instance_id", str, "a string"),
         solution=solution_from_dict(_object(doc["solution"], "solution")),

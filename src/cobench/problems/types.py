@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain
 from typing import Mapping, Optional, Tuple, Union
@@ -183,6 +183,12 @@ class SchedulingInstance:
 
 Payload = Union[RoutingInstance, GraphInstance, SchedulingInstance]
 
+PAYLOAD_TYPE_BY_KIND: Mapping[ProblemKind, type] = {
+    **dict.fromkeys(ROUTING_KINDS, RoutingInstance),
+    **dict.fromkeys(GRAPH_KINDS, GraphInstance),
+    **dict.fromkeys(SCHEDULING_KINDS, SchedulingInstance),
+}
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -195,12 +201,7 @@ class Instance:
     meta: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind in ROUTING_KINDS:
-            expected = RoutingInstance
-        elif self.kind in GRAPH_KINDS:
-            expected = GraphInstance
-        else:
-            expected = SchedulingInstance
+        expected = PAYLOAD_TYPE_BY_KIND[self.kind]
         if not isinstance(self.payload, expected):
             raise TypeError(f"{self.kind.value} expects payload {expected.__name__}")
         p = self.payload
@@ -262,6 +263,16 @@ class MachineSchedules:
 
 Solution = Union[Route, RouteSet, VertexSet, JobOrder, MachineSchedules]
 
+# Each solution type's tag: a reference file holds {"type": tag, <the
+# type's one field>: ids}, and an answer label is the tag capitalized.
+SOLUTION_TAGS: Mapping[type, str] = {
+    Route: "route",
+    RouteSet: "routes",
+    VertexSet: "set",
+    JobOrder: "order",
+    MachineSchedules: "schedule",
+}
+
 # The solutions whose ids sit in rows: one route per vehicle, one sequence
 # per machine. Their answers nest one list level deeper than the others.
 NESTED_SOLUTION_TYPES = (RouteSet, MachineSchedules)
@@ -275,6 +286,15 @@ SOLUTION_TYPE_BY_KIND: Mapping[ProblemKind, type] = {
     ProblemKind.PFSP: JobOrder,
     ProblemKind.JSSP: MachineSchedules,
 }
+
+
+def solution_ids(sol: Solution) -> list:
+    """The ids in `sol`'s one field (a subclass's first), in canonical
+    order: one list per row of a nested solution, a VertexSet's sorted."""
+    ids = getattr(sol, fields(sol)[0].name)
+    if isinstance(sol, NESTED_SOLUTION_TYPES):
+        return [list(row) for row in ids]
+    return sorted(ids) if isinstance(sol, VertexSet) else list(ids)
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,12 @@ class RewardConfig:
     beta_kl: float = 0.05       # KL penalty coefficient
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not (0 < self.epsilon_clip < 1):
             raise ValueError("epsilon_clip must lie in (0, 1)")
-        if self.beta_kl < 0:
-            raise ValueError("beta_kl must be nonnegative")
+        if not 0 <= self.beta_kl < math.inf:
+            raise ValueError("beta_kl must be nonnegative and finite")
 
 
 DEFAULT_REWARD_CONFIG = RewardConfig()

@@ -82,10 +82,10 @@ _INSTRUCTIONS = {
         "minimizes the maximum completing time. The input includes the processing "
         "times of each machine on every job, the jobs with the lowest processing time "
         "for each machine, and their respective processing times. Jobs are numbered "
-        "1 to {jobs} in the order their processing times are listed, and the answer "
-        "uses these numbers. Provide the solution in the following format: 1. Order: "
-        "List the order that jobs are processed on each machine. 2. Objective: The "
-        "objective value (maximum completing time)."
+        "{first} to {last} in the order their processing times are listed, and the "
+        "answer uses these numbers. Provide the solution in the following format: "
+        "1. Order: List the order that jobs are processed on each machine. "
+        "2. Objective: The objective value (maximum completing time)."
     ),
     ProblemKind.JSSP: (
         "Solve the Job Shop Scheduling Problem (JSSP) with {jobs} jobs and {machines} "
@@ -202,7 +202,8 @@ def encode(inst: Instance, k: int = DEFAULT_K) -> TextAttributedInstance:
         fields = dict(n=p.num_nodes, last=p.num_nodes - 1)
         text = _graph_input(p, k)
     else:
-        fields = dict(jobs=p.num_jobs, machines=p.num_machines)
+        last = p.num_jobs - 1 + ORDER_BASE
+        fields = dict(jobs=p.num_jobs, machines=p.num_machines, first=ORDER_BASE, last=last)
         text = (_pfsp_input if inst.kind is ProblemKind.PFSP else _jssp_input)(p, k)
     instruction = _INSTRUCTIONS[inst.kind].format(k=k, **fields)
     return TextAttributedInstance(kind=inst.kind, instruction=instruction, input=text)

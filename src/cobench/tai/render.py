@@ -11,7 +11,7 @@ from ..problems.types import (
     JobOrder,
     ProblemKind,
     Solution,
-    VertexSet,
+    solution_ids,
 )
 from .types import GRAMMAR_BY_KIND, ORDER_BASE, TextAttributedInstance
 
@@ -24,9 +24,6 @@ PROMPT_TEMPLATE = (
     "### Instruction:{}\n\n### Input:{}\n\n### Response:"
 )
 
-# Routing objectives are real-valued distances; the rest are integral.
-_REAL_VALUED = ROUTING_KINDS
-
 
 def _flat(values) -> str:
     return "[" + ", ".join(str(v) for v in values) + "]"
@@ -37,7 +34,7 @@ def _nested(rows) -> str:
 
 
 def format_objective(kind: ProblemKind, value: float) -> str:
-    if kind in _REAL_VALUED:
+    if kind in ROUTING_KINDS:  # real-valued distances; the rest are integral
         return f"{value:.2f}"
     return str(int(round(value)))
 
@@ -50,10 +47,8 @@ def format_solution(kind: ProblemKind, sol: Solution, objective: Optional[float]
     """
     if not isinstance(sol, SOLUTION_TYPE_BY_KIND[kind]):
         raise TypeError(f"{kind.value} cannot render a {type(sol).__name__}")
-    (ids,) = vars(sol).values()
-    if isinstance(sol, VertexSet):
-        ids = sorted(ids)
-    elif isinstance(sol, JobOrder):
+    ids = solution_ids(sol)
+    if isinstance(sol, JobOrder):
         ids = [j + ORDER_BASE for j in ids]
     body = _nested(ids) if isinstance(sol, NESTED_SOLUTION_TYPES) else _flat(ids)
     text = f"{GRAMMAR_BY_KIND[kind].value}: {body}"

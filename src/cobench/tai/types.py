@@ -6,38 +6,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from ..problems.types import (
-    SOLUTION_TYPE_BY_KIND,
-    JobOrder,
-    MachineSchedules,
-    ProblemKind,
-    Route,
-    RouteSet,
-    Solution,
-    VertexSet,
+from ..problems.types import SOLUTION_TAGS, SOLUTION_TYPE_BY_KIND, ProblemKind, Solution
+
+# The answer label a solution text must carry: its solution type's tag,
+# capitalized. An Order answer numbers jobs from ORDER_BASE.
+OutputGrammar = Enum(
+    "OutputGrammar", [(tag.upper(), tag.capitalize()) for tag in SOLUTION_TAGS.values()], type=str
 )
 
-
-class OutputGrammar(str, Enum):
-    """The answer label a solution text must carry, per problem kind."""
-
-    ROUTE = "Route"        # flat node list
-    ROUTES = "Routes"      # nested per-vehicle lists
-    SET = "Set"            # flat vertex list
-    ORDER = "Order"        # flat job list, numbered from ORDER_BASE
-    SCHEDULE = "Schedule"  # nested per-machine job lists
-
-
-_GRAMMAR_BY_SOLUTION_TYPE = {
-    Route: OutputGrammar.ROUTE,
-    RouteSet: OutputGrammar.ROUTES,
-    VertexSet: OutputGrammar.SET,
-    JobOrder: OutputGrammar.ORDER,
-    MachineSchedules: OutputGrammar.SCHEDULE,
-}
-
 GRAMMAR_BY_KIND: Mapping[ProblemKind, OutputGrammar] = {
-    kind: _GRAMMAR_BY_SOLUTION_TYPE[solution_type]
+    kind: OutputGrammar(SOLUTION_TAGS[solution_type].capitalize())
     for kind, solution_type in SOLUTION_TYPE_BY_KIND.items()
 }
 

@@ -585,7 +585,8 @@ def reference_prompt(inst, k):
     elif inst.kind in (ProblemKind.MIS, ProblemKind.MVC):
         fields = dict(n=p.num_nodes, last=p.num_nodes - 1)
     else:
-        fields = dict(jobs=p.num_jobs, machines=p.num_machines)
+        # The PFSP prompt numbers jobs 1 to J, as its hints do.
+        fields = dict(jobs=p.num_jobs, machines=p.num_machines, first=1, last=p.num_jobs)
     instruction = text._INSTRUCTIONS[inst.kind].format(k=k, **fields)
     return PROMPT_TEMPLATE.format(instruction, reference_input(inst, k))
 

@@ -28,7 +28,7 @@ from cobench.evalharness import (
     mock_policy,
     solution_gap,
 )
-from cobench.heuristics import METHODS_BY_KIND, brute_force, solve
+from cobench.heuristics import METHODS_BY_KIND, AcoConfig, aco_solve, brute_force, solve
 from cobench.heuristics.routing import distance_matrix, two_opt
 from cobench.problems.generate import nearest_neighbor_tour
 from cobench.problems.io import ReferenceSolution
@@ -321,13 +321,11 @@ def test_criterion_3_heuristic_feasibility(capsys):
         for method in METHODS_BY_KIND[kind]:
             for i, inst in enumerate(insts):
                 if method == "aco":  # reduced config to stay inside the budget
-                    res = solve(inst, method, seed=i, ants=20, iterations=50)
-                elif method == "tsili":
-                    res = solve(inst, method, seed=i)
+                    sol = aco_solve(inst, AcoConfig(ants=20, iterations=50, seed=i))
                 else:
-                    res = solve(inst, method)
+                    sol = solve(inst, method, seed=i).solution  # seed unused if unseeded
                 runs += 1
-                report = check(inst, res.solution)
+                report = check(inst, sol)
                 if not report.feasible:
                     failures.append((kind.value, method, inst.id, report.constraints))
     elapsed = time.perf_counter() - t0

@@ -510,12 +510,13 @@ def test_reward_bad_alpha_exits_two(tsp_dir, tmp_path, capsys, answer):
     inst_file = _instance_files(tsp_dir)[0]
     resp = tmp_path / "resp.txt"
     resp.write_text(answer + "\n")
-    code, out, err = run(
-        capsys, "reward", "--instance", str(inst_file), "--response", str(resp),
-        "--alpha", "0",
-    )
-    assert (code, out) == (2, "")
-    assert "alpha must be positive" in err
+    for alpha in ("0", "nan", "inf", "-inf"):
+        code, out, err = run(
+            capsys, "reward", "--instance", str(inst_file), "--response", str(resp),
+            f"--alpha={alpha}",
+        )
+        assert (code, out) == (2, ""), alpha
+        assert err == "error: alpha must be positive and finite\n", alpha
 
 
 @pytest.mark.parametrize("kind,method,infeasible", [
@@ -873,6 +874,39 @@ def test_missing_reference_is_refused_in_one_line(bench, tmp_path, capsys, comma
     )
     assert (code, out, err) == (2, "", f"error: missing references for: {gone.stem}\n")
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--retries", "-1", "retries must be >= 0"),
+        ("--timeout", "0", "timeout must be finite and > 0"),
+        ("--timeout", "-1", "timeout must be finite and > 0"),
+        ("--timeout", "nan", "timeout must be finite and > 0"),
+    ],
+)
+def test_evaluate_bad_endpoint_setting_exits_two(bench, capsys, option, value, message):
+    insts, refs = bench
+    code, out, err = run(
+        capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
+        "--base-url", "http://127.0.0.1:9/v1", f"{option}={value}",
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unknown_solution_tag_is_one_line(tsp_dir, tmp_path, capsys):
+    inst_file = _instance_files(tsp_dir)[0]
+    ref_file = tmp_path / "ref.json"
+    run(capsys, "solve", "--instance", str(inst_file), "--method", "nn", "--out", str(ref_file))
+    doc = json.loads(ref_file.read_text())
+    for tag in (["route"], {"route": 1}, 5, "path"):
+        doc["solution"]["type"] = tag
+        ref_file.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "verify", "--instance", str(inst_file), "--reference", str(ref_file)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown solution type {tag!r}\n"
 
 
 def test_evaluate_needs_mock_or_base_url(bench, capsys):

@@ -944,10 +944,23 @@ def test_retry_after_sets_the_delay(echo_server, sleeps, status, header, backoff
 
 
 def test_endpoint_config_validation():
-    with pytest.raises(ValueError):
-        EndpointConfig(base_url="http://x", model_name="m", n_samples=0)
-    with pytest.raises(ValueError):
-        EndpointConfig(base_url="http://x", model_name="m", max_parallel=0)
+    for setting, message in (
+        (dict(n_samples=0), "n_samples must be >= 1"),
+        (dict(max_parallel=0), "max_parallel must be >= 1"),
+        (dict(retries=-1), "retries must be >= 0"),
+        (dict(backoff=-0.5), "backoff must be finite and >= 0"),
+        (dict(backoff=float("nan")), "backoff must be finite and >= 0"),
+        (dict(backoff=float("inf")), "backoff must be finite and >= 0"),
+        (dict(timeout=0.0), "timeout must be finite and > 0"),
+        (dict(timeout=-1.0), "timeout must be finite and > 0"),
+        (dict(timeout=float("nan")), "timeout must be finite and > 0"),
+        (dict(timeout=float("inf")), "timeout must be finite and > 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EndpointConfig(base_url="http://x", model_name="m", **setting)
+    # The edges are legal: no retry, no backoff.
+    EndpointConfig(base_url="http://x", model_name="m", retries=0, backoff=0.0)
+
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from cobench.heuristics import (
     solve,
     tsp_nearest_neighbor,
 )
+from cobench.heuristics._kinds import FIT_SLACK
 from cobench.heuristics.aco import CANDIDATES, candidate_chooser, candidate_offsets
 from cobench.heuristics.rollout import rollout, roulette
 from cobench.heuristics.routing import two_opt
@@ -49,7 +50,7 @@ from cobench.problems.types import (
     SchedulingInstance,
     Sense,
 )
-from cobench.verify import check, jssp_decode, objective, pfsp_makespan
+from cobench.verify import TOLERANCE, check, jssp_decode, objective, pfsp_makespan
 
 from conftest import ALL_KINDS, ROUTING_KINDS, make_instance
 
@@ -711,12 +712,16 @@ def test_solve_result_fields():
 
 
 def test_solve_runs_seeded_methods_with_seed_zero_by_default():
-    small = {"aco": dict(ants=4, iterations=3), "tsili": dict(samples=64)}
+    # Default budgets on 10 nodes: about a second for all four methods.
     for kind, methods in METHODS_BY_KIND.items():
         for method, seed in itertools.product(SEEDED_METHODS.intersection(methods), (1, 2)):
-            inst = make_instance(kind, size=40, seed=seed)
-            unseeded = solve(inst, method, **small[method])
-            assert unseeded == solve(inst, method, seed=0, **small[method]), (inst.id, method)
+            inst = make_instance(kind, size=10, seed=seed)
+            assert solve(inst, method) == solve(inst, method, seed=0), (inst.id, method)
+
+
+def test_fit_slack_is_within_the_feasibility_tolerance():
+    # What a constructor lets fit its limit, check calls within that limit.
+    assert 0 < FIT_SLACK <= TOLERANCE
 
 
 def test_kind_guard_names_expected_and_given_kind():

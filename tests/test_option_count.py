@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cobench"
 
-SETTABLE_VALUES = 55
+SETTABLE_VALUES = 53
 
 
 def _settable_values(tree: ast.AST) -> int:

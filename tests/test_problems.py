@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,7 @@ from cobench.problems.types import (
     Route,
     RouteSet,
     RoutingInstance,
+    SOLUTION_TYPE_BY_KIND,
     UNIFORM,
     VertexSet,
 )
@@ -506,6 +508,69 @@ def test_reference_validated_defaults_true():
     doc = json.loads(reference_to_json(ref))
     del doc["validated"]
     assert reference_from_json(json.dumps(doc)).validated is True
+
+
+# One solution per kind, with the object its reference file stores: the
+# type's tag and its one field, a VertexSet's ids sorted.
+_STORED_SOLUTIONS = [
+    (ProblemKind.TSP, Route((0, 2, 1, 0)), {"type": "route", "nodes": [0, 2, 1, 0]}),
+    (ProblemKind.OP, Route((0, 3)), {"type": "route", "nodes": [0, 3]}),
+    (ProblemKind.CVRP, RouteSet(((0, 2, 1, 0),)), {"type": "routes", "routes": [[0, 2, 1, 0]]}),
+    (ProblemKind.MIS, VertexSet.of([4, 1, 3]), {"type": "set", "vertices": [1, 3, 4]}),
+    (ProblemKind.MVC, VertexSet(frozenset()), {"type": "set", "vertices": []}),
+    (ProblemKind.PFSP, JobOrder((2, 0, 1)), {"type": "order", "jobs": [2, 0, 1]}),
+    (
+        ProblemKind.JSSP,
+        MachineSchedules(((1, 0), (0, 1))),
+        {"type": "schedule", "sequences": [[1, 0], [0, 1]]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, sol, stored", _STORED_SOLUTIONS, ids=[kind.value for kind, _, _ in _STORED_SOLUTIONS]
+)
+def test_reference_file_bytes_round_trip(kind, sol, stored):
+    assert isinstance(sol, SOLUTION_TYPE_BY_KIND[kind])
+    ref = ReferenceSolution(f"{kind.value}-x", sol, 12.5, "heuristic:test")
+    text = reference_to_json(ref, provenance={"tool": "test"})
+    doc = {
+        "schema_version": 1,
+        "instance_id": f"{kind.value}-x",
+        "solution": stored,
+        "objective": 12.5,
+        "source": "heuristic:test",
+        "validated": True,
+        "provenance": {"tool": "test"},
+    }
+    assert text == json.dumps(doc, indent=2) + "\n"
+    back = reference_from_json(text)
+    assert back == ref
+    assert reference_to_json(back, provenance={"tool": "test"}) == text
+
+
+def test_solution_dict_writes_a_subclass_as_its_solution_type():
+    @dataclass(frozen=True)
+    class LabelledRoute(Route):
+        label: str = "x"
+
+    assert solution_to_dict(LabelledRoute((0, 1, 0))) == {"type": "route", "nodes": [0, 1, 0]}
+
+
+@pytest.mark.parametrize("tag", ["path", "Route", 5, None, ["route"], {"route": 1}])
+def test_unknown_solution_tag_is_a_value_error(tag):
+    with pytest.raises(ValueError, match="^unknown solution type "):
+        solution_from_dict({"type": tag, "nodes": [0, 1, 0]})
+
+
+@pytest.mark.parametrize("version", [99, "1", True, None], ids=["99", "string", "bool", "missing"])
+def test_reference_json_schema_guard(version):
+    doc = json.loads(reference_to_json(ReferenceSolution("t", Route((0, 1, 0)), 2.0, "oracle")))
+    doc["schema_version"] = version
+    if version is None:
+        del doc["schema_version"]
+    with pytest.raises(ValueError, match="unsupported schema_version"):
+        reference_from_json(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,11 @@ def test_reward_config_validation():
         RewardConfig(epsilon_clip=1.0)
     with pytest.raises(ValueError):
         RewardConfig(beta_kl=-0.01)
+    # A NaN alpha would pay 0 for every answer, a NaN beta_kl a NaN surrogate.
+    for field in ("alpha", "beta_kl"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be .* finite$"):
+                RewardConfig(**{field: value})
 
 
 def test_reward_config_defaults():
