@@ -80,15 +80,13 @@ def aco_solve(inst: Instance, cfg: AcoConfig) -> Solution:
     if kind is ProblemKind.CVRP:
         demands = np.asarray(p.demands, dtype=float)
         Q = float(p.capacity)
-        if demands.max() > Q:
-            raise ValueError("a customer demand exceeds the vehicle capacity")
 
         def fits(cur, unvisited, length, load):
             return unvisited & (demands <= (Q - load)[:, None] + FIT_SLACK)
 
         # a stuck ant heads to the depot, either to reload or to close its
-        # final loop; no demand exceeds Q, so every walk is complete within
-        # the kernel's step limit
+        # final loop; the payload holds every demand within Q, so every walk
+        # is complete within the kernel's step limit
         rules = dict(feasible=fits, gain=demands, reload=True)
     np.fill_diagonal(eta, 0.0)
     eta_b = eta * eta

@@ -214,8 +214,6 @@ def _gen_routing(kind: ProblemKind, cfg: GenConfig, rng: np.random.Generator, n:
     demands[0] = 0  # depot has no demand
     demands = tuple(int(q) for q in demands)
     capacity = cfg.capacity if cfg.capacity is not None else default_capacity(demands)
-    if capacity < max(demands):
-        raise ValueError(f"capacity {capacity} cannot serve max demand {max(demands)}")
     return RoutingInstance(coords=coords, demands=demands, capacity=int(capacity)), meta
 
 

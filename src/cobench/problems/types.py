@@ -56,8 +56,10 @@ class RoutingInstance:
     coords are 2D points; node 0 is the depot for OP/CVRP, which every
     solver, prompt and the scorer take as given. OP carries prizes
     and a route-length budget, CVRP carries demands and a vehicle capacity.
-    Coordinates, prizes and demands must be finite, and the capacity and
-    distance limit positive; an infinite distance limit means no budget.
+    Coordinates, prizes and demands must be finite, prizes and demands
+    non-negative and zero at the depot, no demand above the capacity, and
+    the capacity and distance limit positive; an infinite distance limit
+    means no budget.
     """
 
     coords: Tuple[Tuple[float, float], ...]
@@ -79,9 +81,18 @@ class RoutingInstance:
                 raise ValueError(f"{name} length must match coords")
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{name} must be finite")
+            if values[0] != 0:
+                raise ValueError(f"{name} must be 0 at the depot, node 0")
+            if min(values) < 0:
+                raise ValueError(f"{name} must be >= 0")
         # `not x > 0` also rejects NaN.
         if self.capacity is not None and not self.capacity > 0:
             raise ValueError("capacity must be positive")
+        if self.capacity is not None and self.demands is not None:
+            if max(self.demands) > self.capacity:
+                raise ValueError(
+                    f"demand {max(self.demands)} exceeds the vehicle capacity {self.capacity}"
+                )
         if self.distance_limit is not None and not self.distance_limit > 0:
             raise ValueError("distance limit must be positive")
 

@@ -144,7 +144,8 @@ def _routing_input(kind: ProblemKind, p: RoutingInstance, k: int) -> str:
 
 
 def _graph_input(p: GraphInstance, k: int) -> str:
-    hints = graph_features(p, k)
+    ends = tuple(chain.from_iterable(p.edges))
+    hints = graph_features(p.num_nodes, ends, k)
     # A node with c hints lists their c ids, then their c degrees.
     rows = ["N%d:[]"] + [
         "N%d:[" + ",".join(["%d"] * c) + "," + ",".join(["#%d"] * c) + "]"
@@ -155,7 +156,7 @@ def _graph_input(p: GraphInstance, k: int) -> str:
         + "; ".join([rows[len(entry)] for entry in hints])
     )
     nodes = _rows(zip(range(p.num_nodes)), map(chain.from_iterable, starmap(zip, hints)))
-    return template % tuple(chain(chain.from_iterable(p.edges), nodes))
+    return template % (ends + tuple(nodes))
 
 
 def _pfsp_input(p: SchedulingInstance, k: int) -> str:

@@ -9,13 +9,13 @@ block pass ACO's candidate lists come from too.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from typing import Tuple
 
 import numpy as np
 
 from ..problems.generate import nearest_nodes
-from ..problems.types import GraphInstance, RoutingInstance, SchedulingInstance
+from ..problems.types import RoutingInstance, SchedulingInstance
 
 DEFAULT_K = 2
 
@@ -28,11 +28,12 @@ def routing_features(payload: RoutingInstance, k: int) -> Hints:
     return tuple(tuple(zip(i, x)) for i, x in zip(ids.tolist(), dists.tolist()))
 
 
-def graph_features(payload: GraphInstance, k: int) -> Hints:
-    """Top-k neighbors per node by largest degree, ties to lower id."""
-    n = payload.num_nodes
+def graph_features(n: int, edge_ends: Tuple[int, ...], k: int) -> Hints:
+    """Top-k neighbors per node of an n-node graph by largest degree, ties to
+    lower id. edge_ends is the edge list flattened, (u0, v0, u1, v1, ...),
+    as the prompt prints it."""
     k = min(k, n)  # no node has more than n - 1 neighbours
-    ends = np.fromiter(chain.from_iterable(payload.edges), np.intp, 2 * len(payload.edges))
+    ends = np.fromiter(edge_ends, np.intp, len(edge_ends))
     deg = np.bincount(ends, minlength=n)
     # One rank for every node, computed once: larger degree first, ties to
     # the lower id.

@@ -111,10 +111,10 @@ def test_tsili_seeded_outputs(case, expected):
 
 
 def test_aco_cvrp_rejects_demand_over_capacity():
-    inst = make_instance(ProblemKind.CVRP, size=10, seed=0)
-    p = inst.payload
+    # The payload refuses the demand, so no such instance reaches ACO.
+    p = make_instance(ProblemKind.CVRP, size=10, seed=0).payload
     demands = list(p.demands)
     demands[3] = p.capacity + 1
-    bad = replace(inst, payload=replace(p, demands=tuple(demands)))
-    with pytest.raises(ValueError, match="exceeds the vehicle capacity"):
-        aco_solve(bad, AcoConfig(ants=4, iterations=2, seed=0))
+    message = f"^demand {p.capacity + 1} exceeds the vehicle capacity {p.capacity}$"
+    with pytest.raises(ValueError, match=message):
+        replace(p, demands=tuple(demands))

@@ -729,6 +729,40 @@ def test_routing_instance_allows_an_infinite_distance_limit():
     assert p.distance_limit == math.inf
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("prizes", (7, 1, 2), "prizes must be 0 at the depot, node 0"),
+        ("prizes", (0, -7, 2), "prizes must be >= 0"),
+        ("demands", (3, 1, 2), "demands must be 0 at the depot, node 0"),
+        ("demands", (0, 1, -5), "demands must be >= 0"),
+        ("demands", (0, 31, 2), "demand 31 exceeds the vehicle capacity 30"),
+    ],
+)
+def test_routing_instance_enforces_its_depot_and_demand_contract(field, value, message):
+    coords = ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))
+    limit = {"capacity": 30} if field == "demands" else {"distance_limit": 5.0}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RoutingInstance(coords=coords, **{field: value}, **limit)
+    # At the edges: a zero prize or demand, and a demand equal to the capacity.
+    RoutingInstance(coords=coords, demands=(0, 0, 30), capacity=30)
+    RoutingInstance(coords=coords, prizes=(0, 0, 3), distance_limit=5.0)
+
+
+def test_negative_demand_cannot_hide_an_overloaded_route():
+    # One customer of demand -1000 would let a single route carry 120 units
+    # against a capacity of 30 and be called feasible; the payload refuses it,
+    # from code and from a file alike.
+    coords = tuple((float(i), 0.0) for i in range(5))
+    with pytest.raises(ValueError, match="^demands must be >= 0$"):
+        RoutingInstance(coords=coords, demands=(0, 40, 40, 40, -1000), capacity=30)
+    inst = gen_instance(ProblemKind.CVRP, GenConfig(size_range=(5, 5), seed=0))
+    doc = json.loads(instance_to_json(inst))
+    doc["payload"]["demands"][-1] = -1000
+    with pytest.raises(ValueError, match="demands must be >= 0"):
+        instance_from_json(json.dumps(doc))
+
+
 def test_genconfig_validation():
     with pytest.raises(ValueError):
         GenConfig(size_range=(1, 5))

@@ -52,13 +52,16 @@ def routing_instances(draw):
     # Small integer boxes make distance ties; the rest mixes in every coordinate form.
     coord = st.integers(0, 3) if draw(st.booleans()) else COORD
     coords = tuple((draw(coord), draw(coord)) for _ in range(n))
-    amounts = tuple(draw(st.lists(AMOUNT, min_size=n, max_size=n)))
+    # The depot carries no prize or demand, and no demand exceeds the capacity.
+    depot = draw(st.sampled_from([0, 0.0]))
+    amounts = (depot,) + tuple(draw(st.lists(AMOUNT, min_size=n - 1, max_size=n - 1)))
     payload = RoutingInstance(coords=coords)
     if kind is ProblemKind.OP:
         limit = draw(st.one_of(st.just(math.inf), st.floats(0.5, 1e6)))
         payload = RoutingInstance(coords=coords, prizes=amounts, distance_limit=limit)
     elif kind is ProblemKind.CVRP:
-        payload = RoutingInstance(coords=coords, demands=amounts, capacity=draw(st.integers(1, 50)))
+        capacity = draw(st.integers(max(1, math.ceil(max(amounts))), 150))
+        payload = RoutingInstance(coords=coords, demands=amounts, capacity=capacity)
     return Instance(kind=kind, payload=payload, id="routing")
 
 

@@ -7,6 +7,7 @@ wording, neighbor-list formats, and the canonical answer grammar.
 import importlib
 import math
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -348,7 +349,8 @@ def test_k_larger_than_n_truncates():
 
 
 def test_graph_features_rank_by_degree_then_id():
-    feats = graph_features(MIS_EXAMPLE, k=2)
+    ends = tuple(chain.from_iterable(MIS_EXAMPLE.edges))
+    feats = graph_features(MIS_EXAMPLE.num_nodes, ends, k=2)
     # Node 9 neighbors {0, 1, 5, 6} with degrees {1, 4, 2, 3}: top-2 are 1, 6.
     assert feats[9] == ((1, 4.0), (6, 3.0))
     assert feats[7] == ()  # isolated node
