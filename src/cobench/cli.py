@@ -296,9 +296,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if unknown:
         return _fail(f"records mention unknown instance {unknown[0]}")
     require_references(rows, references)
+    # In --instances order, as evaluate lists them, whatever the file's order.
     records = [
-        record_from_row(instances[iid], row, references[iid].objective)
-        for iid, row in rows.items()
+        record_from_row(inst, rows[iid], references[iid].objective)
+        for iid, inst in instances.items()
+        if iid in rows
     ]
     _print_report(args, records, args.out)
     return EXIT_OK
@@ -322,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", required=True, choices=kinds)
     g.add_argument("--count", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--size", help="size or lo:hi range (nodes, or J/M for scheduling)")
+    g.add_argument(
+        "--size", help="one size or lo:hi; for scheduling it sets both jobs and machines"
+    )
     g.add_argument(
         "--distribution",
         default="uniform",

@@ -5,11 +5,12 @@ its raw completions, and the mock policy and the HTTP endpoint differ only
 in that sampler. Each instance's completions are appended to a JSONL file as
 raw text keyed by instance id as soon as its request completes, so a crash
 loses no response that came back, and a rerun on the same file samples only
-the instances without a row. A run that completes then puts its rows in
-instance order, so records and reports list and sum them in the order the
-instances were given. Metrics are always rederived from the raw text by
-`build_candidate`, which also strips thinking blocks, so a resumed run and
-`cobench report` cannot drift from a fresh one.
+the instances without a row. The file is only appended to, apart from
+dropping a final line that a crash cut short; its rows may be in any order,
+because summaries do not depend on the order of their records. Metrics are
+always rederived from the raw text by `build_candidate`, which also strips
+thinking blocks, so a resumed run and `cobench report` cannot drift from a
+fresh one.
 
 The HTTP sampler posts through the standard library's `http.client`, one
 connection per request, so the runtime needs no HTTP package. An
@@ -244,26 +245,6 @@ def _line(row: dict) -> bytes:
     return json.dumps(row).encode() + b"\n"
 
 
-def _put_in_order(path: Path, saved: Dict[str, dict], ids: Iterable[str]) -> None:
-    """Put the rows of ids in the response file at path, whose rows are
-    saved as `load_rows` reads them, in the order of ids. A file whose rows
-    of ids are in that order already is left alone. Otherwise the rows of
-    ids move after every other row, and the file is replaced whole, through
-    a temporary file, so that a crash leaves either the old file or the new
-    one."""
-    ids = [iid for iid in dict.fromkeys(ids) if iid in saved]
-    mine = set(ids)
-    if [iid for iid in saved if iid in mine] == ids:
-        return
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.writelines(_line(saved[iid]) for iid in saved if iid not in mine)
-        fh.writelines(_line(saved[iid]) for iid in ids)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def require_references(ids: Iterable[str], references: Container[str]) -> None:
     """Raise ValueError naming the first five of ids that have no reference."""
     missing = [iid for iid in ids if iid not in references]
@@ -295,10 +276,9 @@ def evaluate(
 
     When out_path is given, each instance's row is appended there as soon as
     its samples arrive, and instances that already have a row are not
-    sampled again. When every instance has been sampled, the file's rows of
-    these instances are put in instance order, so that `cobench report`
-    lists and sums them as the returned records are; a file out of that
-    order is replaced whole.
+    sampled again. Rows that finish together are appended in instance
+    order. The file is never rewritten: only a final line cut short is
+    dropped.
 
     A sampler that raises RuntimeError (a request that failed after its
     retries) yields a record with zero candidates that is not persisted, so
@@ -308,19 +288,18 @@ def evaluate(
     propagates. An instance without a reference raises ValueError before any
     request. Records are in instance order."""
     require_references((inst.id for inst in instances), references)
-    saved: Dict[str, dict] = {}  # the rows in the file, as load_rows reads them
+    rows: Dict[str, dict] = {}  # the file's rows, and this call's, failed ones too
     with contextlib.ExitStack() as stack:
         fh: Optional[BinaryIO] = None
         if out_path is not None:
             out_path = Path(out_path)
             out_path.parent.mkdir(parents=True, exist_ok=True)
             fh = stack.enter_context(out_path.open("a+b"))
-            saved, end = load_rows(out_path)
+            rows, end = load_rows(out_path)
             fh.truncate(end)  # drop a final line cut short
             fh.seek(max(end - 1, 0))
             if fh.read(1) not in (b"", b"\n"):
                 fh.write(b"\n")  # the next row starts on a fresh line
-        rows = dict(saved)  # and this call's rows, failed ones too
 
         def timed(inst: Instance) -> dict:
             t0 = time.perf_counter()
@@ -353,7 +332,6 @@ def evaluate(
                         if fh is not None and texts is not None:
                             fh.write(_line(row))
                             fh.flush()
-                            saved[row["instance_id"]] = row
                 if first is None:
                     first = err
             return first
@@ -374,8 +352,6 @@ def evaluate(
                 fut.cancel()
             keep(wait(running).done)  # keep every response that still comes back
             raise
-    if out_path is not None:
-        _put_in_order(out_path, saved, (inst.id for inst in instances))
     return [
         record_from_row(inst, rows[inst.id], references[inst.id].objective)
         for inst in instances

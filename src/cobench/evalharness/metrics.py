@@ -8,7 +8,8 @@ distinct text once and scoring each distinct solution once. A
 record stores only what was sampled; its Best-of-N selection and gap are
 derived from the candidates, always by recomputed objectives. The `to_dict`
 methods write every report JSON, with a non-finite float as null, so the
-report is strict JSON.
+report is strict JSON. `metrics` sums in sorted order, so a summary depends
+on which records it is given, not on their order.
 """
 
 from __future__ import annotations
@@ -206,6 +207,12 @@ def _jsonable(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
+def _mean(xs: Sequence[float]) -> float:
+    """The mean of xs, summed in sorted order, so that it does not depend on
+    the order of xs."""
+    return sum(sorted(xs)) / len(xs)
+
+
 def _summarize(records: Sequence[EvalRecord]) -> MetricsSummary:
     n = len(records)
     if n == 0:
@@ -218,13 +225,14 @@ def _summarize(records: Sequence[EvalRecord]) -> MetricsSummary:
         else 0.0
     )
     gaps = [r.gap for r in records if r.gap is not None]
-    mean_gap = sum(gaps) / len(gaps) if gaps else None
-    gap_std = math.sqrt(sum((g - mean_gap) ** 2 for g in gaps) / len(gaps)) if gaps else None
+    mean_gap = _mean(gaps) if gaps else None
+    # d * d is inf where a huge deviation overflows; d ** 2 would raise.
+    gap_std = math.sqrt(_mean([d * d for d in (g - mean_gap for g in gaps)])) if gaps else None
     gap_at_k: Dict[int, float] = {}
     for k in GAP_KS:
         hit = sum(1 for r in records if r.gap is not None and r.gap * 100.0 < k)
         gap_at_k[k] = hit / n
-    wall = sum(r.wall_time for r in records) / n
+    wall = _mean([r.wall_time for r in records])
     return MetricsSummary(
         num_records=n,
         feasibility_rate=feas,

@@ -30,7 +30,11 @@ from .types import (
 SCHEMA_VERSION = 1
 
 
-def _typed(value, field: str, kind: type, expected: str):
+# A JSON list, or a tuple this module built; "" and {} are not empty lists.
+_LIST = (list, tuple)
+
+
+def _typed(value, field: str, kind: Union[type, tuple], expected: str):
     """`value` if it is a `kind`; anything else is a ValueError naming `field`."""
     if not isinstance(value, kind):
         raise ValueError(f"{field}: expected {expected}, got {type(value).__name__}")
@@ -47,10 +51,7 @@ def _ints(values, field: str) -> tuple:
     and a bool, a string, a non-integral number or a `values` that is not a
     list raises a ValueError naming `field`. Files hold plain ints, so one
     type pass is the common case."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValueError(f"{field}: expected a list of integers") from None
+    values = tuple(_typed(values, field, _LIST, "a list of integers"))
     if set(map(type, values)) <= {int}:
         return values
     for v in values:
@@ -62,15 +63,14 @@ def _ints(values, field: str) -> tuple:
 
 def _int_rows(rows, field: str) -> tuple:
     """`rows`, a list of integer lists, as a tuple of int tuples (see _ints)."""
-    try:
-        return tuple(_ints(row, field) for row in rows)
-    except TypeError:
-        raise ValueError(f"{field}: expected a list of integer lists") from None
+    rows = _typed(rows, field, _LIST, "a list of integer lists")
+    return tuple(_ints(row, field) for row in rows)
 
 
 def _pairs(rows, field: str) -> tuple:
     """The values of `rows`, a list of [a, b] pairs, in one flat tuple; a
     `rows` or a row of another shape is a ValueError naming `field`."""
+    rows = _typed(rows, field, _LIST, "a list of pairs")
     try:
         return tuple(chain.from_iterable((a, b) for a, b in rows))
     except (TypeError, ValueError):
@@ -81,7 +81,7 @@ def _floats(values, field: str) -> tuple:
     """`values` as a tuple of floats: an int loads as its float, and a bool,
     a string or any other non-number raises a ValueError naming `field`.
     Files hold plain numbers, so one type pass is the common case."""
-    values = tuple(values)
+    values = tuple(_typed(values, field, _LIST, "a list of numbers"))
     if not set(map(type, values)) <= {int, float}:
         for v in values:
             if isinstance(v, bool) or not isinstance(v, numbers.Real):

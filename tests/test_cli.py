@@ -393,16 +393,35 @@ def test_verify_reference_id_mismatch(tsp_dir, tmp_path, capsys):
         ("tsp", ["seed"], True, "seed"),
         ("tsp", ["reference", "instance_id"], ["x"], "instance_id"),
         ("tsp", ["reference", "validated"], "false", "validated"),
+        # A list field holding "" or {} is no empty list.
+        ("tsp", ["payload", "coords"], {}, "coords"),
+        ("op", ["payload", "prizes"], "", "prizes"),
+        ("cvrp", ["payload", "demands"], {}, "demands"),
+        ("mis", ["payload", "edges"], "", "edges"),
+        ("mis", ["payload", "edges"], {}, "edges"),
+        ("pfsp", ["payload", "ptimes"], "", "ptimes"),
+        ("jssp", ["payload", "machine_order"], {}, "machine_order"),
+        ("tsp", ["reference", "solution", "nodes"], "", "nodes"),
+        ("cvrp", ["reference", "solution", "routes"], {}, "routes"),
+        ("mis", ["reference", "solution", "vertices"], "", "vertices"),
+        ("mis", ["reference", "solution", "vertices"], {}, "vertices"),
+        ("jssp", ["reference", "solution", "sequences"], "", "sequences"),
     ],
     ids=[
         "coords-row-int", "coords-row-triple", "coords-int", "edge-int", "ptimes-rows-int",
         "payload-list", "instance-list", "meta-list", "solution-list", "nodes-int",
         "routes-rows-int", "reference-list", "id-list", "seed-string", "seed-bool",
-        "instance-id-list", "validated-string",
+        "instance-id-list", "validated-string", "coords-object", "prizes-string",
+        "demands-object", "edges-string", "edges-object", "ptimes-string",
+        "machine-order-object", "nodes-string", "routes-object", "vertices-string",
+        "vertices-object", "sequences-string",
     ],
 )
 def test_verify_malformed_file_is_one_line(tmp_path, capsys, kind, keys, value, field):
-    method = {"tsp": "nn", "mis": "greedy", "pfsp": "neh", "cvrp": "sweep"}[kind]
+    method = {
+        "tsp": "nn", "op": "greedy", "cvrp": "sweep", "mis": "greedy", "pfsp": "neh",
+        "jssp": "spt",
+    }[kind]
     run(capsys, "generate", "--kind", kind, "--size", "6", "--out", str(tmp_path / "insts"))
     inst_file = _instance_files(tmp_path / "insts")[0]
     ref_file = tmp_path / "ref.json"
@@ -760,6 +779,45 @@ def test_report_recomputes_identical_metrics(bench, tmp_path, capsys):
     b = json.loads(second.read_text())
     for key in ("num_records", "feasibility_rate", "format_rate", "mean_gap", "gap_at_k"):
         assert a[key] == b[key], key
+
+
+def test_report_on_a_shuffled_file_matches_evaluate(tmp_path, capsys):
+    # report lists records in --instances order and sums them in an order
+    # of their own, so the file's row order changes nothing. Wall times are
+    # the stored ones on both sides; only the provenance differs.
+    insts, refs = tmp_path / "insts", tmp_path / "refs"
+    run(capsys, "generate", "--kind", "tsp", "--count", "8", "--size", "8", "--out", str(insts))
+    run(capsys, "solve", "--instance", str(insts), "--method", "nn", "--out", str(refs))
+    raw_file, first = tmp_path / "raw.jsonl", tmp_path / "m1.json"
+    code, _, _ = run(
+        capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
+        "--mock", "--n-samples", "2", "--mock-perturbation", "0.5",
+        "--out", str(raw_file), "--report", str(first),
+    )
+    assert code == 0
+    lines = raw_file.read_text().splitlines()
+    raw_file.write_text("\n".join(lines[3:] + lines[2::-1]) + "\n")
+    code, payload = _report(capsys, raw_file, insts, refs)
+    assert code == 0
+    expected = json.loads(first.read_text())
+    assert len({r["gap"] for r in expected["records"]}) > 2  # the sums have work to do
+    del expected["provenance"], payload["provenance"]
+    assert payload == expected
+
+
+def test_huge_gaps_report_an_infinite_std_as_null(bench, tmp_path, capsys):
+    # Reference objectives are not re-scored, so a tiny one gives gaps near
+    # 1e200, whose squared deviations overflow.
+    insts, refs = bench
+    ref_file = sorted(refs.glob("*.json"))[0]
+    ref_file.write_text(json.dumps(dict(json.loads(ref_file.read_text()), objective=1e-200)))
+    raw_file = tmp_path / "raw.jsonl"
+    argv = ["--instances", str(insts), "--references", str(refs)]
+    code, out, _ = run(capsys, "evaluate", *argv, "--mock", "--out", str(raw_file))
+    payload = _strict_json(out)
+    assert code == 0 and payload["mean_gap"] > 1e199 and payload["gap_std"] is None
+    code, out, _ = run(capsys, "report", "--records", str(raw_file), *argv)
+    assert code == 0 and _strict_json(out)["gap_std"] is None
 
 
 def test_evaluate_mock_rerun_resumes(bench, tmp_path, capsys):

@@ -4,10 +4,15 @@ the SFT exporter, and a live HTTP round trip against a local echo server."""
 import dataclasses
 import importlib
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
@@ -33,7 +38,7 @@ from cobench.evalharness import (
     size_tier,
     solution_gap,
 )
-from cobench.problems.io import ReferenceSolution
+from cobench.problems.io import ReferenceSolution, save_instance, save_reference
 from cobench.problems.types import (
     GraphInstance,
     Instance,
@@ -466,6 +471,43 @@ def test_report_dicts_write_non_finite_as_null():
     assert [r["gap"] for r in rows] == [None, 0.0]
 
 
+def test_huge_gaps_give_an_infinite_std_not_an_error():
+    # A deviation past ~1.3e154 overflows when squared; the std is then
+    # infinite, and the report writes it as null.
+    m = metrics([_gap_record(0.0), _gap_record(2e200)])
+    assert m.mean_gap == pytest.approx(1e200) and m.gap_std == float("inf")
+    d = m.to_dict()
+    json.dumps(d, allow_nan=False)  # must not raise
+    assert d["gap_std"] is None and d["mean_gap"] == m.mean_gap
+
+
+_CANDIDATE = st.builds(
+    _mk,
+    st.booleans(),
+    st.booleans(),
+    st.one_of(st.none(), st.floats(-1e300, 1e300), st.sampled_from([0.0, 1.0, 100.0])),
+)
+_RECORD = st.builds(
+    EvalRecord,
+    instance_id=st.just("x"),
+    kind=st.sampled_from(ALL_KINDS),
+    size_tier=st.sampled_from(["small", "medium", "large"]),
+    candidates=st.lists(_CANDIDATE, max_size=3).map(tuple),
+    reference_objective=st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, 1.0])),
+    wall_time=st.floats(0, 1e6),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), records=st.lists(_RECORD, max_size=12))
+def test_metrics_do_not_depend_on_record_order(data, records):
+    shuffled = data.draw(st.permutations(records))
+    d = metrics(records).to_dict()
+    assert metrics(shuffled).to_dict() == d
+    assert set(d["by_tier"]) == {r.size_tier for r in records}
+    assert set(d["gap_at_k"]) == {"1", "5", "10"}
+
+
 def test_summary_to_dict_keeps_the_field_order():
     d = metrics([]).to_dict()
     assert list(d) == [
@@ -638,22 +680,23 @@ def test_evaluate_keeps_every_response_that_came_back_before_a_crash(tmp_path):
     records = evaluate(insts, refs, _echo_sampler(refs, calls=calls), out_path=out, max_parallel=4)
     assert calls == [insts[1].id]
     assert [r.instance_id for r in records] == [i.id for i in insts]
-    # The completed run leaves the file in instance order, so `cobench
-    # report`, which scores the rows in file order, sums what evaluate did.
+    # The file keeps completion order; its rows, scored in that order,
+    # summarize to what evaluate returned.
     rows, _ = endpoint.load_rows(out)
-    assert list(rows) == [i.id for i in insts]
+    by_id = {inst.id: inst for inst in insts}
     stored = [
-        endpoint.record_from_row(inst, rows[inst.id], refs[inst.id].objective)
-        for inst in insts
+        endpoint.record_from_row(by_id[iid], row, refs[iid].objective)
+        for iid, row in rows.items()
     ]
-    assert stored == records
+    assert sorted(r.instance_id for r in stored) == sorted(by_id)
+    assert metrics(stored).to_dict() == metrics(records).to_dict()
 
 
 def test_evaluate_appends_rows_as_requests_complete(tmp_path):
-    # A slow first instance does not hold back the rows behind it. A run
-    # that completes leaves the file's rows, an earlier run's among them,
-    # and its records in instance order.
-    insts, refs = _bench(ProblemKind.TSP, count=4, size=8)
+    # A slow first instance does not hold back the rows behind it. The file
+    # is only appended to: an earlier run's whole rows stay as they were,
+    # and only its last line, cut short, is dropped.
+    insts, refs = _bench(ProblemKind.TSP, count=5, size=8)
     out = tmp_path / "raw.jsonl"
     echo = _echo_sampler(refs)
 
@@ -666,32 +709,88 @@ def test_evaluate_appends_rows_as_requests_complete(tmp_path):
         return echo(inst)
 
     old = tmp_path / "old.jsonl"
-    evaluate(insts[2:], refs, echo, out_path=old)
+    evaluate(insts[2:4], refs, echo, out_path=old)
     old_rows = old.read_text().splitlines()
-    out.write_text(old_rows[1] + "\n" + old_rows[0])  # an earlier run's rows, cut short
-    records = evaluate(insts, refs, sample, out_path=out, max_parallel=2)
+    kept = old_rows[1] + "\n"
+    out.write_text(kept + old_rows[0][:-5])  # an earlier run's rows, the last cut short
+    records = evaluate(insts[:4], refs, sample, out_path=out, max_parallel=2)
+    assert out.read_text().startswith(kept)
     rows = [json.loads(l)["instance_id"] for l in out.read_text().splitlines()]
-    assert rows == [i.id for i in insts]
-    assert [r.instance_id for r in records] == [i.id for i in insts]
-    assert not (tmp_path / "raw.jsonl.tmp").exists()
+    assert rows[0] == insts[3].id and rows[-1] == insts[0].id
+    assert sorted(rows) == sorted(i.id for i in insts[:4])
+    assert [r.instance_id for r in records] == [i.id for i in insts[:4]]
     assert all(r.any_feasible for r in records)
-
-
-def test_evaluate_orders_only_the_rows_of_its_instances(tmp_path):
-    insts, refs = _bench(ProblemKind.TSP, count=4, size=8)
-    out = tmp_path / "raw.jsonl"
-    echo = _echo_sampler(refs)
-    evaluate(insts[:2], refs, echo, out_path=out)
     before = out.read_bytes()
-    evaluate(insts[2:], refs, echo, out_path=out)  # another run's rows stay as they are
-    assert out.read_bytes().startswith(before)
-    lines = out.read_text().splitlines()
-    out.write_text("\n".join([lines[3], lines[0], lines[2], lines[1]]) + "\n")
     calls = []
-    evaluate(insts[2:], refs, _echo_sampler(refs, calls=calls), out_path=out)
-    # Rows 3 and 2 were out of order: they move, in order, after the others.
-    rows = [json.loads(l)["instance_id"] for l in out.read_text().splitlines()]
-    assert calls == [] and rows == [i.id for i in insts]
+    evaluate(insts, refs, _echo_sampler(refs, calls=calls), out_path=out, max_parallel=2)
+    assert calls == [insts[4].id]
+    assert out.read_bytes().startswith(before)
+    assert len(out.read_text().splitlines()) == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl", "raw.jsonl"]  # no .tmp
+
+
+# Runs evaluate at max_parallel=4 on the instance and reference files in the
+# directory argv[1], writing raw.jsonl there. The instances named after it
+# never return, so their requests stay in flight until the process dies.
+_RUN_UNTIL_KILLED = """
+import sys, threading
+from pathlib import Path
+from cobench.evalharness import evaluate
+from cobench.problems.io import load_instance, load_reference
+from cobench.tai.render import format_solution
+
+d = Path(sys.argv[1])
+insts = [load_instance(p) for p in sorted(d.glob("inst-*.json"))]
+refs = {r.instance_id: r for r in map(load_reference, sorted(d.glob("ref-*.json")))}
+
+def sample(inst):
+    if inst.id in sys.argv[2:]:
+        threading.Event().wait()
+    ref = refs[inst.id]
+    return [format_solution(inst.kind, ref.solution, ref.objective)] * 2
+
+evaluate(insts, refs, sample, d / "raw.jsonl", max_parallel=4)
+"""
+
+
+def test_evaluate_killed_mid_run_keeps_every_written_row(tmp_path):
+    insts, refs = _bench(ProblemKind.TSP, count=8, size=8)
+    for i, inst in enumerate(insts):
+        save_instance(inst, tmp_path / f"inst-{i}.json")
+        save_reference(refs[inst.id], tmp_path / f"ref-{i}.json")
+    held = [insts[1].id, insts[4].id]
+    out = tmp_path / "raw.jsonl"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _RUN_UNTIL_KILLED, str(tmp_path), *held],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        # Every instance but the held ones returns; wait for their rows.
+        deadline = time.monotonic() + 60
+        while not (out.exists() and out.read_bytes().count(b"\n") == len(insts) - len(held)):
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        written = out.read_bytes()
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert out.read_bytes() == written
+    rows, end = endpoint.load_rows(out)
+    assert end == len(written)
+    assert sorted(rows) == sorted(i.id for i in insts if i.id not in held)
+    echo = _echo_sampler(refs)
+    assert all(row["raw_texts"] == echo(inst) for inst in insts if (row := rows.get(inst.id)))
+    calls = []
+    records = evaluate(insts, refs, _echo_sampler(refs, calls=calls), out_path=out, max_parallel=4)
+    assert sorted(calls) == sorted(held)
+    assert out.read_bytes().startswith(written)
+    assert all(r.any_feasible for r in records)
 
 
 def test_evaluate_resumes_past_a_truncated_last_line(tmp_path):

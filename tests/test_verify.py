@@ -246,6 +246,23 @@ def test_cvrp_objective_sums_routes():
     assert objective(inst, sol).value == pytest.approx(4.0)
 
 
+# Over the limit by nothing, by half of verify.TOLERANCE (1e-6), and by just
+# over it. Written out, so that a changed tolerance fails here.
+LIMIT_OVERRUNS = [(0.0, True), (5e-7, True), (1.01e-6, False)]
+
+
+@pytest.mark.parametrize("over, feasible", LIMIT_OVERRUNS)
+def test_op_route_length_at_its_limit(over, feasible):
+    inst = _op(OP_COORDS, OP_PRIZES, limit=10.0 - over)  # the route is 10 long
+    assert check(inst, Route((0, 1, 0))).feasible is feasible
+
+
+@pytest.mark.parametrize("over, feasible", LIMIT_OVERRUNS)
+def test_cvrp_load_at_its_capacity(over, feasible):
+    inst = _cvrp(CVRP_COORDS, [0, 4, 5 + over, 6], capacity=9)
+    assert check(inst, RouteSet(((0, 1, 2, 0), (0, 3, 0)))).feasible is feasible
+
+
 # ---------------------------------------------------------------------------
 # MIS / MVC
 
