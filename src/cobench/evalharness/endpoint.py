@@ -2,15 +2,15 @@
 
 `evaluate` is the one loop behind every run: a sampler maps an instance to
 its raw completions, and the mock policy and the HTTP endpoint differ only
-in that sampler. Each instance's completions are appended to a JSONL file as
-raw text keyed by instance id as soon as its request completes, so a crash
-loses no response that came back, and a rerun on the same file samples only
-the instances without a row. The file is only appended to, apart from
-dropping a final line that a crash cut short; its rows may be in any order,
-because summaries do not depend on the order of their records. Metrics are
-always rederived from the raw text by `build_candidate`, which also strips
-thinking blocks, so a resumed run and `cobench report` cannot drift from a
-fresh one.
+in that sampler. Each worker thread takes the next instance and appends its
+completions to a JSONL file, as raw text keyed by instance id, as soon as its
+request completes, so a crash loses no response that came back, and a rerun
+on the same file samples only the instances without a row. The file is only
+appended to, apart from dropping a final line that a crash cut short; its
+rows may be in any order, because summaries do not depend on the order of
+their records. Metrics are always rederived from the raw text by
+`build_candidate`, which also strips thinking blocks, so a resumed run and
+`cobench report` cannot drift from a fresh one.
 
 The HTTP sampler posts through the standard library's `http.client`, one
 connection per request, so the runtime needs no HTTP package. An
@@ -29,10 +29,10 @@ import json
 import logging
 import math
 import os
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import SplitResult, unquote, urlsplit
@@ -168,8 +168,9 @@ def _retry_after(err: Exception) -> float:
 
 
 def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
-    """Collect n_samples completions, retrying with exponential backoff and
-    topping up one by one if the server returns fewer choices than asked.
+    """Collect n_samples completions, retrying with exponential backoff. A
+    server that returns fewer choices than asked is asked again for the
+    missing ones; one that returns none fails.
 
     A client error (a 4xx status other than 429) fails at once, because the
     same request would be refused again. A 429 or 503 that carries a
@@ -179,7 +180,6 @@ def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
     texts: List[str] = []
     while len(texts) < cfg.n_samples:
         want = cfg.n_samples - len(texts)
-        last_err: Optional[Exception] = None
         for attempt in range(cfg.retries + 1):
             try:
                 got = _post_once(cfg, prompt, want)
@@ -196,7 +196,7 @@ def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
             logger.warning("endpoint error (%s); retrying in %.1fs", last_err, delay)
             time.sleep(delay)
         if not got:
-            raise RuntimeError(f"endpoint returned no choices: {last_err}")
+            raise RuntimeError("endpoint returned no choices")
         texts.extend(got[:want])
     return texts
 
@@ -258,12 +258,6 @@ def record_from_row(inst: Instance, row: dict, reference_objective: float) -> Ev
     return build_record(inst, texts, reference_objective, row.get("wall_time", 0.0))
 
 
-# Instances handed to the pool per worker thread: enough that no worker
-# waits for the main thread to hand it one, few enough that the pending
-# instances and rows of a large run stay small.
-WINDOW_PER_WORKER = 4
-
-
 def evaluate(
     instances: Sequence[Instance],
     references: Dict[str, ReferenceSolution],
@@ -276,17 +270,16 @@ def evaluate(
 
     When out_path is given, each instance's row is appended there as soon as
     its samples arrive, and instances that already have a row are not
-    sampled again. Rows that finish together are appended in instance
-    order. The file is never rewritten: only a final line cut short is
-    dropped.
+    sampled again. The file is never rewritten: only a final line cut short
+    is dropped.
 
     A sampler that raises RuntimeError (a request that failed after its
     retries) yields a record with zero candidates that is not persisted, so
     a rerun retries it; the batch itself never aborts. When a sampler raises
-    anything else, the instances not yet started are dropped, the rows of
-    those in flight are appended once they finish, and the exception
-    propagates. An instance without a reference raises ValueError before any
-    request. Records are in instance order."""
+    anything else, or the caller is interrupted, no further instance is
+    started, the rows of those in flight are appended once they finish, and
+    the exception propagates. An instance without a reference raises
+    ValueError before any request. Records are in instance order."""
     require_references((inst.id for inst in instances), references)
     rows: Dict[str, dict] = {}  # the file's rows, and this call's, failed ones too
     with contextlib.ExitStack() as stack:
@@ -301,56 +294,43 @@ def evaluate(
             if fh.read(1) not in (b"", b"\n"):
                 fh.write(b"\n")  # the next row starts on a fresh line
 
-        def timed(inst: Instance) -> dict:
-            t0 = time.perf_counter()
-            try:
-                texts: Optional[List[str]] = sample(inst)
-            except RuntimeError as err:
-                logger.error("instance %s: %s", inst.id, err)
-                texts = None
-            wall = time.perf_counter() - t0
-            return {"instance_id": inst.id, "raw_texts": texts, "wall_time": wall}
+        pending = [inst for inst in instances if inst.id not in rows]
+        todo = iter(pending)
+        lock, stop = threading.Lock(), threading.Event()
 
-        # Each future in flight, with its instance's index.
-        running: Dict[Future, int] = {}
-
-        def keep(finished: Iterable[Future]) -> Optional[BaseException]:
-            """Store the row of each finished future, and append it to the
-            file, in instance order; return the first exception raised."""
-            first: Optional[BaseException] = None
-            for _, fut in sorted((running.pop(f), f) for f in finished):
-                if fut.cancelled():
-                    continue
-                err = fut.exception()
-                if err is None:
-                    row = fut.result()
-                    texts = row["raw_texts"]
+        def work() -> None:
+            """Sample the next pending instance and keep its row, until none
+            is left or the run stops."""
+            while True:
+                with lock:
+                    inst = None if stop.is_set() else next(todo, None)
+                if inst is None:
+                    return
+                t0 = time.perf_counter()
+                try:
+                    texts: Optional[List[str]] = sample(inst)
                     if texts is not None and not texts:
-                        err = ValueError("n_samples must be >= 1")
-                    else:
-                        rows[row["instance_id"]] = row
-                        if fh is not None and texts is not None:
-                            fh.write(_line(row))
-                            fh.flush()
-                if first is None:
-                    first = err
-            return first
+                        raise ValueError("n_samples must be >= 1")
+                except RuntimeError as err:
+                    logger.error("instance %s: %s", inst.id, err)
+                    texts = None
+                except BaseException:
+                    stop.set()
+                    raise
+                wall = time.perf_counter() - t0
+                row = {"instance_id": inst.id, "raw_texts": texts, "wall_time": wall}
+                with lock:
+                    rows[inst.id] = row
+                    if fh is not None and texts is not None:
+                        fh.write(_line(row))
+                        fh.flush()
 
         pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_parallel))
-        todo = iter([i for i, inst in enumerate(instances) if inst.id not in rows])
         try:
-            while True:
-                for i in islice(todo, WINDOW_PER_WORKER * max_parallel - len(running)):
-                    running[pool.submit(timed, instances[i])] = i
-                if not running:
-                    break
-                err = keep(wait(running, return_when=FIRST_COMPLETED).done)
-                if err is not None:
-                    raise err
+            for worker in [pool.submit(work) for _ in range(min(max_parallel, len(pending)))]:
+                worker.result()
         except BaseException:
-            for fut in running:
-                fut.cancel()
-            keep(wait(running).done)  # keep every response that still comes back
+            stop.set()  # leaving the pool waits for the rows in flight
             raise
     return [
         record_from_row(inst, rows[inst.id], references[inst.id].objective)

@@ -49,6 +49,11 @@ GRAPH_KINDS = (ProblemKind.MIS, ProblemKind.MVC)
 SCHEDULING_KINDS = (ProblemKind.PFSP, ProblemKind.JSSP)
 
 
+# The largest coordinate magnitude a routing instance accepts: any squared
+# distance between two such points, and any route length, stays finite.
+MAX_COORD = 1e150
+
+
 @dataclass(frozen=True)
 class RoutingInstance:
     """Euclidean node-based instance for TSP, OP, and CVRP.
@@ -56,10 +61,10 @@ class RoutingInstance:
     coords are 2D points; node 0 is the depot for OP/CVRP, which every
     solver, prompt and the scorer take as given. OP carries prizes
     and a route-length budget, CVRP carries demands and a vehicle capacity.
-    Coordinates, prizes and demands must be finite, prizes and demands
-    non-negative and zero at the depot, no demand above the capacity, and
-    the capacity and distance limit positive; an infinite distance limit
-    means no budget.
+    Coordinates must be at most MAX_COORD in absolute value, prizes and
+    demands finite, non-negative and zero at the depot, no demand above the
+    capacity, and the capacity and distance limit positive; an infinite
+    distance limit means no budget.
     """
 
     coords: Tuple[Tuple[float, float], ...]
@@ -71,8 +76,9 @@ class RoutingInstance:
     def __post_init__(self) -> None:
         if len(self.coords) < 2:
             raise ValueError("routing instance needs at least 2 nodes")
-        if not all(map(math.isfinite, chain.from_iterable(self.coords))):
-            raise ValueError("coordinates must be finite")
+        # A NaN or infinite coordinate fails `<=` as well.
+        if not all(abs(c) <= MAX_COORD for c in chain.from_iterable(self.coords)):
+            raise ValueError(f"coords must be finite and at most {MAX_COORD:g} in absolute value")
         for name in ("prizes", "demands"):
             values = getattr(self, name)
             if values is None:

@@ -6,6 +6,7 @@ Every subcommand gets at least one happy path, and each documented exit code
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,23 @@ def test_solve_provenance_records_the_seed_used(tmp_path, capsys, method, seed, 
     )
     assert code == 0
     assert json.loads(ref_file.read_text())["provenance"]["seed"] == recorded
+
+
+def test_solve_refuses_a_coordinate_whose_square_overflows(tsp_dir, tmp_path, capsys):
+    doc = json.loads(_instance_files(tsp_dir)[0].read_text())
+    doc["payload"]["coords"][1][0] = 1e308
+    inst_file = tmp_path / "far.json"
+    inst_file.write_text(json.dumps(doc))
+    ref_file = tmp_path / "ref.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "solve", "--instance", str(inst_file), "--method", "fi",
+            "--out", str(ref_file),
+        )
+    assert (code, out) == (2, "")
+    assert err == "error: coords must be finite and at most 1e+150 in absolute value\n"
+    assert not ref_file.exists()
 
 
 def test_solve_wrong_method_for_kind(tsp_dir, capsys):

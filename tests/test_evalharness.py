@@ -793,6 +793,86 @@ def test_evaluate_killed_mid_run_keeps_every_written_row(tmp_path):
     assert all(r.any_feasible for r in records)
 
 
+# Runs evaluate at max_parallel=2 on the instance and reference files in the
+# directory argv[1], writing raw.jsonl there. The sampler marks each instance
+# it starts; every instance after the first waits for a file named release.
+# A Ctrl-C marks the directory interrupted before it raises KeyboardInterrupt.
+_RUN_UNTIL_INTERRUPTED = """
+import signal, sys, time
+from pathlib import Path
+from cobench.evalharness import evaluate
+from cobench.problems.io import load_instance, load_reference
+from cobench.tai.render import format_solution
+
+d = Path(sys.argv[1])
+insts = [load_instance(p) for p in sorted(d.glob("inst-*.json"))]
+refs = {r.instance_id: r for r in map(load_reference, sorted(d.glob("ref-*.json")))}
+
+def interrupted(signum, frame):
+    (d / "interrupted").touch()
+    signal.default_int_handler(signum, frame)
+
+signal.signal(signal.SIGINT, interrupted)
+
+def sample(inst):
+    (d / f"started-{inst.id}").touch()
+    while inst is not insts[0] and not (d / "release").exists():
+        time.sleep(0.005)
+    ref = refs[inst.id]
+    return [format_solution(inst.kind, ref.solution, ref.objective)] * 2
+
+evaluate(insts, refs, sample, d / "raw.jsonl", max_parallel=2)
+"""
+
+
+def test_evaluate_interrupted_by_ctrl_c_writes_the_rows_in_flight(tmp_path):
+    insts, refs = _bench(ProblemKind.TSP, count=6, size=8)
+    for i, inst in enumerate(insts):
+        save_instance(inst, tmp_path / f"inst-{i}.json")
+        save_reference(refs[inst.id], tmp_path / f"ref-{i}.json")
+    out = tmp_path / "raw.jsonl"
+
+    def started():
+        return sorted(p.name.removeprefix("started-") for p in tmp_path.glob("started-*"))
+
+    def wait_for(done):
+        deadline = time.monotonic() + 60
+        while not done():
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _RUN_UNTIL_INTERRUPTED, str(tmp_path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        # The first instance has its row, and each worker holds one more.
+        wait_for(lambda: out.exists() and out.read_bytes().count(b"\n") == 1 and len(started()) == 3)
+        proc.send_signal(signal.SIGINT)
+        wait_for((tmp_path / "interrupted").exists)
+        (tmp_path / "release").touch()
+        assert proc.wait(timeout=60) == -signal.SIGINT
+        assert proc.stderr.read().decode().rstrip().endswith("KeyboardInterrupt")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    first = sorted(i.id for i in insts[:3])
+    assert started() == first  # no later instance was started
+    rows, end = endpoint.load_rows(out)
+    assert end == len(out.read_bytes())
+    assert sorted(rows) == first
+    echo = _echo_sampler(refs)
+    assert all(rows[inst.id]["raw_texts"] == echo(inst) for inst in insts[:3])
+    calls = []
+    records = evaluate(insts, refs, _echo_sampler(refs, calls=calls), out_path=out)
+    assert calls == [i.id for i in insts[3:]]
+    assert all(r.any_feasible for r in records)
+
+
 def test_evaluate_resumes_past_a_truncated_last_line(tmp_path):
     insts, refs = _bench(ProblemKind.TSP, count=3, size=8)
     out = tmp_path / "raw.jsonl"
@@ -885,8 +965,10 @@ class _EchoHandler(BaseHTTPRequestHandler):
     retry_after = None  # Retry-After header value sent with a failure status
     fail_body = None   # a 200 reply's body sent in place of a failure status
     fail_length = None  # the Content-Length sent with fail_body, if not its own
+    max_choices = None  # the most choices a reply holds, if fewer than asked
     hits = []          # one entry per POST
     targets = []       # the request target of each POST
+    asked = []         # the n of each POST
     failed_once = set()
 
     def do_POST(self):  # noqa: N802 (stdlib naming)
@@ -895,6 +977,7 @@ class _EchoHandler(BaseHTTPRequestHandler):
         prompt = body["messages"][0]["content"]
         type(self).hits.append(prompt)
         type(self).targets.append(self.path)
+        type(self).asked.append(body.get("n", 1))
         fail = prompt in type(self).always_fail or (
             type(self).fail_first and prompt not in type(self).failed_once
         )
@@ -913,6 +996,8 @@ class _EchoHandler(BaseHTTPRequestHandler):
                 self.wfile.write(blob)
             return
         n = body.get("n", 1)
+        if type(self).max_choices is not None:
+            n = min(n, type(self).max_choices)
         text = type(self).answers[prompt]
         payload = {"choices": [{"message": {"content": text}} for _ in range(n)]}
         blob = json.dumps(payload).encode()
@@ -931,6 +1016,8 @@ def echo_server():
     _EchoHandler.answers = {}
     _EchoHandler.hits = []
     _EchoHandler.targets = []
+    _EchoHandler.asked = []
+    _EchoHandler.max_choices = None
     _EchoHandler.fail_first = False
     _EchoHandler.always_fail = set()
     _EchoHandler.failed_once = set()
@@ -1145,8 +1232,8 @@ def test_null_completions_count_as_unparsed(echo_server, tmp_path, capsys):
     fresh = evaluate_endpoint(insts, refs, cfg, out_path=out)
     resumed = evaluate_endpoint(insts, refs, cfg, out_path=out)
     assert len(_EchoHandler.hits) == 2  # the rerun came from the file
-    rows = [json.loads(l) for l in out.read_text().splitlines()]
-    assert rows[0]["raw_texts"] == [None, None]  # stored as the server sent it
+    rows, _ = endpoint.load_rows(out)  # in completion order, which may vary
+    assert rows[insts[0].id]["raw_texts"] == [None, None]  # stored as the server sent it
     for m in (metrics(fresh), metrics(resumed)):
         assert m.format_rate == pytest.approx(0.5)
         assert m.feasibility_rate == pytest.approx(0.5)
@@ -1251,6 +1338,23 @@ def test_retry_after_sets_the_delay(echo_server, sleeps, status, header, backoff
     _EchoHandler.fail_status, _EchoHandler.retry_after = status, header
     assert _fail_first_then_answer(echo_server, retries=1, backoff=backoff) == (["answer"], 2)
     assert sleeps == [delay]
+
+
+def test_a_short_reply_is_topped_up_with_the_missing_choices(echo_server):
+    # Each request asks for every choice still missing.
+    _EchoHandler.answers["p"] = "answer"
+    _EchoHandler.max_choices = 1
+    cfg = EndpointConfig(base_url=echo_server, model_name="echo", n_samples=3)
+    assert request_samples(cfg, "p") == ["answer"] * 3
+    assert _EchoHandler.asked == [3, 2, 1]
+
+
+def test_a_reply_without_choices_fails(echo_server, sleeps):
+    # The error names what went wrong, not the failure the retry got past.
+    _EchoHandler.max_choices = 0
+    with pytest.raises(RuntimeError, match="^endpoint returned no choices$"):
+        _fail_first_then_answer(echo_server, n_samples=2, retries=1, backoff=0)
+    assert _EchoHandler.asked == [2, 2]
 
 
 def test_endpoint_config_validation():

@@ -44,6 +44,7 @@ from cobench.problems.types import (
     GraphInstance,
     Instance,
     MachineSchedules,
+    MAX_COORD,
     ProblemKind,
     Route,
     RoutingInstance,
@@ -264,30 +265,56 @@ def _degenerate(kind, case):
     p = inst.payload
     if case == "overflow":  # a prize near 1e300 over a finite distance
         return replace(inst, payload=replace(p, prizes=(0, 10**300) + p.prizes[2:]))
-    # Coordinates near 1e200 put every distance at inf. OP's length limit
-    # goes to inf too, so that its ants can still move.
-    coords = tuple((x * 1e200, y * 1e200) for x, y in p.coords)
-    limit = math.inf if kind is ProblemKind.OP else None
-    return replace(inst, payload=replace(p, coords=coords, distance_limit=limit))
+    # Coordinates spread to the payload's bound put every distance near
+    # 1e150, so every TSP and CVRP desirability is below 1e-294. An OP
+    # without prizes has none at all; its length limit goes to inf, so that
+    # its ants can still move.
+    scale = MAX_COORD / max(map(max, p.coords))
+    coords = tuple((x * scale, y * scale) for x, y in p.coords)
+    if kind is ProblemKind.OP:
+        return replace(inst, payload=replace(
+            p, coords=coords, prizes=(0,) * p.n, distance_limit=math.inf
+        ))
+    return replace(inst, payload=replace(p, coords=coords))
 
 
 # With beta = 2, TSP and CVRP desirability is at most (1 / 1e-12)**2 = 1e24,
-# so only an OP prize can overflow it.
+# so only an OP prize can overflow it. No distance is infinite, so no TSP or
+# CVRP desirability is 0; but once the pheromone has evaporated to about
+# 1e-27 (about 600 iterations at RHO = 0.1), every choice info underflows to 0.
 @pytest.mark.parametrize(
     "case,kind",
     [("zero", kind) for kind in ROUTING_KINDS] + [("overflow", ProblemKind.OP)],
 )
-def test_aco_survives_degenerate_desirability(case, kind):
+def test_aco_survives_degenerate_desirability(case, kind, monkeypatch):
     inst = _degenerate(kind, case)
     p = inst.payload
     top = np.asarray(p.prizes, dtype=float) if kind is ProblemKind.OP else 1.0
     off_diagonal = ~np.eye(p.n, dtype=bool)
+    # For each step taken on all-zero choice info, whether every ant that
+    # could move chose a feasible node.
+    zero_steps = []
+
+    def checked(ci, *args):
+        choose = candidate_chooser(ci, *args)
+        if ci.any():
+            return choose
+
+        def step(cur, mask):
+            nxt = choose(cur, mask)
+            zero_steps.append(mask[np.arange(len(cur)), nxt] | ~mask.any(axis=1))
+            return nxt
+
+        return step
+
+    monkeypatch.setattr("cobench.heuristics.aco.candidate_chooser", checked)
     with np.errstate(over="ignore"):
         eta = (top / np.maximum(distance_matrix(p.coords), 1e-12))[off_diagonal]
         eta_b = eta * eta
-        sol = aco_solve(inst, AcoConfig(ants=6, iterations=5))
+        sol = aco_solve(inst, AcoConfig(ants=6, iterations=700 if case == "zero" else 5))
     if case == "zero":
-        assert (eta_b == 0.0).all()
+        assert eta_b.max() < 1e-294
+        assert zero_steps and np.concatenate(zero_steps).all()
     else:
         assert np.isinf(eta_b).any()
     assert check(inst, sol).feasible

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +51,7 @@ from cobench.problems.types import (
     Instance,
     JobOrder,
     MachineSchedules,
+    MAX_COORD,
     MIXED,
     ProblemKind,
     Route,
@@ -61,6 +63,7 @@ from cobench.problems.types import (
 )
 
 from cobench.tai.features import routing_features
+from cobench.verify import objective
 
 from conftest import ALL_KINDS, make_instance
 
@@ -709,6 +712,9 @@ def test_graph_validation_equals_the_edge_loop(num_nodes, edges):
         ("coords", ((0.0, 0.0), (math.nan, 1.0), (2.0, 2.0))),
         ("coords", ((0.0, 0.0), (1.0, math.inf), (2.0, 2.0))),
         ("coords", ((0.0, -math.inf), (1.0, 1.0), (2.0, 2.0))),
+        # Finite, but its square overflows.
+        ("coords", ((0.0, 0.0), (1e151, 1.0), (2.0, 2.0))),
+        ("coords", ((0.0, 0.0), (1.0, -1e308), (2.0, 2.0))),
         ("prizes", (0, math.nan, 1)),
         ("prizes", (0, 1, math.inf)),
         ("demands", (0, math.nan, 1)),
@@ -721,6 +727,18 @@ def test_routing_instance_rejects_non_finite_values(field, value):
     kwargs = {"coords": ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), field: value}
     with pytest.raises(ValueError, match="finite|positive"):
         RoutingInstance(**kwargs)
+
+
+def test_routing_coordinates_at_the_bound_give_finite_distances():
+    # The farthest pair at the bound is 2.8e150 apart: its squared distance,
+    # 8e300, and a tour through it stay finite, with no numpy warning.
+    m = MAX_COORD
+    coords = ((-m, -m), (m, m), (m, -m))
+    inst = Instance(kind=ProblemKind.TSP, id="far", payload=RoutingInstance(coords=coords))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(distance_matrix(coords)).all()
+        assert math.isfinite(objective(inst, Route((0, 1, 2, 0))).value)
 
 
 def test_routing_instance_allows_an_infinite_distance_limit():

@@ -527,6 +527,14 @@ def test_jssp_rows_are_read_as_sequences():
         assert not report.zeta and value is None
 
 
+def test_jssp_rows_with_mixed_id_types_are_no_permutations():
+    # Rows that are not all plain ints pass the id gate before the sort, so a
+    # float or string id fails the permutation test rather than the decode.
+    for rows in (((0, 1.0), (1, 0)), (("0", 1), (1, 0)), ((1, 0), (0, 1.0))):
+        report, value = score(JSSP_INST, MachineSchedules(rows))
+        assert report.zeta and not any(_flags(report)) and value is None
+
+
 def test_jssp_makespan_lower_bounds():
     from cobench.heuristics import solve
 
