@@ -712,15 +712,15 @@ def test_graph_validation_equals_the_edge_loop(num_nodes, edges):
         ("coords", ((0.0, 0.0), (math.nan, 1.0), (2.0, 2.0))),
         ("coords", ((0.0, 0.0), (1.0, math.inf), (2.0, 2.0))),
         ("coords", ((0.0, -math.inf), (1.0, 1.0), (2.0, 2.0))),
-        # Finite, but its square overflows.
-        ("coords", ((0.0, 0.0), (1e151, 1.0), (2.0, 2.0))),
-        ("coords", ((0.0, 0.0), (1.0, -1e308), (2.0, 2.0))),
         ("prizes", (0, math.nan, 1)),
         ("prizes", (0, 1, math.inf)),
         ("demands", (0, math.nan, 1)),
         ("demands", (0, -math.inf, 1)),
         ("capacity", math.nan),
         ("distance_limit", math.nan),
+        # Finite, but its square overflows.
+        ("coords", ((0.0, 0.0), (1e151, 1.0), (2.0, 2.0))),
+        ("coords", ((0.0, 0.0), (1.0, -1e308), (2.0, 2.0))),
     ],
 )
 def test_routing_instance_rejects_non_finite_values(field, value):
