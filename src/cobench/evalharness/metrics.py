@@ -208,9 +208,14 @@ def _jsonable(value):
 
 
 def _mean(xs: Sequence[float]) -> float:
-    """The mean of xs, summed in sorted order, so that it does not depend on
-    the order of xs."""
-    return sum(sorted(xs)) / len(xs)
+    """The mean of xs, summed left to right in sorted order, so that it does
+    not depend on the order of xs. An explicit loop, not sum(): from Python
+    3.12 on, sum() compensates float rounding, which would change the bits
+    with the Python version."""
+    total = 0.0
+    for x in sorted(xs):
+        total += x
+    return total / len(xs)
 
 
 def _summarize(records: Sequence[EvalRecord]) -> MetricsSummary:

@@ -1,12 +1,15 @@
 """JSON serialization for instances and reference solutions.
 
 Field order is canonical and stable so that regenerating an instance from the
-same config produces byte-identical files.
+same config produces byte-identical files. Both writers emit strict JSON
+(RFC 8259): an OP with no budget, an infinite distance_limit, is written as
+null and read back as no budget; a file that holds Infinity still loads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -103,6 +106,8 @@ def _payload_to_dict(payload) -> dict:
     if isinstance(payload, RoutingInstance):
         out["coords"] = [[_num(x), _num(y)] for x, y in payload.coords]
         out["depot_index"] = 0  # node 0 is the depot; kept so that files stay as they were
+        if out.get("distance_limit") == math.inf:
+            out["distance_limit"] = None  # no budget, in strict JSON
     return out
 
 
@@ -113,16 +118,17 @@ def _payload_from_dict(kind: ProblemKind, d: dict):
         if depot != 0:
             raise ValueError(f"depot_index {depot} is not supported: node 0 is the depot")
         xy = _floats(_pairs(d["coords"], "coords"), "coords")
+        limit = d.get("distance_limit")
+        if limit is not None:
+            limit = _floats((limit,), "distance_limit")[0]
+        elif "distance_limit" in d:
+            limit = math.inf  # null: no budget
         return RoutingInstance(
             coords=tuple(zip(xy[::2], xy[1::2])),
             prizes=_ints(d["prizes"], "prizes") if "prizes" in d else None,
             demands=_ints(d["demands"], "demands") if "demands" in d else None,
             capacity=_ints((d["capacity"],), "capacity")[0] if "capacity" in d else None,
-            distance_limit=(
-                _floats((d["distance_limit"],), "distance_limit")[0]
-                if "distance_limit" in d
-                else None
-            ),
+            distance_limit=limit,
         )
     if payload_type is GraphInstance:
         ends = _ints(_pairs(d["edges"], "edges"), "edges")
@@ -147,7 +153,7 @@ def instance_to_json(inst: Instance) -> str:
         "meta": dict(inst.meta),
         "payload": _payload_to_dict(inst.payload),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _document(text: str, what: str) -> dict:
@@ -235,7 +241,7 @@ def reference_to_json(ref: ReferenceSolution, provenance: Optional[dict] = None)
     }
     if provenance:
         doc["provenance"] = provenance
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def reference_from_json(text: str) -> ReferenceSolution:

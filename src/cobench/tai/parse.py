@@ -25,7 +25,10 @@ to each candidate instead of trying every position; lowering an ASCII text
 keeps every index, so the label ends are the ones the any-case pattern
 finds. Text with a non-ASCII character keeps the IGNORECASE pattern,
 because re's case folding also matches characters that lower() does not
-map to ASCII letters: "ſet:" (long s) is a Set label.
+map to ASCII letters: "ſet:" (long s) is a Set label. The stated objective
+is searched for the same way: in the lowered copy of an ASCII text with a
+case-sensitive pattern, and in a non-ASCII text with the IGNORECASE one.
+Lowering keeps every digit, sign and point, so both read the same number.
 """
 
 from __future__ import annotations
@@ -60,14 +63,16 @@ _LABEL_RES = {g: re.compile(label + _LABEL_END, re.IGNORECASE) for g, label in _
 # Matched against text.lower() for ASCII text; see the module docstring.
 _LOWER_LABEL_RES = {g: re.compile(label.lower() + _LABEL_END) for g, label in _LABELS.items()}
 
-_OBJECTIVE_RE = re.compile(
-    r"objective\s*\**\s*[:=]\s*\**\s*(-?\d+(?:\.\d+)?)", re.IGNORECASE
-)
+_OBJECTIVE = r"objective\s*\**\s*[:=]\s*\**\s*(-?\d+(?:\.\d+)?)"
+_OBJECTIVE_RE = re.compile(_OBJECTIVE, re.IGNORECASE)
+_LOWER_OBJECTIVE_RE = re.compile(_OBJECTIVE)
 
 # Markdown adornment and whitespace tolerated between a label and its '['.
 _LEAD_RE = re.compile(r"[ \t\r\n*_`]*")
 _BRACKET_RE = re.compile(r"[\[\]]")
 _DECODER = json.JSONDecoder()
+# ParsedSolution is frozen, so every failed parse returns this one instance.
+_FAILED = ParsedSolution(solution=None, stated_objective=None)
 
 
 def _scan_bracket(text: str, i: int) -> Optional[Tuple[str, int]]:
@@ -118,11 +123,12 @@ def _payload_to_solution(kind: ProblemKind, obj) -> Optional[Solution]:
     flat = _as_int_list(obj)
     if flat is None:
         return None
+    # The ids are exact ints, so they need no int() call.
     if solution_type is VertexSet:
-        return VertexSet.of(flat)
+        return VertexSet(frozenset(flat))
     if solution_type is JobOrder:
         # Bad ids fail feasibility later; they never crash the parse.
-        return JobOrder(tuple(j - ORDER_BASE for j in flat))
+        return JobOrder(tuple([j - ORDER_BASE for j in flat]))
     return Route(flat)
 
 
@@ -145,21 +151,17 @@ def _read_payload(kind: ProblemKind, text: str, i: int) -> Tuple[Optional[Soluti
     return _payload_to_solution(kind, obj), end
 
 
-def _stated_objective(text: str, after: int) -> Optional[float]:
-    m = _OBJECTIVE_RE.search(text, pos=after)
-    return float(m.group(1)) if m else None
-
-
 def parse(text, kind: ProblemKind) -> ParsedSolution:
     """Parse a model output for `kind`. Total function, never raises."""
-    failed = ParsedSolution(solution=None, stated_objective=None)
     if not isinstance(text, str) or not text:
-        return failed
+        return _FAILED
     try:
         grammar = GRAMMAR_BY_KIND[kind]
         if text.isascii():
-            labels = _LOWER_LABEL_RES[grammar].finditer(text.lower())
+            scanned, objective_re = text.lower(), _LOWER_OBJECTIVE_RE
+            labels = _LOWER_LABEL_RES[grammar].finditer(scanned)
         else:
+            scanned, objective_re = text, _OBJECTIVE_RE
             labels = _LABEL_RES[grammar].finditer(text)
         positions = [m.end() for m in labels]
         for pos in reversed(positions):
@@ -169,11 +171,14 @@ def parse(text, kind: ProblemKind) -> ParsedSolution:
             sol, end = _read_payload(kind, text, i)
             if sol is None:
                 continue
-            return ParsedSolution(solution=sol, stated_objective=_stated_objective(text, end))
-        return failed
+            stated = objective_re.search(scanned, end)
+            return ParsedSolution(
+                solution=sol, stated_objective=float(stated.group(1)) if stated else None
+            )
+        return _FAILED
     except Exception:
         # Parsing is a gate, not a failure mode: anything unexpected is zeta=0.
-        return failed
+        return _FAILED
 
 
 def strip_thinking(text: str) -> str:

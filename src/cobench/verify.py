@@ -44,6 +44,7 @@ import math
 import numbers
 from collections.abc import Collection
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
 from typing import List, Mapping, Optional, Tuple
 
@@ -89,14 +90,16 @@ class FeasibilityReport:
     zeta is the format/structure gate: False means the solution did not even
     match the instance's solution shape. constraints are (name, ok) pairs in
     the canonical order; margins are (name, slack) pairs where slack < 0
-    means violated (OP distance budget, CVRP tightest vehicle).
+    means violated (OP distance budget, CVRP tightest vehicle). feasible is
+    computed on first read and kept in the instance, outside the fields, so
+    a shared report computes it once.
     """
 
     zeta: bool
     constraints: Tuple[Tuple[str, bool], ...]
     margins: Tuple[Tuple[str, float], ...] = ()
 
-    @property
+    @cached_property
     def feasible(self) -> bool:
         return self.zeta and all(ok for _, ok in self.constraints)
 
@@ -292,10 +295,11 @@ def _score_cvrp(p: RoutingInstance, sol: RouteSet) -> Scored:
     endpoints_ok = bool(routes) and all(
         len(r) >= 2 and r[0] == 0 and r[-1] == 0 for r in nonempty
     )
-    if not all(_ids_ok(r, p.n) for r in routes):
+    ids = list(chain.from_iterable(routes))
+    if not _ids_ok(ids, p.n):
         return _report(ProblemKind.CVRP, endpoints_ok, False, False), None
 
-    visits = [v for r in routes for v in r if v != 0]
+    visits = [v for v in ids if v != 0]
     # With every id in range, n - 1 distinct non-depot ids are the customers.
     exactly_once = len(visits) == p.n - 1 and len(set(visits)) == p.n - 1
     loads = [sum(p.demands[v] for v in r if v != 0) for r in nonempty]
@@ -330,7 +334,8 @@ def _score_mvc(p: GraphInstance, sol: VertexSet) -> Scored:
     chosen = sol.vertices
     if not _ids_ok(chosen, p.num_nodes):
         return _report(ProblemKind.MVC, False), None
-    covered = all(u in chosen or v in chosen for u, v in p.edges)
+    # frozenset: the ids may sit in any collection, a str included.
+    covered = frozenset(chosen).issuperset([v for u, v in p.edges if u not in chosen])
     return _report(ProblemKind.MVC, covered), float(len(chosen))
 
 

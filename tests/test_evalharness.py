@@ -508,6 +508,14 @@ def test_metrics_do_not_depend_on_record_order(data, records):
     assert set(d["gap_at_k"]) == {"1", "5", "10"}
 
 
+def test_report_means_add_left_to_right_on_every_python():
+    # Ten wall times of 0.1 add up to 0.9999999999999999 from left to right.
+    # From Python 3.12 on, the builtin sum compensates the rounding and gives
+    # 1.0, so a report summed with it would differ between Pythons.
+    recs = [dataclasses.replace(_gap_record(None), wall_time=0.1) for _ in range(10)]
+    assert metrics(recs).mean_wall_time == 0.9999999999999999 / 10
+
+
 def test_summary_to_dict_keeps_the_field_order():
     d = metrics([]).to_dict()
     assert list(d) == [

@@ -5,7 +5,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -437,6 +437,32 @@ def test_float_fields_load_ints_floats_and_an_infinite_limit():
     assert back.payload.distance_limit == math.inf
     assert back.payload.coords[1:] == inst.payload.coords[1:]
     assert instance_to_json(instance_from_json(instance_to_json(back))) == instance_to_json(back)
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_an_op_without_a_budget_is_written_as_strict_json_null():
+    inst = make_instance(ProblemKind.OP, size=10, seed=2)
+    unbounded = replace(inst, payload=replace(inst.payload, distance_limit=math.inf))
+    text = instance_to_json(unbounded)
+    assert _strict_json(text)["payload"]["distance_limit"] is None
+    assert instance_from_json(text) == unbounded
+    # A file written before null meant "no budget" holds Infinity; it still loads.
+    legacy = text.replace('"distance_limit": null', '"distance_limit": Infinity')
+    assert legacy != text
+    assert instance_from_json(legacy) == unbounded
+
+
+def test_a_reference_file_is_strict_json():
+    ref = ReferenceSolution("t", Route((0, 1, 0)), math.inf, "oracle")
+    with pytest.raises(ValueError, match="JSON compliant"):
+        reference_to_json(ref)
+    _strict_json(reference_to_json(replace(ref, objective=2.0)))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

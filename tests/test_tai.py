@@ -41,7 +41,7 @@ from cobench.tai.render import (
     format_solution,
     render_prompt,
 )
-from cobench.tai.types import GRAMMAR_BY_KIND
+from cobench.tai.types import GRAMMAR_BY_KIND, ParsedSolution
 from cobench.verify import score
 
 import oracles
@@ -568,6 +568,19 @@ def test_parse_rejections():
     assert not parse("Route: [[0], [1]]", ProblemKind.TSP).format_ok  # nested, needs flat
 
 
+def test_every_failed_parse_is_one_shared_instance():
+    # ParsedSolution is frozen, so a failed parse allocates nothing.
+    failed = [
+        parse(text, kind)
+        for text, kind in [
+            ("", ProblemKind.TSP), (None, ProblemKind.MIS), ("Route: [0, 1", ProblemKind.TSP),
+            ("Order: []", ProblemKind.PFSP), ("Schedule: [0, 1]", ProblemKind.JSSP),
+        ]
+    ]
+    assert all(f is failed[0] for f in failed)
+    assert failed[0] == ParsedSolution(solution=None, stated_objective=None)
+
+
 def _nested_per_row(obj):
     """The per-row form of parse's nested-list reader: a non-empty list or
     tuple of non-empty lists or tuples of plain ints, as a tuple of tuples."""
@@ -699,7 +712,10 @@ _SEGMENTS = st.one_of(
     ),
     st.sampled_from([
         ", Objective: 12", ", Objective: 3.25", " objective = -4", "\nObjective:",
-        " **Objective**: 7", "[", "]", " then ", "Route:", "# note\n",
+        " **Objective**: 7", ", OBJECTIVE: 5", " ObJeCtIvE = 2.5", "[", "]", " then ",
+        "Route:", "# note\n",
+        # Non-ASCII, so the whole text takes the any-case search path.
+        "\nOBJECTIVE =\xa0-3",
     ]),
 )
 # One kind per answer grammar.
@@ -724,6 +740,9 @@ _GRAMMAR_KINDS = (
 @example("Route: [0, 1]]")
 @example("Route: [(0, 1)]")
 @example("Route: [1.0, 2]")
+# Set and Order ids at 0, below 0 and past 64 bits, read without int().
+@example(f"Set: [0, -3, {2**70}] OBJECTIVE: 3")
+@example(f"Order: [0, -3, {2**70}] ObJeCtIvE = 2.5")
 def test_parse_matches_literal_eval_reference(text):
     for kind in _GRAMMAR_KINDS:
         assert parse(text, kind) == oracles.reference_parse(text, kind), kind

@@ -746,6 +746,20 @@ def test_shared_reports_equal_fresh_ones():
             assert all(type(ok) is bool for _, ok in with_margins.constraints)
 
 
+def test_reading_feasible_leaves_a_report_as_its_three_fields():
+    # feasible is kept in the report once read, outside its fields, so a
+    # report compares, hashes, prints and serializes as its fields alone.
+    assert [f.name for f in fields(FeasibilityReport)] == ["zeta", "constraints", "margins"]
+    for shared in itertools.chain(*(r.values() for r in verify._REPORTS.values())):
+        fresh = FeasibilityReport(zeta=True, constraints=shared.constraints)
+        assert shared.feasible == all(ok for _, ok in fresh.constraints)
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert repr(shared) == repr(fresh) and "feasible" not in repr(shared)
+        assert shared.to_dict() == fresh.to_dict()
+        # A copy with other fields computes its own value.
+        assert not replace(shared, zeta=False).feasible
+
+
 def test_ids_whose_equality_is_an_array_keep_their_flags():
     # One-element arrays as ids compare as arrays; a flag takes their truth
     # value, as it did when every report was built fresh with bool().
