@@ -4,7 +4,7 @@ A Candidate is one sampled completion as scored: its feasibility report and
 recomputed objective (never the stated one); the JSONL file keeps the text.
 `build_candidate` says how raw model text becomes a scored answer, and
 `build_record` does the same for a record's texts while parsing each
-distinct text once and scoring each distinct solution once. A
+distinct text once; `score` scores each distinct solution once. A
 record stores only what was sampled; its Best-of-N selection and gap are
 derived from the candidates, always by recomputed objectives. The `to_dict`
 methods write every report JSON, with a non-finite float as null, so the
@@ -25,7 +25,6 @@ from ..problems.types import (
     Instance,
     ProblemKind,
     Sense,
-    Solution,
 )
 from ..tai.parse import parse, strip_thinking
 from ..verify import FeasibilityReport, score
@@ -47,24 +46,14 @@ class Candidate:
         return self.report.feasible
 
 
-def _answer(inst: Instance, raw_text: Optional[str]) -> Optional[Solution]:
-    """The solution a completion states, after its thinking blocks; None
-    when it does not parse or is not a string (a null reply)."""
-    text = strip_thinking(raw_text) if isinstance(raw_text, str) else None
-    return parse(text, inst.kind).solution
-
-
-def _scored(inst: Instance, sol: Optional[Solution]) -> Candidate:
-    report, value = score(inst, sol)
-    return Candidate(report, value if report.feasible else None)
-
-
 def build_candidate(inst: Instance, raw_text: Optional[str]) -> Candidate:
     """Score one completion: drop its thinking blocks, parse it, check it and
     recompute its objective, which is kept only when the answer is feasible.
 
     A completion that is not a string (a null reply) did not parse. Never raises."""
-    return _scored(inst, _answer(inst, raw_text))
+    text = strip_thinking(raw_text) if isinstance(raw_text, str) else None
+    report, value = score(inst, parse(text, inst.kind).solution)
+    return Candidate(report, value if report.feasible else None)
 
 
 def bon_select(candidates: Sequence[Candidate], sense: Sense) -> Optional[int]:
@@ -160,20 +149,14 @@ def build_record(
     wall_time: float = 0.0,
 ) -> EvalRecord:
     """One `build_candidate` per text, in order, but each distinct text is
-    parsed once and each distinct solution scored once. parse builds ids as
-    exact ints, so equal solutions score equal."""
+    parsed once. score's memo scores each distinct parsed solution once."""
     by_text: Dict[Optional[str], Candidate] = {}
-    by_solution: Dict[Optional[Solution], Candidate] = {}
     cands = []
     for raw in raw_texts:
         text = raw if isinstance(raw, str) else None
         cand = by_text.get(text)
         if cand is None:
-            sol = _answer(inst, text)
-            cand = by_solution.get(sol)
-            if cand is None:
-                cand = by_solution[sol] = _scored(inst, sol)
-            by_text[text] = cand
+            cand = by_text[text] = build_candidate(inst, text)
         cands.append(cand)
     return EvalRecord(
         inst.id, inst.kind, size_tier(inst), tuple(cands), reference_objective, wall_time

@@ -207,9 +207,21 @@ PAYLOAD_TYPE_BY_KIND: Mapping[ProblemKind, type] = {
 }
 
 
+# The payload fields that belong to other kinds, which an instance of this
+# kind leaves unset.
+_FOREIGN_FIELDS: Mapping[ProblemKind, Tuple[str, ...]] = {
+    ProblemKind.TSP: ("prizes", "demands", "capacity", "distance_limit"),
+    ProblemKind.OP: ("demands", "capacity"),
+    ProblemKind.CVRP: ("prizes", "distance_limit"),
+    ProblemKind.PFSP: ("machine_order",),
+}
+
+
 @dataclass(frozen=True)
 class Instance:
-    """A problem instance: kind, payload, stable id, and provenance metadata."""
+    """A problem instance: kind, payload, stable id, and provenance metadata.
+
+    The payload sets the fields of its kind and none of another kind's."""
 
     kind: ProblemKind
     payload: Payload
@@ -222,6 +234,9 @@ class Instance:
         if not isinstance(self.payload, expected):
             raise TypeError(f"{self.kind.value} expects payload {expected.__name__}")
         p = self.payload
+        for name in _FOREIGN_FIELDS.get(self.kind, ()):
+            if getattr(p, name) is not None:
+                raise ValueError(f"{self.kind.value} instance takes no {name}, another kind's field")
         if self.kind is ProblemKind.OP and (p.prizes is None or p.distance_limit is None):
             raise ValueError("OP instance needs prizes and a distance limit")
         if self.kind is ProblemKind.CVRP and (p.demands is None or p.capacity is None):

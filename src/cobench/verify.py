@@ -11,17 +11,28 @@ rows that are not permutations, or a deadlocked schedule). check() and
 objective() are thin views of score(); objective() raises ValueError where
 the value is None.
 
-score() remembers its last call in one module-level slot holding the
-instance, the solution and their (report, value). A call whose instance and
-solution are the same objects (`is`) as the last call's returns the stored
-result, so check() then objective() on one answer, as an RL loop runs them,
-or solve()'s objective() then check(), scores it once. A result is stored
-only when the shape gate calls the ids frozen: a tuple (a tuple of tuples
-for RouteSet and MachineSchedules) or, for the flat types, a frozenset,
-which is what the parser and every heuristic build. A solution whose ids are
-held in a list is scored on every call, so mutating it between calls never
-returns a stale result. The slot is read and written as one tuple each, so
-threads need no lock: a call that races another is at worst a miss.
+score() keeps one module-level memo for one instance: the instance, a dict
+from solution to (report, value), and the last solution with its result.
+The instance is compared by identity; a call with any other instance starts
+an empty memo. A call whose solution is the last one (`is`) returns the
+stored result, so check() then objective() on one answer, as an RL loop runs
+them, or solve()'s objective() then check(), scores it once. Every other
+solution of the memo's instance is looked up by value, so each distinct
+answer of a group is scored once. A result is kept only when the shape gate
+calls the ids frozen: a tuple (a tuple of tuples for RouteSet and
+MachineSchedules) or, for the flat types, a frozenset, which is what the
+parser and every heuristic build. It is kept by value only when the solution
+is of its kind's own type, not a subclass, and one type pass proves every id
+an exact int (at least one): equal ids are then the same ids. An id of
+1.0, True or numpy's 1 equals 1, yet 1.0 fails the id gate where 1 passes,
+and a subclass may define its own equality. The id gates trust that pass
+instead of repeating it. The memo starts afresh once it holds _MEMO_CAP
+(1,024) solutions, so a loop over many answers to one instance keeps a
+bounded amount. A solution whose ids are held in a list is scored on every
+call, so mutating it between calls never returns a stale result. The memo
+is read and written as one tuple, and a dict only ever holds results for the
+instance it was made with, so threads need no lock: a call that races
+another is at worst a miss.
 
 Reports are frozen, so score() hands out shared ones: every (kind,
 constraint flags) report, and each kind's failed report, is built once at
@@ -46,7 +57,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-from typing import List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -177,8 +188,22 @@ def _shape_gate(sol: Solution) -> Optional[bool]:
     return False if readable else None
 
 
-# The last stored call: (instance, solution, scored). See the module docstring.
-_last: Tuple[object, object, Optional[Scored]] = (object(), object(), None)
+def _exact_ints(sol: Solution) -> bool:
+    """The one type pass: whether every id of `sol` is an exact int, and
+    there is at least one. The id gates trust it where score() proved it."""
+    (ids,) = vars(sol).values()
+    if isinstance(sol, NESTED_SOLUTION_TYPES):
+        ids = chain.from_iterable(ids)
+    return set(map(type, ids)) == {int}
+
+
+# score()'s memo: (instance, {solution: scored}, last solution, its scored).
+# See the module docstring.
+_memo: Tuple[object, Dict[Solution, Scored], object, Optional[Scored]] = (
+    object(), {}, object(), None
+)
+# The most solutions the memo holds; the next one starts it afresh.
+_MEMO_CAP = 1024
 
 
 def score(inst: Instance, sol: Solution) -> Scored:
@@ -187,24 +212,34 @@ def score(inst: Instance, sol: Solution) -> Scored:
     The value is None only when the solution cannot be scored; it is never
     None for a solution the report calls feasible.
     """
-    global _last
-    last_inst, last_sol, scored = _last
-    if sol is last_sol and inst is last_inst:
+    global _memo
+    memo_inst, memo, last_sol, scored = _memo
+    if sol is last_sol and inst is memo_inst:
         return scored
     kind = inst.kind
-    if not isinstance(sol, SOLUTION_TYPE_BY_KIND[kind]):
+    expected = SOLUTION_TYPE_BY_KIND[kind]
+    if not isinstance(sol, expected):
         return _FAILED_REPORTS[kind], None
     frozen = _shape_gate(sol)
     if frozen is None:
         return _FAILED_REPORTS[kind], None
-    try:
-        scored = _SCORERS[kind](inst.payload, sol)
-    except (TypeError, ValueError, LookupError):
-        # A collection the scorer cannot index or compare: a set or mapping
-        # in an ordered field, or a numpy array as an id.
-        return _FAILED_REPORTS[kind], None
+    exact = frozen and type(sol) is expected and _exact_ints(sol)
+    if inst is not memo_inst:
+        memo = {}
+    scored = memo.get(sol) if exact else None
+    if scored is None:
+        try:
+            scored = _SCORERS[kind](inst.payload, sol, exact)
+        except (TypeError, ValueError, LookupError):
+            # A collection the scorer cannot index or compare: a set or
+            # mapping in an ordered field, or a numpy array as an id.
+            return _FAILED_REPORTS[kind], None
+        if exact:
+            if len(memo) >= _MEMO_CAP:
+                memo = {}
+            memo[sol] = scored
     if frozen:
-        _last = (inst, sol, scored)
+        _memo = (inst, memo, sol, scored)
     return scored
 
 
@@ -240,14 +275,15 @@ def objective(inst: Instance, sol: Solution) -> ObjectiveValue:
     return ObjectiveValue(value=value, sense=SENSE_BY_KIND[inst.kind])
 
 
-def _ids_ok(ids, n: int) -> bool:
+def _ids_ok(ids, n: int, exact: bool) -> bool:
     """The one id gate: integers (numpy ones included) in [0, n).
 
-    Parsed ids are plain ints, so one type pass over them and a min/max is
-    the fast path. Anything else (numpy ints, bools, junk) goes through the
-    per-element test, where the exact-type check spares most of the ~10x
-    dearer ABC isinstance check."""
-    if set(map(type, ids)) == {int}:
+    Where score() proved the ids `exact` ints, a min/max is the whole test.
+    Otherwise one type pass sends plain ints to the same min/max, and
+    anything else (numpy ints, bools, junk) goes through the per-element
+    test, where the exact-type check spares most of the ~10x dearer ABC
+    isinstance check."""
+    if exact or set(map(type, ids)) == {int}:
         return min(ids) >= 0 and max(ids) < n
     return all(
         (type(v) is int or isinstance(v, numbers.Integral)) and 0 <= v < n for v in ids
@@ -258,9 +294,9 @@ def _ids_ok(ids, n: int) -> bool:
 # Routing
 
 
-def _score_tsp(p: RoutingInstance, sol: Route) -> Scored:
+def _score_tsp(p: RoutingInstance, sol: Route, exact: bool) -> Scored:
     nodes = sol.nodes
-    ids_ok = _ids_ok(nodes, p.n)
+    ids_ok = _ids_ok(nodes, p.n, exact)
     closed = len(nodes) >= 2 and bool(nodes[0] == nodes[-1])
     body = nodes[:-1] if closed else nodes
     # With every id in range, n distinct ids are exactly the n nodes.
@@ -269,10 +305,10 @@ def _score_tsp(p: RoutingInstance, sol: Route) -> Scored:
     return _report(ProblemKind.TSP, visits_once, closed), value
 
 
-def _score_op(p: RoutingInstance, sol: Route) -> Scored:
+def _score_op(p: RoutingInstance, sol: Route, exact: bool) -> Scored:
     nodes = sol.nodes
     starts = bool(nodes) and bool(nodes[0] == 0)
-    if not (nodes and _ids_ok(nodes, p.n)):
+    if not (nodes and _ids_ok(nodes, p.n, exact)):
         # An empty route revisits nothing; bad ids leave the visits undefined.
         return _report(ProblemKind.OP, starts, not nodes, False), None
     # A single trailing return to the depot is allowed and not a revisit.
@@ -288,7 +324,7 @@ def _score_op(p: RoutingInstance, sol: Route) -> Scored:
     return report, float(sum(p.prizes[v] for v in set(nodes)))
 
 
-def _score_cvrp(p: RoutingInstance, sol: RouteSet) -> Scored:
+def _score_cvrp(p: RoutingInstance, sol: RouteSet, exact: bool) -> Scored:
     # Node 0 is the depot, here and in every solver and prompt.
     routes = [r for r in sol.routes if len(r) > 0]
     nonempty = [r for r in routes if any(v != 0 for v in r)]
@@ -296,7 +332,7 @@ def _score_cvrp(p: RoutingInstance, sol: RouteSet) -> Scored:
         len(r) >= 2 and r[0] == 0 and r[-1] == 0 for r in nonempty
     )
     ids = list(chain.from_iterable(routes))
-    if not _ids_ok(ids, p.n):
+    if not _ids_ok(ids, p.n, exact):
         return _report(ProblemKind.CVRP, endpoints_ok, False, False), None
 
     visits = [v for v in ids if v != 0]
@@ -322,17 +358,17 @@ def _score_cvrp(p: RoutingInstance, sol: RouteSet) -> Scored:
 # Graphs
 
 
-def _score_mis(p: GraphInstance, sol: VertexSet) -> Scored:
+def _score_mis(p: GraphInstance, sol: VertexSet, exact: bool) -> Scored:
     chosen = sol.vertices
-    if not _ids_ok(chosen, p.num_nodes):
+    if not _ids_ok(chosen, p.num_nodes, exact):
         return _report(ProblemKind.MIS, False), None
     independent = not any(u in chosen and v in chosen for u, v in p.edges)
     return _report(ProblemKind.MIS, independent), float(len(chosen))
 
 
-def _score_mvc(p: GraphInstance, sol: VertexSet) -> Scored:
+def _score_mvc(p: GraphInstance, sol: VertexSet, exact: bool) -> Scored:
     chosen = sol.vertices
-    if not _ids_ok(chosen, p.num_nodes):
+    if not _ids_ok(chosen, p.num_nodes, exact):
         return _report(ProblemKind.MVC, False), None
     # frozenset: the ids may sit in any collection, a str included.
     covered = frozenset(chosen).issuperset([v for u, v in p.edges if u not in chosen])
@@ -357,9 +393,9 @@ def pfsp_makespan(ptimes, order) -> float:
     return completion[-1]
 
 
-def _score_pfsp(p: SchedulingInstance, sol: JobOrder) -> Scored:
+def _score_pfsp(p: SchedulingInstance, sol: JobOrder, exact: bool) -> Scored:
     jobs = sol.jobs
-    if not (jobs and _ids_ok(jobs, p.num_jobs)):
+    if not (jobs and _ids_ok(jobs, p.num_jobs, exact)):
         return _report(ProblemKind.PFSP, False), None
     perm = sorted(jobs) == list(range(p.num_jobs))
     return _report(ProblemKind.PFSP, perm), pfsp_makespan(p.ptimes, jobs)
@@ -416,19 +452,20 @@ def jssp_decode(
     return starts, max(job_free)
 
 
-def _all_permutations(rows, n: int) -> bool:
-    """Every row is a permutation of range(n). One type pass over all rows
-    sends plain ints straight to the sort; other rows pass the id gate
-    first, so a sort never compares junk."""
+def _all_permutations(rows, n: int, exact: bool) -> bool:
+    """Every row is a permutation of range(n). Rows of plain ints, `exact`
+    as score() proved or by one type pass over all rows, go straight to the
+    sort; other rows pass the id gate first, so a sort never compares
+    junk."""
     target = list(range(n))
-    if set(map(type, chain.from_iterable(rows))) == {int}:
+    if exact or set(map(type, chain.from_iterable(rows))) == {int}:
         return all(sorted(row) == target for row in rows)
-    return all(_ids_ok(row, n) and sorted(row) == target for row in rows)
+    return all(_ids_ok(row, n, False) and sorted(row) == target for row in rows)
 
 
-def _score_jssp(p: SchedulingInstance, sol: MachineSchedules) -> Scored:
+def _score_jssp(p: SchedulingInstance, sol: MachineSchedules, exact: bool) -> Scored:
     seqs = sol.sequences
-    if not (len(seqs) == p.num_machines and _all_permutations(seqs, p.num_jobs)):
+    if not (len(seqs) == p.num_machines and _all_permutations(seqs, p.num_jobs, exact)):
         # Without a full, valid sequence set the decode is undefined.
         return _report(ProblemKind.JSSP, False, False, False), None
     decoded = jssp_decode(p, seqs)

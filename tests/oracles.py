@@ -815,7 +815,7 @@ def refused_mapping_row(payload, sol):
         return False
     try:
         return len(seqs) == payload.num_machines and verify._all_permutations(
-            seqs, payload.num_jobs
+            seqs, payload.num_jobs, False
         )
     except (TypeError, ValueError, LookupError):
         return False
@@ -834,13 +834,14 @@ def reference_shape_gate(inst, sol):
 
 
 def reference_score(inst, sol):
-    """score() before the one shape gate, with no stored result."""
+    """score() before the one shape gate, with no stored result and no
+    proof of exact ints: every id gate runs its own type pass."""
     failed = verify._FAILED_REPORTS[inst.kind], None
     if not isinstance(sol, SOLUTION_TYPE_BY_KIND[inst.kind]):
         return failed
     if reference_shape_gate(inst, sol) is None:
         return failed
     try:
-        return verify._SCORERS[inst.kind](inst.payload, sol)
+        return verify._SCORERS[inst.kind](inst.payload, sol, False)
     except (TypeError, ValueError, LookupError):
         return failed

@@ -242,6 +242,19 @@ def test_verify_feasible_reference(tsp_dir, tmp_path, capsys):
     assert names == ["visits_each_node_once", "returns_to_start"]
 
 
+def test_verify_refuses_an_instance_with_a_field_of_another_kind(tsp_dir, tmp_path, capsys):
+    doc = json.loads(_instance_files(tsp_dir)[0].read_text())
+    doc["payload"]["capacity"] = 10
+    inst_file = tmp_path / "tsp-with-capacity.json"
+    inst_file.write_text(json.dumps(doc))
+    answer = tmp_path / "answer.txt"
+    answer.write_text("Route: [0, 1, 2, 0]")
+    code, out, err = run(capsys, "verify", "--instance", str(inst_file), "--response", str(answer))
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["error: tsp instance takes no capacity, another kind's field"]
+
+
 @pytest.mark.parametrize("field", ["coords", "distance_limit"])
 def test_verify_non_finite_instance_is_data_error(tsp_dir, tmp_path, capsys, field):
     doc = json.loads(_instance_files(tsp_dir)[0].read_text())

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cobench import verify
 from cobench.evalharness import endpoint
 from cobench.evalharness import (
     Candidate,
@@ -284,27 +285,30 @@ def test_build_record_parses_each_text_and_scores_each_solution_once(monkeypatch
     # The package re-exports the function `metrics` over its module's name,
     # so the module is reached through importlib.
     module = importlib.import_module("cobench.evalharness.metrics")
-    calls = {"parse": 0, "score": 0}
+    calls = {"parse": 0, "scorer": 0}
+    original_parse = module.parse
+    original_scorer = verify._SCORERS[ProblemKind.TSP]
 
-    def counting(name):
-        original = getattr(module, name)
+    def counting_parse(*args):
+        calls["parse"] += 1
+        return original_parse(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
+    def counting_scorer(*args):
+        calls["scorer"] += 1
+        return original_scorer(*args)
 
-        return wrapper
-
-    monkeypatch.setattr(module, "parse", counting("parse"))
-    monkeypatch.setattr(module, "score", counting("score"))
     inst, sol, value = feasible_pair(ProblemKind.TSP, size=8)
     good = format_solution(inst.kind, sol, value)
+    monkeypatch.setattr(module, "parse", counting_parse)
+    monkeypatch.setattr(verify, "_memo", (object(), {}, object(), None))
+    monkeypatch.setitem(verify._SCORERS, ProblemKind.TSP, counting_scorer)
     thought = "<think>maybe [0, 1]</think>" + good  # another text, the same solution
     texts = [good, "junk", good, None, thought, "junk", 7, good]
     rec = build_record(inst, texts, value)
     # Texts: good, junk, thought and the non-strings, read as no text.
-    # Solutions: the tour, and none for junk and the non-strings.
-    assert calls == {"parse": 4, "score": 2}
+    # Solutions: the tour, scored once; junk and the non-strings give none,
+    # which fails before any scorer runs.
+    assert calls == {"parse": 4, "scorer": 1}
     feasible = [True, False, True, False, True, False, False, True]
     assert [c.feasible for c in rec.candidates] == feasible
 

@@ -807,6 +807,28 @@ def test_negative_demand_cannot_hide_an_overloaded_route():
         instance_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        (ProblemKind.TSP, "prizes", [0, 1, 1, 1, 1]),
+        (ProblemKind.TSP, "demands", [0, 9, 9, 9, 9]),
+        (ProblemKind.TSP, "capacity", 10),
+        (ProblemKind.TSP, "distance_limit", None),  # null: no budget, still OP's field
+        (ProblemKind.OP, "demands", [0, 1, 1, 1, 1]),
+        (ProblemKind.OP, "capacity", 10),
+        (ProblemKind.CVRP, "prizes", [0, 1, 1, 1, 1]),
+        (ProblemKind.CVRP, "distance_limit", 5.0),
+        (ProblemKind.PFSP, "machine_order", [[0, 1, 2, 3, 4]] * 5),
+    ],
+)
+def test_an_instance_refuses_a_field_of_another_kind(kind, field, value):
+    doc = json.loads(instance_to_json(make_instance(kind, size=5)))
+    doc["payload"][field] = value
+    message = f"^{kind.value} instance takes no {field}, another kind's field$"
+    with pytest.raises(ValueError, match=message):
+        instance_from_json(json.dumps(doc))
+
+
 def test_genconfig_validation():
     with pytest.raises(ValueError):
         GenConfig(size_range=(1, 5))
