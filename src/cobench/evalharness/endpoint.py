@@ -12,18 +12,15 @@ their records. Metrics are always rederived from the raw text by
 `build_candidate`, which also strips thinking blocks, so a resumed run and
 `cobench report` cannot drift from a fresh one.
 
-The HTTP sampler posts through the standard library's `http.client`, one
-connection per request, so the runtime needs no HTTP package. An
-`http_proxy` or `https_proxy` in the environment, and `no_proxy`, route
-requests as urllib routes them; like urllib, the process reads the proxies
-once, at its first request.
+The HTTP sampler posts through the standard library's `urllib.request`, one
+connection per request, so the runtime needs no HTTP package. urllib routes
+each request through the `http_proxy` or `https_proxy` the environment names,
+unless `no_proxy` exempts its host.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
-import functools
 import http.client
 import json
 import logging
@@ -31,12 +28,12 @@ import math
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
-from urllib.parse import SplitResult, unquote, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 from ..problems.io import ReferenceSolution
 from ..problems.types import Instance
@@ -84,56 +81,6 @@ def _headers(cfg: EndpointConfig) -> Dict[str, str]:
 MAX_RETRY_AFTER = 600.0
 
 
-class _StatusError(Exception):
-    """A reply whose status is not 2xx."""
-
-    def __init__(self, status: int, reason: str, headers: http.client.HTTPMessage):
-        super().__init__(f"HTTP Error {status}: {reason}")
-        self.status = status
-        self.headers = headers
-
-
-@functools.cache
-def _proxies() -> Dict[str, str]:
-    """The proxies the environment names, by scheme, read once per process
-    as urllib's default opener reads them. A read walks the whole
-    environment twice: 0.14 ms for 74 variables on a Xeon VM core, where a
-    whole request to a local server takes about 2 ms."""
-    return getproxies()
-
-
-def _connect(
-    url: SplitResult, timeout: float
-) -> Tuple[http.client.HTTPConnection, str, Dict[str, str]]:
-    """A connection for a request to url, the request target to send on it,
-    and the headers a proxy asks of each request.
-
-    Routed as urllib routes it: through the proxy the environment names for
-    url's scheme, unless the host is exempt, with the credentials in the
-    proxy's URL. An https request tunnels through the proxy by CONNECT."""
-    via = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
-    if url.scheme not in via:
-        raise http.client.InvalidURL(f"unknown url type: {url.scheme!r}")
-    target = url.path + (f"?{url.query}" if url.query else "")
-    proxy = _proxies().get(url.scheme)
-    if not proxy or proxy_bypass(url.netloc):
-        return via[url.scheme](url.netloc, timeout=timeout), target, {}
-    # A proxy given as host:port speaks http.
-    p = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-    if p.scheme not in via:
-        raise http.client.InvalidURL(f"unknown proxy type: {p.scheme!r}")
-    auth = {}
-    if p.username and p.password:
-        creds = f"{unquote(p.username)}:{unquote(p.password)}".encode()
-        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(creds).decode("ascii")
-    proxy_host = p.netloc.rpartition("@")[2]
-    if url.scheme == "https":
-        conn = http.client.HTTPSConnection(proxy_host, timeout=timeout)
-        conn.set_tunnel(url.netloc, headers=auth)
-        return conn, target, {}
-    return via[p.scheme](proxy_host, timeout=timeout), url.geturl(), auth
-
-
 def _post_once(cfg: EndpointConfig, prompt: str, n: int) -> List[str]:
     body = json.dumps({
         "model": cfg.model_name,
@@ -143,15 +90,13 @@ def _post_once(cfg: EndpointConfig, prompt: str, n: int) -> List[str]:
         "max_tokens": cfg.max_tokens,
         "n": n,
     }).encode()
-    url = urlsplit(cfg.base_url.rstrip("/") + "/chat/completions")
-    conn, target, headers = _connect(url, cfg.timeout)
-    with contextlib.closing(conn):
-        conn.request("POST", target, body, {**headers, **_headers(cfg)})
-        with conn.getresponse() as resp:
-            data = resp.read()
-    if not 200 <= resp.status < 300:
-        raise _StatusError(resp.status, resp.reason, resp.headers)
-    reply = json.loads(data)
+    url = cfg.base_url.rstrip("/") + "/chat/completions"
+    req = urllib.request.Request(url, data=body, method="POST")
+    for name, value in _headers(cfg).items():
+        # Not sent on to where a redirect points, so the API key stays here.
+        req.add_unredirected_header(name, value)
+    with urllib.request.urlopen(req, timeout=cfg.timeout) as resp:
+        reply = json.loads(resp.read())
     return [c["message"]["content"] for c in reply["choices"]]
 
 
@@ -159,7 +104,7 @@ def _retry_after(err: Exception) -> float:
     """The delay-seconds in a 429 or 503 reply's Retry-After header, capped at
     MAX_RETRY_AFTER. 0 for any other failure, and for a header that is an
     HTTP-date, junk or absent, which leave the backoff alone."""
-    if not (isinstance(err, _StatusError) and err.status in (429, 503)):
+    if not (isinstance(err, urllib.error.HTTPError) and err.code in (429, 503)):
         return 0.0
     value = (err.headers.get("Retry-After") or "").strip()
     if not (value.isascii() and value.isdigit()):
@@ -184,8 +129,9 @@ def request_samples(cfg: EndpointConfig, prompt: str) -> List[str]:
             try:
                 got = _post_once(cfg, prompt, want)
                 break
-            except _StatusError as err:
-                last_err, status = err, err.status
+            except urllib.error.HTTPError as err:
+                err.close()
+                last_err, status = err, err.code
             except (OSError, http.client.HTTPException, KeyError, TypeError, ValueError) as err:
                 last_err, status = err, 0
             if attempt == cfg.retries or (400 <= status < 500 and status != 429):

@@ -913,6 +913,21 @@ def test_report_duplicate_ids_resolve_last_wins(bench, tmp_path, capsys):
     assert payload["num_records"] == 3 and payload["feasibility_rate"] == 1.0
 
 
+def test_report_on_a_records_file_naming_an_unknown_instance_is_data_error(
+    bench, tmp_path, capsys
+):
+    insts, refs = bench
+    raw_file = tmp_path / "raw.jsonl"
+    run(capsys, "evaluate", "--instances", str(insts), "--references", str(refs),
+        "--mock", "--out", str(raw_file))
+    with raw_file.open("a") as fh:
+        fh.write(json.dumps({"instance_id": "tsp-elsewhere", "raw_texts": []}) + "\n")
+    code, out, err = run(capsys, "report", "--records", str(raw_file), "--instances",
+                         str(insts), "--references", str(refs))
+    assert (code, out) == (2, "")
+    assert err == "error: records mention unknown instance tsp-elsewhere\n"
+
+
 @pytest.mark.parametrize(
     "row",
     [

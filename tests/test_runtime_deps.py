@@ -4,7 +4,8 @@ scipy and networkx stay test-only: the routing neighbour pass and the graph
 generators are in-tree, and importing the package must not pull either in.
 The test oracles need neither, so only the generator differential test skips
 without networkx. Endpoint requests go through the standard library's
-http.client, so importing the package loads no third-party HTTP client either.
+urllib.request, so importing the package loads no third-party HTTP client
+either.
 """
 
 import importlib.metadata
